@@ -2,8 +2,8 @@
 biharmonic problem lap^2 u = -u^(-q), the mixed-sign coupled radial system,
 and the parabolic reaction-diffusion analogue.
 
-The hot integration kernel has a compiled core with a pure-Python fallback;
-``biharm_lab.BACKEND`` reports which one is active.
+Every shot runs through one radial DP5 kernel written in Python
+(``biharm_lab._backend``); ``biharm_lab.BACKEND`` names it in run records.
 """
 __version__ = "0.1.0"
 

@@ -5,7 +5,7 @@ The equation lap^2 u = -u^(-q) is integrated as the first-order system
     u' = p,  p' = z - (n-1) p / r,  z' = s,  s' = -u^(-q) - (n-1) s / r
 
 with p(0) = s(0) = 0, which is the rexp = 1 case of the coupled radial
-system handled by the kernel backend.  Profiles carry (u, u', z = lap u,
+system handled by the radial kernel.  Profiles carry (u, u', z = lap u,
 z') sampled on a uniform grid together with a window classification.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._backend import radial_ivp
+from ._backend import STATUS_FAILED, STATUS_OK, radial_ivp
 from .errors import DomainError, IntegratorError, PreconditionError
 from .grids import Field, RadialGrid, laplacian_with_derivative
 
@@ -110,8 +110,8 @@ def exact_solution(grid: RadialGrid) -> SolutionProfile:
 
 
 def shoot(n: int, q: float, u0: float, z0: float, r_max: float,
-          num_intervals: int = 2048, rtol: float = 1e-9, atol: float = 1e-12,
-          backend: str | None = None) -> SolutionProfile:
+          num_intervals: int = 2048, rtol: float = 1e-9,
+          atol: float = 1e-12) -> SolutionProfile:
     """Integrate outward from (u0, z0) and classify the resulting window.
 
     u0 must be strictly positive; z0 = 0 is allowed and produces a profile
@@ -125,15 +125,13 @@ def shoot(n: int, q: float, u0: float, z0: float, r_max: float,
     h = r_max / num_intervals
     u, du, v, dv, status, i_stop, r_event = radial_ivp(
         n, q, 1.0, u0, z0, h, num_intervals, rtol=rtol, atol=atol,
-        floor_frac=POSITIVITY_FLOOR, backend=backend)
+        floor_frac=POSITIVITY_FLOOR)
     meta = {"n": n, "q": float(q), "source": "shooting",
             "u0": float(u0), "z0": float(z0), "rtol": rtol}
     return _profile_from_arrays(n, h, u, du, v, dv, status, i_stop, r_event, meta)
 
 
 def _profile_from_arrays(n, h, u, du, v, dv, status, i_stop, r_event, meta):
-    from ._core_py import STATUS_FAILED, STATUS_OK
-
     if status == STATUS_FAILED and i_stop < 1:
         raise IntegratorError(f"integration failed at r = {r_event:.6g}",
                               location=r_event)

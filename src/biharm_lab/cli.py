@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,7 +24,8 @@ from . import __version__, biharmonic, parabolic, serialize, system, sweeps, ver
 from .errors import (BiharmLabError, DomainError, IntegratorError,
                      PreconditionError, SizeError)
 from .grids import RadialGrid
-from .params import ParamSet, check_admissible, gamma_interval, growth_exponent, tau
+from .params import (ParamSet, beta_max_or_zero, check_admissible, gamma_interval,
+                     growth_exponent, tau)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -219,8 +221,7 @@ def _cmd_region(cfg: RunConfig) -> int:
     n, q, alpha = int(p.get("n", 3)), float(p["q"]), float(p.get("alpha", 0.5))
     beta = p.get("beta")
     if beta is None:
-        den = q - 1.0 - 4.0 * alpha / n
-        beta = float(np.sqrt(2.0 / den)) if den > 0 else 0.0
+        beta = beta_max_or_zero(alpha, q, n)
     params = ParamSet(n=n, q=q, alpha=alpha, beta=float(beta))
     res = check_admissible(params)
     gamma_star = None
@@ -240,19 +241,22 @@ def _cmd_region(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _grid_from(p, default_h, r_max_key="r_max"):
-    r_max = float(p.get(r_max_key, 20.0))
-    h = float(p.get("h") or default_h)
-    return RadialGrid.uniform(int(p.get("n", 3)), r_max, max(16, round(r_max / h)))
+def _window(p, default_h) -> tuple[float, int]:
+    """(r_max, interval count) of the radial grid from --r-max and --h."""
+    r_max = float(p.get("r_max", 20.0))
+    h = default_h if p.get("h") is None else float(p["h"])
+    for name, x in (("r_max", r_max), ("h", h)):
+        if not (math.isfinite(x) and x > 0):
+            raise DomainError(f"{name} must be finite and positive, got {x}")
+    return r_max, max(16, round(r_max / h))
 
 
 def _cmd_solve_biharmonic(cfg: RunConfig) -> int:
     p = cfg.parameters
-    r_max = float(p.get("r_max", 20.0))
-    h = float(p.get("h", 20.0 / 4096))
+    r_max, intervals = _window(p, 20.0 / 4096)
     prof = biharmonic.shoot(int(p.get("n", 3)), float(p.get("q", 7.0)),
                             float(p["u0"]), float(p["z0"]), r_max,
-                            num_intervals=max(16, round(r_max / h)),
+                            num_intervals=intervals,
                             rtol=float(p.get("rtol", 1e-9)))
     out = prof.to_dict()
     out["residual_max"] = float(np.abs(
@@ -271,15 +275,13 @@ def _profile_for_verify(p) -> biharmonic.SolutionProfile:
     if p.get("exact"):
         if p.get("q", 7.0) != 7.0 or p.get("n", 3) != 3:
             raise UsageError("--exact pins (n, q) = (3, 7); drop --n/--q or --exact")
-        grid = _grid_from({**p, "n": 3}, default_h)
-        return biharmonic.exact_solution(grid)
+        return biharmonic.exact_solution(RadialGrid.uniform(3, *_window(p, default_h)))
     if p.get("u0") is None or p.get("z0") is None:
         raise UsageError("verify needs --exact or both --u0 and --z0")
-    r_max = float(p.get("r_max", 20.0))
-    h = float(p.get("h") or default_h)
+    r_max, intervals = _window(p, default_h)
     return biharmonic.shoot(int(p.get("n", 3)), float(p.get("q", 7.0)),
                             float(p["u0"]), float(p["z0"]), r_max,
-                            num_intervals=max(16, round(r_max / h)))
+                            num_intervals=intervals)
 
 
 def _exact_aux_refinement_order(prof, alpha: float, beta: float) -> float:
@@ -302,10 +304,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     prof = _profile_for_verify(p)
     alpha = float(p.get("alpha", 0.5))
     beta = p.get("beta")
-    if beta is None:
-        den = prof.q - 1.0 - 4.0 * alpha / prof.n
-        beta = float(np.sqrt(2.0 / den)) if den > 0 else 0.0
-    beta = float(beta)
+    beta = beta_max_or_zero(alpha, prof.q, prof.n) if beta is None else float(beta)
     gamma = p.get("gamma")
 
     reports = []
@@ -349,12 +348,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _cmd_solve_system(cfg: RunConfig) -> int:
     p = cfg.parameters
-    r_max = float(p.get("r_max", 20.0))
-    h = float(p.get("h", 20.0 / 4096))
+    r_max, intervals = _window(p, 20.0 / 4096)
     prof = system.solve_radial_system(
         int(p.get("n", 3)), float(p.get("q", 7.0)), float(p.get("r_exp", 1.0)),
         float(p["u0"]), float(p["v0"]), r_max,
-        num_intervals=max(16, round(r_max / h)), rtol=float(p.get("rtol", 1e-9)))
+        num_intervals=intervals, rtol=float(p.get("rtol", 1e-9)))
     reports = []
     if prof.conforming:
         reports = [system.verify_component_comparison(prof),
@@ -408,18 +406,18 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         header = ["alpha", "q", "n", "beta", "admissible", "I1", "I2", "I3",
                   "K1", "K2", "gamma_star"]
     elif module == "biharmonic":
+        r_max, intervals = _window(p, 20.0 / 1024)
         rows = sweeps.weak_bound_sweep(
             n_values=_ints(p.get("n", "3,4,5")), q_values=_floats(p.get("q", "2,3,5,7")),
-            r_max=float(p.get("r_max", 20.0)),
-            intervals=max(16, round(float(p.get("r_max", 20.0)) / float(p.get("h", 20.0 / 1024)))))
+            r_max=r_max, intervals=intervals)
         header = ["n", "q", "u0", "z0", "kappa", "classification", "r_stop",
                   "weak_pass", "min_margin", "argmin_r"]
     elif module == "lane-emden":
+        r_max, intervals = _window(p, 20.0 / 1024)
         rows = sweeps.system_sweep(
             n_values=_ints(p.get("n", "3,4,5")), q_values=_floats(p.get("q", "2,3,5,7")),
             rexp_values=_floats(p.get("r_exp", "0.5,1,2")),
-            r_max=float(p.get("r_max", 20.0)),
-            intervals=max(16, round(float(p.get("r_max", 20.0)) / float(p.get("h", 20.0 / 1024)))))
+            r_max=r_max, intervals=intervals)
         header = ["n", "q", "rexp", "u0", "v0", "kappa", "classification",
                   "r_stop", "comparison_pass", "min_margin", "concavity_pass",
                   "qualifying_nodes"]

@@ -123,6 +123,12 @@ def beta_max(alpha: float, q: float, n: int) -> float:
     return math.sqrt(2.0 / den)
 
 
+def beta_max_or_zero(alpha: float, q: float, n: int) -> float:
+    """beta_max(alpha, q, n) where it is defined, else 0 (the default beta)."""
+    den = q - 1.0 - 4.0 * alpha / n
+    return math.sqrt(2.0 / den) if den > 0 else 0.0
+
+
 def weak_coefficient(q: float) -> float:
     """Baseline coefficient sqrt(2/(q-1)) of the gradient-free bound."""
     if not q > 1:

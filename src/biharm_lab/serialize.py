@@ -14,7 +14,8 @@ from pathlib import Path
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        # float.__repr__ also for NumPy scalars, whose own repr wraps the value
+        return float.__repr__(x)
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -48,8 +49,6 @@ def _json_default(x):
         return x.item()
     if isinstance(x, np.ndarray):
         return x.tolist()
-    if isinstance(x, float) and x != x:
-        return None
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 

@@ -19,7 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import biharmonic, system, verify
-from .params import ParamSet, check_admissible, gamma_interval, weak_coefficient
+from .params import (ParamSet, beta_max_or_zero, check_admissible, gamma_interval,
+                     weak_coefficient)
 
 #: initial-amplitude grid shared by both shooting sweeps
 U0_GRID = (0.6, 0.85, 1.2, 1.7)
@@ -127,8 +128,7 @@ def region_sweep(n_values=(3, 4, 5, 6, 7, 8),
     for n in sorted(n_values):
         for q in sorted(q_values):
             for alpha in sorted(alpha_values):
-                den = q - 1.0 - 4.0 * alpha / n
-                beta = np.sqrt(2.0 / den) if den > 0 else 0.0
+                beta = beta_max_or_zero(alpha, q, n)
                 params = ParamSet(n=int(n), q=float(q), alpha=float(alpha),
                                   beta=float(beta))
                 res = check_admissible(params)

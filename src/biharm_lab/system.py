@@ -120,8 +120,7 @@ class SystemProfile:
 
 def solve_radial_system(n: int, q: float, rexp: float, u0: float, v0: float,
                         r_max: float, num_intervals: int = 2048,
-                        rtol: float = 1e-9, atol: float = 1e-12,
-                        backend: str | None = None) -> SystemProfile:
+                        rtol: float = 1e-9, atol: float = 1e-12) -> SystemProfile:
     """Shoot the coupled system outward from (u0, v0) and classify the window."""
     if u0 <= 0 or v0 <= 0:
         raise DomainError(f"initial values must be positive, got u0 = {u0}, v0 = {v0}")
@@ -130,7 +129,7 @@ def solve_radial_system(n: int, q: float, rexp: float, u0: float, v0: float,
     h = r_max / num_intervals
     u, du, v, dv, status, i_stop, r_event = radial_ivp(
         n, q, rexp, u0, v0, h, num_intervals, rtol=rtol, atol=atol,
-        floor_frac=POSITIVITY_FLOOR, backend=backend)
+        floor_frac=POSITIVITY_FLOOR)
     meta = {"n": n, "q": float(q), "rexp": float(rexp), "source": "shooting",
             "u0": float(u0), "v0": float(v0), "rtol": rtol}
     base = _profile_from_arrays(n, h, u, du, v, dv, status, i_stop, r_event, meta)
@@ -211,6 +210,7 @@ def verify_concavity_step(profile: SystemProfile) -> VerificationReport:
     w <= 0 do not qualify; no qualifying nodes is a vacuous pass, the
     expected outcome on genuine solutions.
     """
+    profile.require_positive()
     rexp = profile.rexp
     w = profile.gap_field().values
     v = profile.v.values

@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
 
+from biharm_lab import _backend
 from biharm_lab import biharmonic as bh
 from biharm_lab.errors import DomainError
 from biharm_lab.grids import Field, RadialGrid, convergence_order
 
 from conftest import GOLD_DU0, GOLD_U0
+
+
+def test_backend_reported():
+    assert _backend.BACKEND == "python"
+
+
+def test_python_kernel_always_available():
+    u, du, v, dv, status, i_stop, _ = _backend.radial_ivp(
+        3, 7.0, 1.0, 1.0, 2.0, 10.0 / 256, 256)
+    assert status == _backend.STATUS_OK and i_stop == 256
+    assert np.all(u > 0)
 
 
 class TestSymbolicOracle:

@@ -75,6 +75,23 @@ class TestSolveBiharmonic:
         assert code == 2
 
 
+class TestGridSpacing:
+    @pytest.mark.parametrize("argv", [
+        ["solve-biharmonic", "--u0", "1", "--z0", "2", "--h", "0"],
+        ["solve-system", "--u0", "1", "--v0", "2", "--h", "0"],
+        ["verify", "--exact", "--check", "sharp", "--h", "0"],
+        ["verify", "--u0", "1", "--z0", "2", "--check", "sharp", "--h", "-0.1"],
+        ["solve-biharmonic", "--u0", "1", "--z0", "2", "--h", "nan"],
+        ["solve-biharmonic", "--u0", "1", "--z0", "2", "--r-max", "inf"],
+        ["solve-system", "--u0", "1", "--v0", "2", "--r-max", "0"],
+        ["sweep", "--module", "biharmonic", "--h", "nan"],
+        ["sweep", "--module", "lane-emden", "--r-max", "-5"],
+    ])
+    def test_bad_window_exits_2(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+
+
 class TestConfigRoundTrip:
     def test_lossless(self):
         cfg = cli.RunConfig(command="region",

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from biharm_lab import serialize
+from biharm_lab import biharmonic, serialize
 from biharm_lab.grids import Field, RadialGrid
 
 
@@ -34,9 +34,10 @@ class TestWriters:
     def test_csv_formatting(self, tmp_path):
         path = tmp_path / "t.csv"
         serialize.write_csv(path, ["a", "b", "c"],
-                            [(1.0, None, True), (0.1, "x", False)])
+                            [(1.0, None, True), (0.1, "x", False),
+                             (np.float64(0.25), np.int64(3), None)])
         lines = path.read_text().splitlines()
-        assert lines == ["a,b,c", "1.0,,true", "0.1,x,false"]
+        assert lines == ["a,b,c", "1.0,,true", "0.1,x,false", "0.25,3,"]
 
     def test_nan_sanitized(self):
         out = serialize.sanitize_nan({"x": float("nan"), "y": [float("inf"), 1.0]})
@@ -53,3 +54,13 @@ class TestWriters:
         serialize.write_json(tmp_path / "a.json", obj)
         serialize.write_json(tmp_path / "b.json", obj)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_profile_csv_parses(self, tmp_path):
+        prof = biharmonic.shoot(3, 7.0, 1.0, 2.0, 5.0, num_intervals=64)
+        path = serialize.write_csv(tmp_path / "p.csv", ["r", "u", "du", "z", "dz", "residual"],
+                                   prof.csv_rows())
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == 65
+        for line in lines:
+            values = [float(tok) for tok in line.split(",")]
+            assert len(values) == 6

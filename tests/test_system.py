@@ -164,3 +164,9 @@ class TestConcavityStep:
         assert rep.passed
         assert rep.params["qualifying_nodes"] == 0
         assert any("vacuous" in c for c in rep.caveats)
+
+    def test_touched_zero_refused(self):
+        prof = st.solve_radial_system(3, 7.0, 1.0, 1.0, 0.3, 10.0, num_intervals=512)
+        assert not prof.conforming
+        with pytest.raises(PreconditionError):
+            st.verify_concavity_step(prof)
