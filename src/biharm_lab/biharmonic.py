@@ -118,12 +118,17 @@ def shoot(n: int, q: float, u0: float, z0: float, r_max: float,
     whose Laplacian turns negative immediately, so it comes back as a
     degenerate touched-zero window rather than an error.
     """
-    if u0 <= 0:
+    if not u0 > 0:
         raise DomainError(f"initial value u0 must be positive, got {u0}")
-    if z0 < 0:
+    if not z0 >= 0:
         raise DomainError(f"initial Laplacian z0 must be nonnegative, got {z0}")
-    h = r_max / num_intervals
-    u, du, v, dv, status, i_stop, r_event = radial_ivp(
+    if not q > 1:
+        raise DomainError(f"exponent q must exceed 1, got {q}")
+    if not rtol > 0:
+        raise DomainError(f"rtol must be positive, got {rtol}")
+    # the grid refuses a bad dimension or spacing before the kernel runs
+    h = RadialGrid(n=n, h=r_max / num_intervals, num_intervals=num_intervals).h
+    u, du, v, dv, status, i_stop, r_event, _ = radial_ivp(
         n, q, 1.0, u0, z0, h, num_intervals, rtol=rtol, atol=atol,
         floor_frac=POSITIVITY_FLOOR)
     meta = {"n": n, "q": float(q), "source": "shooting",

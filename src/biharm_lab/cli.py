@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, biharmonic, parabolic, serialize, system, sweeps, verify
+from ._backend import TOL_PER_H2
 from .errors import (BiharmLabError, DomainError, IntegratorError,
                      PreconditionError, SizeError)
 from .grids import RadialGrid
@@ -32,6 +33,10 @@ EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_VERIFICATION = 3
 EXIT_INTEGRATOR = 4
+
+#: --rtol help of the two shooting subcommands
+RTOL_HELP = ("upper bound on the integrator's relative tolerance (default 1e-9); "
+             f"the kernel runs at min(rtol, {TOL_PER_H2:g}*h^2)")
 
 #: verify subcommand checks on the closed-form reference profile
 CHECKS = ("pointwise", "sharp", "weak", "gradient", "aux-ineq", "weighted",
@@ -96,7 +101,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--z0", type=float, required=True)
     sp.add_argument("--r-max", type=float, default=argparse.SUPPRESS, help="window end (default 20)")
     sp.add_argument("--h", type=float, default=argparse.SUPPRESS, help="grid spacing (default 20/4096)")
-    sp.add_argument("--rtol", type=float, default=argparse.SUPPRESS, help="integrator tolerance (default 1e-9)")
+    sp.add_argument("--rtol", type=float, default=argparse.SUPPRESS, help=RTOL_HELP)
     common(sp)
 
     sp = sub.add_parser("verify", help="pointwise checks on a profile")
@@ -125,7 +130,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--v0", type=float, required=True)
     sp.add_argument("--r-max", type=float, default=argparse.SUPPRESS, help="window end (default 20)")
     sp.add_argument("--h", type=float, default=argparse.SUPPRESS, help="grid spacing (default 20/4096)")
-    sp.add_argument("--rtol", type=float, default=argparse.SUPPRESS, help="integrator tolerance (default 1e-9)")
+    sp.add_argument("--rtol", type=float, default=argparse.SUPPRESS, help=RTOL_HELP)
     common(sp)
 
     sp = sub.add_parser("simulate-parabolic", help="method-of-lines run")

@@ -122,12 +122,17 @@ def solve_radial_system(n: int, q: float, rexp: float, u0: float, v0: float,
                         r_max: float, num_intervals: int = 2048,
                         rtol: float = 1e-9, atol: float = 1e-12) -> SystemProfile:
     """Shoot the coupled system outward from (u0, v0) and classify the window."""
-    if u0 <= 0 or v0 <= 0:
+    if not (u0 > 0 and v0 > 0):
         raise DomainError(f"initial values must be positive, got u0 = {u0}, v0 = {v0}")
     if not rexp > 0:
         raise DomainError(f"rexp must be positive, got {rexp}")
-    h = r_max / num_intervals
-    u, du, v, dv, status, i_stop, r_event = radial_ivp(
+    if not q > 1:
+        raise DomainError(f"exponent q must exceed 1, got {q}")
+    if not rtol > 0:
+        raise DomainError(f"rtol must be positive, got {rtol}")
+    # the grid refuses a bad dimension or spacing before the kernel runs
+    h = RadialGrid(n=n, h=r_max / num_intervals, num_intervals=num_intervals).h
+    u, du, v, dv, status, i_stop, r_event, _ = radial_ivp(
         n, q, rexp, u0, v0, h, num_intervals, rtol=rtol, atol=atol,
         floor_frac=POSITIVITY_FLOOR)
     meta = {"n": n, "q": float(q), "rexp": float(rexp), "source": "shooting",

@@ -14,10 +14,68 @@ def test_backend_reported():
 
 
 def test_python_kernel_always_available():
-    u, du, v, dv, status, i_stop, _ = _backend.radial_ivp(
+    u, du, v, dv, status, i_stop, _, _ = _backend.radial_ivp(
         3, 7.0, 1.0, 1.0, 2.0, 10.0 / 256, 256)
     assert status == _backend.STATUS_OK and i_stop == 256
     assert np.all(u > 0)
+
+
+def _exact_shot_stats(N):
+    c = bh.EXACT_AMPLITUDE
+    return _backend.radial_ivp(3, 7.0, 1.0, c, 3.0 * c, 20.0 / N, N)[7]
+
+
+class TestDenseOutput:
+    """Free steps with the continuous extension on the 20/32768 verify grid."""
+
+    N = 32768
+
+    def test_extension_matches_scipy(self):
+        from scipy.integrate._ivp.rk import RK45, RkDenseOutput
+        assert np.array_equal(_backend._P, RK45.P)
+        rng = np.random.default_rng(7)
+        h, r0 = 0.1, (0.05, 0.27, 0.61)
+        dt = np.diff(r0 + (0.9,))
+        steps = [np.concatenate(([r, d], rng.normal(size=4 + 7 * 4)))
+                 for r, d in zip(r0, dt)]
+        outs = tuple(np.zeros(10) for _ in range(4))
+        _backend._dense_fill([st.tobytes() for st in steps], h, 1, 9, outs)
+        got = np.array(outs)[:, 1:]
+        for i, r in enumerate(np.arange(1, 10) * h):
+            s = np.searchsorted(r0, r, side="right") - 1
+            y0, K = steps[s][2:6], steps[s][6:].reshape(7, 4)
+            ref = RkDenseOutput(r0[s], r0[s] + dt[s], y0, K.T @ RK45.P)(r)
+            np.testing.assert_allclose(got[:, i], ref, rtol=1e-13, atol=1e-13)
+
+    @pytest.fixture(scope="class")
+    def fine_shot(self):
+        c = bh.EXACT_AMPLITUDE
+        return bh.shoot(3, 7.0, c, 3.0 * c, 20.0, num_intervals=self.N)
+
+    def test_matches_closed_form(self, fine_shot):
+        ue = bh.exact_fields(fine_shot.grid.r)[0]
+        assert np.abs(fine_shot.u.values - ue).max() <= 1e-9
+
+    def test_residual_at_truncation_floor(self, fine_shot):
+        sl = fine_shot.grid.trim_slice()
+        res_shot = np.abs(bh.residual(fine_shot).values[sl]).max()
+        exact = bh.exact_solution(fine_shot.grid)
+        res_exact = np.abs(bh.residual(exact).values[sl]).max()
+        assert res_shot <= 1.01 * res_exact
+
+    def test_steps_decoupled_from_nodes(self):
+        fine = _exact_shot_stats(self.N)
+        coarse = _exact_shot_stats(4096)
+        assert fine["accepted"] < self.N / 16
+        assert fine["accepted"] <= 3 * coarse["accepted"]
+        assert fine["rhs_evals"] >= 6 * fine["accepted"]
+
+    @pytest.mark.parametrize("N", [512, 32768])
+    def test_touched_zero_stops_before_event(self, N):
+        h = 10.0 / N
+        *_, status, i_stop, r_stop, _ = _backend.radial_ivp(3, 7.0, 1.0, 1.0, 0.3, h, N)
+        assert status == _backend.STATUS_TOUCHED
+        assert 0 < i_stop * h <= r_stop
 
 
 class TestSymbolicOracle:

@@ -92,6 +92,46 @@ class TestGridSpacing:
         assert "must be finite and positive" in capsys.readouterr().err
 
 
+class TestShootingDomain:
+    """Bad shooting inputs are refused before the kernel runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-biharmonic", "--u0", "1", "--z0", "2", "--n", "0", "--h", "0.5"],
+        ["solve-system", "--u0", "1", "--v0", "2", "--n", "0", "--h", "0.5"],
+    ])
+    def test_dimension_zero_exits_2(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert "dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-biharmonic", "--u0", "nan", "--z0", "1", "--h", "0.5"],
+        ["solve-biharmonic", "--u0", "1", "--z0", "nan", "--h", "0.5"],
+        ["solve-system", "--u0", "1", "--v0", "nan", "--h", "0.5"],
+        ["verify", "--u0", "nan", "--z0", "1", "--check", "sharp"],
+    ])
+    def test_nan_start_exits_2(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert "nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-biharmonic", "--u0", "1", "--z0", "2", "--q", "1", "--h", "0.5"],
+        ["solve-biharmonic", "--u0", "1", "--z0", "2", "--q", "nan", "--h", "0.5"],
+        ["solve-system", "--u0", "1", "--v0", "2", "--q", "0.5", "--h", "0.5"],
+    ])
+    def test_q_not_above_one_exits_2(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert "q must exceed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", [
+        ["solve-biharmonic", "--u0", "1", "--z0", "2"],
+        ["solve-system", "--u0", "1", "--v0", "2"],
+    ])
+    @pytest.mark.parametrize("rtol", ["0", "-1", "nan"])
+    def test_rtol_not_positive_exits_2(self, cmd, rtol, capsys):
+        assert run_cli(cmd + ["--h", "0.5", "--rtol", rtol]) == 2
+        assert "rtol must be positive" in capsys.readouterr().err
+
+
 class TestConfigRoundTrip:
     def test_lossless(self):
         cfg = cli.RunConfig(command="region",
