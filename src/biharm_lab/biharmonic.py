@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._backend import STATUS_FAILED, STATUS_OK, radial_ivp
-from .errors import DomainError, IntegratorError, PreconditionError
+from .errors import DomainError, IntegratorError, PreconditionError, SizeError
 from .grids import Field, RadialGrid, laplacian_with_derivative
 
 #: u (and z) below this fraction of their initial value ends the window
@@ -109,6 +109,22 @@ def exact_solution(grid: RadialGrid) -> SolutionProfile:
                            Classification(POSITIVE))
 
 
+def shooting_grid(n: int, q: float, r_max: float, num_intervals: int,
+                  rtol: float) -> RadialGrid:
+    """Guards shared by the shooting entry points; returns the grid to fill.
+
+    Refuses q <= 1, rtol <= 0, fewer than one interval and (through the
+    grid) a bad dimension or spacing, all before the kernel runs.
+    """
+    if not q > 1:
+        raise DomainError(f"exponent q must exceed 1, got {q}")
+    if not rtol > 0:
+        raise DomainError(f"rtol must be positive, got {rtol}")
+    if num_intervals < 1:
+        raise SizeError(f"grid needs at least one interval, got N = {num_intervals}")
+    return RadialGrid(n=n, h=r_max / num_intervals, num_intervals=num_intervals)
+
+
 def shoot(n: int, q: float, u0: float, z0: float, r_max: float,
           num_intervals: int = 2048, rtol: float = 1e-9,
           atol: float = 1e-12) -> SolutionProfile:
@@ -122,12 +138,7 @@ def shoot(n: int, q: float, u0: float, z0: float, r_max: float,
         raise DomainError(f"initial value u0 must be positive, got {u0}")
     if not z0 >= 0:
         raise DomainError(f"initial Laplacian z0 must be nonnegative, got {z0}")
-    if not q > 1:
-        raise DomainError(f"exponent q must exceed 1, got {q}")
-    if not rtol > 0:
-        raise DomainError(f"rtol must be positive, got {rtol}")
-    # the grid refuses a bad dimension or spacing before the kernel runs
-    h = RadialGrid(n=n, h=r_max / num_intervals, num_intervals=num_intervals).h
+    h = shooting_grid(n, q, r_max, num_intervals, rtol).h
     u, du, v, dv, status, i_stop, r_event, _ = radial_ivp(
         n, q, 1.0, u0, z0, h, num_intervals, rtol=rtol, atol=atol,
         floor_frac=POSITIVITY_FLOOR)

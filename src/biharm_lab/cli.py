@@ -337,7 +337,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
     if cfg.tol is not None:
         for rep in reports:
-            rep.recheck(cfg.tol)
+            rep.tol = cfg.tol
 
     payload = [rep.to_dict() for rep in reports]
     _print(payload)

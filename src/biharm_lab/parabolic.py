@@ -23,7 +23,8 @@ from scipy.linalg import solve_banded
 
 from .errors import DomainError, PreconditionError
 from .grids import TRIM_NODES
-from .reports import TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport
+from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
+                      worst_node)
 
 #: default per-step relative reaction increment allowed by the controller
 REL_INCREMENT = 1e-3
@@ -211,6 +212,10 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
         raise DomainError(f"needs p >= r > 0, got p = {p_exp}, r = {r_exp}")
     if p_exp * r_exp <= 1:
         raise DomainError(f"needs p*r > 1, got p*r = {p_exp * r_exp}")
+    if not (np.isfinite(t_final) and t_final > 0):
+        raise DomainError(f"t_final must be finite and positive, got {t_final}")
+    if num_snapshots < 1:
+        raise DomainError(f"needs at least one snapshot, got {num_snapshots}")
     x = geometry.x
     u = _as_field(u_init, x)
     v = _as_field(v_init, x)
@@ -316,25 +321,23 @@ def verify_heat_diff_inequality(fld: SpaceTimeField) -> VerificationReport:
     dt = fld.times[1] - fld.times[0]
     w = fld.w
     sl = geom.trim_slice()
-    worst, arg_r, arg_t = np.inf, np.nan, np.nan
+    x = geom.x[sl]
+    worst = {"min_margin": np.inf, "argmin_r": np.nan, "argmin_t": np.nan}
     scale = 1.0
     for j in range(1, fld.times.shape[0] - 1):
         lap_w = geom.laplacian(w[j])
         w_t = (w[j + 1] - w[j - 1]) / (2.0 * dt)
         reac = ell * sig * fld.v[j] ** (sig - 1.0) \
             * (fld.u[j] ** fld.p_exp - ell**fld.p_exp * fld.v[j] ** (sig * fld.p_exp))
-        margin = (lap_w - w_t - reac)[sl]
         scale = max(scale, float(np.abs(lap_w[sl]).max()),
                     float(np.abs(w_t[sl]).max()), float(np.abs(reac[sl]).max()))
-        idx = int(np.argmin(margin))
-        if margin[idx] < worst:
-            worst, arg_r, arg_t = float(margin[idx]), float(geom.x[sl][idx]), float(fld.times[j])
+        node = worst_node((lap_w - w_t - reac)[sl], x)
+        if node["min_margin"] < worst["min_margin"]:
+            worst = dict(node, argmin_t=float(fld.times[j]))
     return VerificationReport(
         inequality="gap-heat-inequality",
         params={"p": fld.p_exp, "r": fld.r_exp, "sigma": sig},
-        passed=bool(worst >= -TOL_SECOND_ORDER * scale),
-        min_margin=worst, argmin_r=arg_r, argmin_t=arg_t,
-        tol=TOL_SECOND_ORDER, scale=scale)
+        tol=TOL_SECOND_ORDER, scale=scale, **worst)
 
 
 def comparison_margin(fld: SpaceTimeField) -> np.ndarray:
@@ -347,22 +350,18 @@ def verify_component_comparison(fld: SpaceTimeField) -> VerificationReport:
     margin = comparison_margin(fld)
     scale = max(1.0, float((fld.v ** (fld.r_exp + 1.0)).max() / (fld.r_exp + 1.0)),
                 float((fld.u ** (fld.p_exp + 1.0)).max() / (fld.p_exp + 1.0)))
-    j, i = np.unravel_index(int(np.argmin(margin)), margin.shape)
-    worst = float(margin[j, i])
     return VerificationReport(
         inequality="parabolic-power-comparison",
-        params={"p": fld.p_exp, "r": fld.r_exp},
-        passed=bool(worst >= -TOL_FIRST_ORDER * scale),
-        min_margin=worst, argmin_r=float(fld.geometry.x[i]),
-        argmin_t=float(fld.times[j]), tol=TOL_FIRST_ORDER, scale=scale,
-        caveats=[ETERNALITY_CAVEAT])
+        params={"p": fld.p_exp, "r": fld.r_exp}, tol=TOL_FIRST_ORDER, scale=scale,
+        caveats=[ETERNALITY_CAVEAT],
+        **worst_node(margin, fld.geometry.x, fld.times))
 
 
 def verify_sign_propagation(fld: SpaceTimeField) -> VerificationReport:
     """With w(., 0) <= 0, later snapshots keep max w below tol * scale.
 
-    A positive initial gap makes the check not applicable (passed = None),
-    not a failure.
+    A positive initial gap makes the check not applicable (no verdict), not
+    a failure.
     """
     w = fld.w
     scale = max(1.0, float(np.abs(w).max()))
@@ -370,17 +369,14 @@ def verify_sign_propagation(fld: SpaceTimeField) -> VerificationReport:
     params = {"p": fld.p_exp, "r": fld.r_exp, "initial_max_gap": w0_max}
     if w0_max > TOL_FIRST_ORDER * scale:
         return VerificationReport(
-            inequality="negativity-propagation", params=params, passed=None,
+            inequality="negativity-propagation", params=params, applicable=False,
             min_margin=-w0_max, argmin_r=np.nan, tol=TOL_SECOND_ORDER, scale=scale,
             caveats=["not applicable: initial gap has positive nodes"])
-    later = w[1:]
-    j, i = np.unravel_index(int(np.argmax(later)), later.shape)
-    worst = float(later[j, i])
+    # the claim is w <= 0 on later snapshots, so the margin reduced is -w
     return VerificationReport(
         inequality="negativity-propagation", params=params,
-        passed=bool(worst <= TOL_SECOND_ORDER * scale),
-        min_margin=-worst, argmin_r=float(fld.geometry.x[i]),
-        argmin_t=float(fld.times[j + 1]), tol=TOL_SECOND_ORDER, scale=scale)
+        tol=TOL_SECOND_ORDER, scale=scale,
+        **worst_node(-w[1:], fld.geometry.x, fld.times[1:]))
 
 
 def convexity_epsilon(p_exp: float, r_exp: float) -> float:
@@ -423,5 +419,4 @@ def verify_scalar_power_bounds(p_exp: float, r_exp: float,
         inequality="scalar-power-bounds",
         params={"p": p_exp, "r": r_exp, "epsilon": eps,
                 "num_samples": int(a.shape[0]), "violations": violations},
-        passed=bool(violations == 0),
         min_margin=worst, argmin_r=np.nan, tol=1e-12, scale=1.0)

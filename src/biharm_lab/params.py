@@ -45,7 +45,7 @@ class ParamSet:
             raise DomainError(f"dimension must satisfy n >= 3, got {self.n}")
         if not self.q > 1:
             raise DomainError(f"singular exponent must satisfy q > 1, got {self.q}")
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise DomainError("alpha and beta must be nonnegative")
         if self.gamma is not None and not (0 <= self.gamma < 1):
             raise DomainError(f"gamma must lie in [0, 1), got {self.gamma}")

@@ -1,8 +1,13 @@
 """Verification reports: margin fields reduced to deterministic pass/fail.
 
-A check passes when its minimum margin over the trimmed interior stays above
--tol * scale.  Reports keep the full margin field for serialization but all
-statistics (min, argmin, pass) are taken over the trimmed region.
+Every verdict follows from the numbers a report prints, by one rule written
+once, in ``VerificationReport.passed``: a check passes when its worst margin
+satisfies min_margin >= -tol * scale, or |min_margin| <= tol * scale for a
+two-sided (identity) check, and a check that does not apply has no verdict.
+Changing ``tol`` (the CLI's --tol) therefore re-derives the verdict.  The
+worst margin and its coordinates come from ``worst_node``; reports keep the
+full margin field for serialization but take their statistics over the
+trimmed region.
 """
 from __future__ import annotations
 
@@ -24,7 +29,6 @@ class VerificationReport:
 
     inequality: str
     params: dict
-    passed: bool | None
     min_margin: float
     argmin_r: float
     tol: float
@@ -34,16 +38,16 @@ class VerificationReport:
     caveats: list[str] = field(default_factory=list)
     argmin_t: float | None = None
     two_sided: bool = False
+    applicable: bool = True
 
-    def recheck(self, tol: float):
-        """Re-evaluate pass/fail under an overridden tolerance."""
-        self.tol = tol
-        if self.passed is None:
-            return
+    @property
+    def passed(self) -> bool | None:
+        """The verdict: None when not applicable, else the pass rule."""
+        if not self.applicable:
+            return None
         if self.two_sided:
-            self.passed = bool(abs(self.min_margin) <= tol * self.scale)
-        else:
-            self.passed = bool(self.min_margin >= -tol * self.scale)
+            return bool(abs(self.min_margin) <= self.tol * self.scale)
+        return bool(self.min_margin >= -self.tol * self.scale)
 
     def to_dict(self) -> dict:
         out = {
@@ -67,6 +71,23 @@ class VerificationReport:
         return self.margin.csv_rows()
 
 
+def worst_node(margin: np.ndarray, r: np.ndarray, t: np.ndarray | None = None,
+               two_sided: bool = False) -> dict:
+    """The worst entry of a margin array with its coordinates.
+
+    ``margin`` has r on its last axis and, when 2-D, t on its first.  The
+    worst entry is the smallest, or for a two-sided check the largest in
+    magnitude (its sign is kept).  Returns the report keywords min_margin,
+    argmin_r and, when ``t`` is given, argmin_t.
+    """
+    flat = int(np.argmax(np.abs(margin)) if two_sided else np.argmin(margin))
+    idx = np.unravel_index(flat, margin.shape)
+    out = {"min_margin": float(margin[idx]), "argmin_r": float(r[idx[-1]])}
+    if t is not None:
+        out["argmin_t"] = float(t[idx[0]])
+    return out
+
+
 def report_from_margin(inequality: str, margin: Field, tol: float, scale: float,
                        params: dict, caveats: list[str] | None = None,
                        trim: int = TRIM_NODES, two_sided: bool = False) -> VerificationReport:
@@ -76,17 +97,7 @@ def report_from_margin(inequality: str, margin: Field, tol: float, scale: float,
     the one-sided margin >= -tol * scale.
     """
     sl = margin.grid.trim_slice(trim)
-    vals = margin.values[sl]
-    r = margin.grid.r[sl]
-    if two_sided:
-        idx = int(np.argmax(np.abs(vals)))
-        worst = float(vals[idx])
-        ok = abs(worst) <= tol * scale
-    else:
-        idx = int(np.argmin(vals))
-        worst = float(vals[idx])
-        ok = worst >= -tol * scale
     return VerificationReport(
-        inequality=inequality, params=params, passed=bool(ok),
-        min_margin=worst, argmin_r=float(r[idx]), tol=tol, scale=scale,
-        margin=margin, caveats=list(caveats or []), two_sided=two_sided)
+        inequality=inequality, params=params, tol=tol, scale=scale,
+        margin=margin, caveats=list(caveats or []), two_sided=two_sided,
+        **worst_node(margin.values[sl], margin.grid.r[sl], two_sided=two_sided))

@@ -15,11 +15,11 @@ import numpy as np
 
 from ._backend import radial_ivp
 from .biharmonic import (POSITIVE, POSITIVITY_FLOOR, Classification,
-                         _profile_from_arrays)
+                         _profile_from_arrays, shooting_grid)
 from .errors import DomainError, PreconditionError
 from .grids import Field, RadialGrid, laplacian_values, laplacian_with_derivative
 from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
-                      report_from_margin)
+                      report_from_margin, worst_node)
 
 #: discrete residual (relative) above which w-based checks refuse to run
 RESIDUAL_THRESHOLD = 1e-3
@@ -126,12 +126,7 @@ def solve_radial_system(n: int, q: float, rexp: float, u0: float, v0: float,
         raise DomainError(f"initial values must be positive, got u0 = {u0}, v0 = {v0}")
     if not rexp > 0:
         raise DomainError(f"rexp must be positive, got {rexp}")
-    if not q > 1:
-        raise DomainError(f"exponent q must exceed 1, got {q}")
-    if not rtol > 0:
-        raise DomainError(f"rtol must be positive, got {rtol}")
-    # the grid refuses a bad dimension or spacing before the kernel runs
-    h = RadialGrid(n=n, h=r_max / num_intervals, num_intervals=num_intervals).h
+    h = shooting_grid(n, q, r_max, num_intervals, rtol).h
     u, du, v, dv, status, i_stop, r_event, _ = radial_ivp(
         n, q, rexp, u0, v0, h, num_intervals, rtol=rtol, atol=atol,
         floor_frac=POSITIVITY_FLOOR)
@@ -224,20 +219,15 @@ def verify_concavity_step(profile: SystemProfile) -> VerificationReport:
               "qualifying_nodes": int(qualifying.sum())}
     if not np.any(qualifying):
         return VerificationReport(
-            inequality="power-concavity-step", params=params, passed=True,
-            min_margin=0.0, argmin_r=float("nan"), tol=TOL_FIRST_ORDER,
-            scale=1.0, caveats=["vacuous: no nodes with positive gap"])
+            inequality="power-concavity-step", params=params, min_margin=0.0,
+            argmin_r=float("nan"), tol=TOL_FIRST_ORDER, scale=1.0,
+            caveats=["vacuous: no nodes with positive gap"])
     wq, vq = w[qualifying], v[qualifying]
-    rq = profile.grid.r[qualifying]
     if rexp < 1.0:
         margin = (wq + vq) ** rexp - vq**rexp - rexp * wq * (vq + wq) ** (rexp - 1.0)
     else:
         margin = (vq + wq) ** rexp - vq**rexp - wq**rexp
     scale = max(1.0, float(((wq + vq) ** rexp).max()))
-    idx = int(np.argmin(margin))
-    worst = float(margin[idx])
     return VerificationReport(
-        inequality="power-concavity-step", params=params,
-        passed=bool(worst >= -TOL_FIRST_ORDER * scale),
-        min_margin=worst, argmin_r=float(rq[idx]),
-        tol=TOL_FIRST_ORDER, scale=scale)
+        inequality="power-concavity-step", params=params, tol=TOL_FIRST_ORDER,
+        scale=scale, **worst_node(margin, profile.grid.r[qualifying]))

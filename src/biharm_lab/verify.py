@@ -24,7 +24,7 @@ from .grids import Field, derivative_values, laplacian_values
 from .params import (ParamSet, beta_max, check_admissible, coefficients,
                      gamma_interval, weak_coefficient)
 from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
-                      report_from_margin)
+                      report_from_margin, worst_node)
 
 GROWTH_CAVEAT = "growth: heuristic (finite-window tail test only)"
 
@@ -218,17 +218,9 @@ def scalar_curvature(profile: SolutionProfile) -> tuple[Field, VerificationRepor
     fld = Field(g, scal)
     sl = g.trim_slice()
     scale = max(1.0, float(np.abs(scal[sl]).max()))
-    idx = int(np.argmax(scal[sl]))
-    worst = float(scal[sl][idx])
+    # the claim is scal <= 0, so the margin reduced is -scal
     rep = VerificationReport(
         inequality="conformal-scalar-curvature-negative",
-        params={"n": n, "q": profile.q}, passed=bool(worst <= TOL_FIRST_ORDER * scale),
-        min_margin=-worst, argmin_r=float(g.r[sl][idx]),
-        tol=TOL_FIRST_ORDER, scale=scale, margin=fld, caveats=[GROWTH_CAVEAT])
+        params={"n": n, "q": profile.q}, tol=TOL_FIRST_ORDER, scale=scale,
+        margin=fld, caveats=[GROWTH_CAVEAT], **worst_node(-scal[sl], g.r[sl]))
     return fld, rep
-
-
-def margin_refinement_order(margins: list[np.ndarray], stride: int = 2) -> float:
-    """Observed order from margin fields on three nested grids (h, h/2, h/4)."""
-    from .grids import self_convergence_order
-    return self_convergence_order(margins, stride=stride)

@@ -3,7 +3,7 @@ import pytest
 
 from biharm_lab import _backend
 from biharm_lab import biharmonic as bh
-from biharm_lab.errors import DomainError
+from biharm_lab.errors import DomainError, SizeError
 from biharm_lab.grids import Field, RadialGrid, convergence_order
 
 from conftest import GOLD_DU0, GOLD_U0
@@ -144,6 +144,10 @@ class TestShoot:
             bh.shoot(3, 7.0, -1.0, 1.0, 5.0)
         with pytest.raises(DomainError):
             bh.shoot(3, 7.0, 1.0, -0.5, 5.0)
+
+    def test_zero_intervals_refused(self):
+        with pytest.raises(SizeError):
+            bh.shoot(3, 7.0, 1.0, 2.0, 5.0, num_intervals=0)
 
 
 class TestRescale:

@@ -28,6 +28,11 @@ class TestRegion:
         assert out["admissible"] is False
         assert any("alpha" in r for r in out["reasons"])
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_nan_coefficient_exits_2(self, flag, capsys):
+        assert run_cli(["region", "--q", "7", flag, "nan"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_exact_sharp_passes(self, capsys):
@@ -90,6 +95,31 @@ class TestGridSpacing:
     def test_bad_window_exits_2(self, argv, capsys):
         assert run_cli(argv) == 2
         assert "must be finite and positive" in capsys.readouterr().err
+
+
+class TestTolOverride:
+    """--tol re-derives each verdict from the printed margin and scale."""
+
+    # sign of the tolerance at which the verdict flips: a one-sided check
+    # with a positive margin fails only under a negative tolerance
+    @pytest.mark.parametrize("argv,sign", [
+        (["--check", "weak", "--r-max", "10", "--h", str(10 / 1024)], -1.0),
+        (["--check", "identity", "--r-max", "10", "--h", str(10 / 1024)], 1.0),
+        (["--check", "curvature", "--h", "0.01"], -1.0),   # margin is -scal
+    ])
+    def test_verdict_flips_at_threshold(self, argv, sign, tmp_path, capsys):
+        base = ["verify", "--exact", "--out", str(tmp_path)] + argv
+        run_cli(base)
+        rep = json.loads((tmp_path / "reports.json").read_text())[0]
+        threshold = abs(rep["min_margin"]) / rep["scale"]
+        for factor, passes in ((1 - 1e-9, sign < 0), (1 + 1e-9, sign > 0)):
+            tol = sign * factor * threshold
+            code = run_cli(base + [f"--tol={tol!r}"])
+            out = json.loads((tmp_path / "reports.json").read_text())[0]
+            assert (out["tol"], out["min_margin"]) == (tol, rep["min_margin"])
+            assert out["pass"] is passes, (argv, tol)
+            assert code == (0 if passes else 3)
+        capsys.readouterr()
 
 
 class TestShootingDomain:
@@ -204,6 +234,14 @@ class TestSimulateParabolic:
         assert man["blow_up"] is False
         assert man["num_snapshots"] == 9
         assert (tmp_path / "run-manifest.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--t-final", "-1"], ["--t-final", "nan"],
+                                       ["--t-final", "inf"], ["--snapshots", "0"]])
+    def test_bad_times_exit_2(self, flags, capsys):
+        code = run_cli(["simulate-parabolic", "--p-exp", "2", "--r-exp", "1",
+                        "--nodes", "64"] + flags)
+        assert code == 2
+        assert "precondition error" in capsys.readouterr().err
 
 
 class TestExitCodeMapping:

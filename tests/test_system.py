@@ -3,7 +3,7 @@ import pytest
 
 from biharm_lab import biharmonic as bh
 from biharm_lab import system as st
-from biharm_lab.errors import DomainError, PreconditionError
+from biharm_lab.errors import DomainError, PreconditionError, SizeError
 from biharm_lab.grids import RadialGrid
 
 from conftest import GOLD_CMP_MARGIN0, GOLD_CONCAVITY_HALF
@@ -56,6 +56,10 @@ class TestSolveRadialSystem:
             st.solve_radial_system(3, 7.0, 1.0, 1.0, 0.0, 5.0)
         with pytest.raises(DomainError):
             st.solve_radial_system(3, 7.0, 1.0, -1.0, 1.0, 5.0)
+
+    def test_zero_intervals_refused(self):
+        with pytest.raises(SizeError):
+            st.solve_radial_system(3, 7.0, 1.0, 1.0, 2.0, 5.0, num_intervals=0)
 
 
 class TestComparison:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biharm_lab import biharmonic as bh
+from biharm_lab import reports
 from biharm_lab import verify as vf
 from biharm_lab.errors import DomainError, PreconditionError
 from biharm_lab.grids import Field, RadialGrid
@@ -208,3 +209,37 @@ class TestFormulationEquivalence:
             wg = aux.w_gamma.values[sl]
             scale_g = max(1.0, np.abs(wg).max())
             assert rep.passed == bool(wg.max() <= rep.tol * scale_g)
+
+
+class TestVerdictRule:
+    """The verdict is derived from min_margin, tol, scale and two_sided."""
+
+    def test_worst_node_coordinates(self):
+        m = np.array([[0.5, 0.2, 0.3], [0.4, -0.1, 0.6]])
+        r, t = np.array([0.0, 1.0, 2.0]), np.array([10.0, 20.0])
+        assert reports.worst_node(m, r, t) == {
+            "min_margin": -0.1, "argmin_r": 1.0, "argmin_t": 20.0}
+        # two-sided: largest magnitude, sign kept
+        assert reports.worst_node(m, r, t, two_sided=True) == {
+            "min_margin": 0.6, "argmin_r": 2.0, "argmin_t": 20.0}
+        assert reports.worst_node(m[0], r) == {"min_margin": 0.2, "argmin_r": 1.0}
+
+    def test_tol_rederives_verdict(self):
+        rep = reports.VerificationReport(inequality="x", params={}, min_margin=-2e-6,
+                                         argmin_r=0.0, tol=1e-6, scale=1.0)
+        assert rep.passed is False and rep.to_dict()["pass"] is False
+        rep.tol = 3e-6
+        assert rep.passed is True and rep.to_dict()["pass"] is True
+        # two-sided: a positive margin beyond tol * scale fails too
+        rep.two_sided, rep.min_margin = True, 4e-6
+        assert rep.passed is False
+        rep.tol = 5e-6
+        assert rep.passed is True
+
+    def test_not_applicable_has_no_verdict(self):
+        rep = reports.VerificationReport(inequality="x", params={}, min_margin=-1.0,
+                                         argmin_r=0.0, tol=1e-6, scale=1.0,
+                                         applicable=False)
+        assert rep.passed is None
+        rep.tol = 10.0
+        assert rep.passed is None and rep.to_dict()["pass"] is None
