@@ -13,8 +13,10 @@ Math. Comp. 46; Hairer-Norsett-Wanner, Solving ODEs I, II.6), so the step
 count does not grow with N.
 
 The verifiers difference the stored fields twice, which amplifies step noise
-by 1/h^2, so the kernel tightens the requested tolerances to at most
-TOL_PER_H2 * h^2 (rtol and atol scaled by the same factor).
+by 1/h^2, so the kernel tightens the requested rtol to at most
+TOL_PER_H2 * h^2 and scales the fixed absolute tolerance ATOL by the same
+factor.  A shot ends when u or v falls to POSITIVITY_FLOOR times its initial
+value, or after MAX_STEPS attempted steps.
 
 The stage arithmetic is deliberately unrolled onto scalars: every shot runs
 hundreds of steps on a four-component state, where per-step array and
@@ -37,9 +39,17 @@ STATUS_OK = 0
 STATUS_TOUCHED = 1
 STATUS_FAILED = 2
 
+#: default relative tolerance of a shot, an upper bound (see TOL_PER_H2)
+RTOL = 1e-9
+#: absolute tolerance, scaled by the same factor as rtol
+ATOL = 1e-12
 #: rtol is capped at TOL_PER_H2 * h^2 so that second differences of the
 #: dense output stay at the truncation floor of the grid
 TOL_PER_H2 = 2.5e-6
+#: u (and v) below this fraction of their initial value ends the window
+POSITIVITY_FLOOR = 1e-8
+#: attempted steps after which a shot counts as an integrator failure
+MAX_STEPS = 20_000_000
 
 # Dormand-Prince 5(4) tableau (FSAL)
 _A21 = 1.0 / 5.0
@@ -113,8 +123,7 @@ def _dense_fill(steps, h, i_first, i_stop, outs):
         out[i_first:i_stop + 1] = data[s, 2 + c] + dts * poly
 
 
-def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=1e-9, atol=1e-12,
-               floor_frac=1e-8, max_steps=20_000_000):
+def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=RTOL):
     """Integrate outward on [0, N*h] and sample the uniform grid r_i = i*h.
 
     Returns (u, du, v, dv, status, i_stop, r_event, stats); the arrays are
@@ -134,8 +143,8 @@ def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=1e-9, atol=1e-12,
     u_out[0], du_out[0], v_out[0], dv_out[0] = u0, 0.0, v0, 0.0
     stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0}
 
-    fl_u = floor_frac * u0
-    fl_v = floor_frac * v0
+    fl_u = POSITIVITY_FLOOR * u0
+    fl_v = POSITIVITY_FLOOR * v0
 
     # even-series start: u = u0 + au r^2 + bu r^4, v = v0 + av r^2 + bv r^4
     uq0 = u0**-q
@@ -165,7 +174,7 @@ def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=1e-9, atol=1e-12,
 
     fac_tol = min(1.0, TOL_PER_H2 * h * h / rtol)
     rtol *= fac_tol
-    atol *= fac_tol
+    atol = ATOL * fac_tol
     r_end = N * h
     # one packed record per accepted step, read back as one float array;
     # packing keeps the store compact next to tuples of Python floats
@@ -186,7 +195,7 @@ def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=1e-9, atol=1e-12,
     if not ok:
         return finish(STATUS_FAILED, r, r, accepted, rejected, nfev)
 
-    while accepted + rejected < max_steps:
+    while accepted + rejected < MAX_STEPS:
         clamped = r + dt_nat >= r_end
         dtc = r_end - r if clamped else dt_nat
 

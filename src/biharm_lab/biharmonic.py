@@ -14,12 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._backend import STATUS_FAILED, STATUS_OK, radial_ivp
+from ._backend import RTOL, STATUS_FAILED, STATUS_OK, radial_ivp
 from .errors import DomainError, IntegratorError, PreconditionError, SizeError
 from .grids import Field, RadialGrid, laplacian_with_derivative
-
-#: u (and z) below this fraction of their initial value ends the window
-POSITIVITY_FLOOR = 1e-8
 
 POSITIVE = "positive-on-window"
 TOUCHED_ZERO = "touched-zero"
@@ -126,8 +123,7 @@ def shooting_grid(n: int, q: float, r_max: float, num_intervals: int,
 
 
 def shoot(n: int, q: float, u0: float, z0: float, r_max: float,
-          num_intervals: int = 2048, rtol: float = 1e-9,
-          atol: float = 1e-12) -> SolutionProfile:
+          num_intervals: int = 2048, rtol: float = RTOL) -> SolutionProfile:
     """Integrate outward from (u0, z0) and classify the resulting window.
 
     u0 must be strictly positive; z0 = 0 is allowed and produces a profile
@@ -140,8 +136,7 @@ def shoot(n: int, q: float, u0: float, z0: float, r_max: float,
         raise DomainError(f"initial Laplacian z0 must be nonnegative, got {z0}")
     h = shooting_grid(n, q, r_max, num_intervals, rtol).h
     u, du, v, dv, status, i_stop, r_event, _ = radial_ivp(
-        n, q, 1.0, u0, z0, h, num_intervals, rtol=rtol, atol=atol,
-        floor_frac=POSITIVITY_FLOOR)
+        n, q, 1.0, u0, z0, h, num_intervals, rtol=rtol)
     meta = {"n": n, "q": float(q), "source": "shooting",
             "u0": float(u0), "z0": float(z0), "rtol": rtol}
     return _profile_from_arrays(n, h, u, du, v, dv, status, i_stop, r_event, meta)

@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, biharmonic, parabolic, serialize, system, sweeps, verify
-from ._backend import TOL_PER_H2
+from ._backend import RTOL, TOL_PER_H2
 from .errors import (BiharmLabError, DomainError, IntegratorError,
-                     PreconditionError, SizeError)
+                     PreconditionError, SizeError, require_finite_positive)
 from .grids import RadialGrid
 from .params import (ParamSet, beta_max_or_zero, check_admissible, gamma_interval,
                      growth_exponent, tau)
@@ -35,7 +35,7 @@ EXIT_VERIFICATION = 3
 EXIT_INTEGRATOR = 4
 
 #: --rtol help of the two shooting subcommands
-RTOL_HELP = ("upper bound on the integrator's relative tolerance (default 1e-9); "
+RTOL_HELP = (f"upper bound on the integrator's relative tolerance (default {RTOL:g}); "
              f"the kernel runs at min(rtol, {TOL_PER_H2:g}*h^2)")
 
 #: verify subcommand checks on the closed-form reference profile
@@ -83,8 +83,11 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", default=None,
                         help="comma-separated artifact formats (default json): json,csv")
         sp.add_argument("--config", help="JSON config file; flags override it")
+
+    # only where the printed reports carry the scale their verdict derives from
+    def tol_option(sp):
         sp.add_argument("--tol", type=float, default=None,
-                        help="override the pass tolerance of verification reports")
+                        help="override the pass tolerance of the verification reports")
 
     sp = sub.add_parser("region", help="admissibility and derived coefficients")
     sp.add_argument("--n", type=int, default=argparse.SUPPRESS, help="dimension (default 3)")
@@ -121,6 +124,7 @@ def _build_parser() -> _Parser:
                     help="grid spacing; default 20/4096 for first-order checks, "
                          "20/32768 for checks differencing derived fields")
     common(sp)
+    tol_option(sp)
 
     sp = sub.add_parser("solve-system", help="shoot the coupled radial system")
     sp.add_argument("--n", type=int, default=argparse.SUPPRESS, help="dimension (default 3)")
@@ -132,6 +136,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--h", type=float, default=argparse.SUPPRESS, help="grid spacing (default 20/4096)")
     sp.add_argument("--rtol", type=float, default=argparse.SUPPRESS, help=RTOL_HELP)
     common(sp)
+    tol_option(sp)
 
     sp = sub.add_parser("simulate-parabolic", help="method-of-lines run")
     sp.add_argument("--p-exp", type=float, required=True)
@@ -177,6 +182,7 @@ def _ints(text: str) -> list[int]:
 def _merge_config(args) -> RunConfig:
     params = {k: v for k, v in vars(args).items()
               if k not in ("command", "out", "format", "config", "tol") and v is not None}
+    tol = getattr(args, "tol", None)
     if getattr(args, "config", None):
         try:
             base = RunConfig.from_json(Path(args.config).read_text())
@@ -185,16 +191,18 @@ def _merge_config(args) -> RunConfig:
         if base.command != args.command:
             raise UsageError(
                 f"config command {base.command!r} does not match {args.command!r}")
+        if base.tol is not None and "tol" not in args:
+            raise UsageError(f"{args.command} takes no tol, config {args.config} sets one")
         merged = dict(base.parameters)
         merged.update(params)
         params = merged
         out = args.out or base.out
         formats = (args.format or ",".join(base.formats)).split(",")
-        tol = args.tol if args.tol is not None else base.tol
+        if tol is None:
+            tol = base.tol
     else:
         out = args.out
         formats = (args.format or "json").split(",")
-        tol = args.tol
     return RunConfig(command=args.command, parameters=params, out=out,
                      formats=[f.strip() for f in formats if f.strip()], tol=tol)
 
@@ -246,13 +254,22 @@ def _cmd_region(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _verdict(cfg: RunConfig, reports) -> int:
+    """Apply --tol to the reports; returns the exit code their verdicts give."""
+    if cfg.tol is not None:
+        if not math.isfinite(cfg.tol):
+            raise DomainError(f"tol must be finite, got {cfg.tol}")
+        for rep in reports:
+            rep.tol = cfg.tol
+    return EXIT_VERIFICATION if any(rep.passed is False for rep in reports) else EXIT_OK
+
+
 def _window(p, default_h) -> tuple[float, int]:
     """(r_max, interval count) of the radial grid from --r-max and --h."""
     r_max = float(p.get("r_max", 20.0))
     h = default_h if p.get("h") is None else float(p["h"])
-    for name, x in (("r_max", r_max), ("h", h)):
-        if not (math.isfinite(x) and x > 0):
-            raise DomainError(f"{name} must be finite and positive, got {x}")
+    require_finite_positive("r_max", r_max)
+    require_finite_positive("h", h)
     return r_max, max(16, round(r_max / h))
 
 
@@ -262,7 +279,7 @@ def _cmd_solve_biharmonic(cfg: RunConfig) -> int:
     prof = biharmonic.shoot(int(p.get("n", 3)), float(p.get("q", 7.0)),
                             float(p["u0"]), float(p["z0"]), r_max,
                             num_intervals=intervals,
-                            rtol=float(p.get("rtol", 1e-9)))
+                            rtol=float(p.get("rtol", RTOL)))
     out = prof.to_dict()
     out["residual_max"] = float(np.abs(
         biharmonic.residual(prof).values[prof.grid.trim_slice()]).max()) \
@@ -335,10 +352,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     if check in ("curvature", "all"):
         reports.append(verify.scalar_curvature(prof)[1])
 
-    if cfg.tol is not None:
-        for rep in reports:
-            rep.tol = cfg.tol
-
+    code = _verdict(cfg, reports)
     payload = [rep.to_dict() for rep in reports]
     _print(payload)
     _emit(cfg, "reports", payload)
@@ -347,8 +361,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
             if rep.margin is not None:
                 serialize.write_csv(Path(cfg.out) / f"margin-{rep.inequality}.csv",
                                     ["r", "margin"], rep.margin_csv_rows())
-    failed = [rep for rep in reports if rep.passed is False]
-    return EXIT_VERIFICATION if failed else EXIT_OK
+    return code
 
 
 def _cmd_solve_system(cfg: RunConfig) -> int:
@@ -357,11 +370,12 @@ def _cmd_solve_system(cfg: RunConfig) -> int:
     prof = system.solve_radial_system(
         int(p.get("n", 3)), float(p.get("q", 7.0)), float(p.get("r_exp", 1.0)),
         float(p["u0"]), float(p["v0"]), r_max,
-        num_intervals=intervals, rtol=float(p.get("rtol", 1e-9)))
+        num_intervals=intervals, rtol=float(p.get("rtol", RTOL)))
     reports = []
     if prof.conforming:
         reports = [system.verify_component_comparison(prof),
                    system.verify_concavity_step(prof)]
+    code = _verdict(cfg, reports)
     out = {"classification": prof.classification.to_dict(),
            "sigma": prof.sigma, "ell": prof.ell,
            "reports": [rep.to_dict() for rep in reports]}
@@ -372,8 +386,7 @@ def _cmd_solve_system(cfg: RunConfig) -> int:
     if cfg.out:
         serialize.write_json(Path(cfg.out) / "system-reports.json",
                              serialize.sanitize_nan(out))
-    failed = [rep for rep in reports if rep.passed is False]
-    return EXIT_VERIFICATION if failed else EXIT_OK
+    return code
 
 
 def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
@@ -387,7 +400,7 @@ def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
                                      num_nodes=int(p.get("nodes", 512)))
     eps = float(p.get("perturb", 0.0))
     x = geom.x
-    scale_x = 2.0 * np.pi / (x[-1] + geom.h) if x[-1] > 0 else 1.0
+    scale_x = 2.0 * np.pi / (x[-1] + geom.h)
     u_init = float(p.get("u0", 1.0)) + eps * np.cos(scale_x * x)
     v_init = float(p.get("v0", 1.2)) + eps * np.cos(2.0 * scale_x * x)
     fld = parabolic.simulate(

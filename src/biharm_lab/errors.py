@@ -1,9 +1,10 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the finite-positive guard.
 
 The CLI maps these onto its exit-code contract: usage errors exit 1,
 precondition violations exit 2, verification failures exit 3 and
 integrator failures exit 4.
 """
+import math
 
 
 class BiharmLabError(Exception):
@@ -16,6 +17,12 @@ class DomainError(BiharmLabError, ValueError):
 
 class SizeError(BiharmLabError, ValueError):
     """A grid or field is too small for the requested stencil."""
+
+
+def require_finite_positive(name: str, x: float):
+    """Refuse (DomainError) anything but a finite positive number."""
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError(f"{name} must be finite and positive, got {x}")
 
 
 class PreconditionError(BiharmLabError):

@@ -163,20 +163,19 @@ def convergence_order(coarse_err: float, fine_err: float) -> float:
     return float(np.log2(coarse_err / fine_err))
 
 
-def self_convergence_order(values_by_level: list[np.ndarray], stride: int = 2,
-                           trim: int = 2 * TRIM_NODES) -> float:
+def self_convergence_order(values_by_level: list[np.ndarray]) -> float:
     """Observed order from three nested grid levels (h, h/2, h/4).
 
     Each finer level must contain the coarser nodes (node i at level k maps
-    to node stride*i at level k+1); the order is estimated from the max-norm
-    of successive differences on the common (coarsest) nodes, excluding
-    ``trim`` nodes at each window end.
+    to node 2i at level k+1); the order is estimated from the max-norm of
+    successive differences on the common (coarsest) nodes, excluding
+    2 * TRIM_NODES nodes at each window end.
     """
     if len(values_by_level) < 3:
         raise SizeError("self-convergence needs three grid levels")
     v0, v1, v2 = values_by_level[-3:]
     m = v0.shape[0]
-    sl = slice(trim, m - trim)
-    d01 = np.abs(v1[::stride][:m] - v0)[sl].max()
-    d12 = np.abs(v2[:: stride * stride][:m] - v1[::stride][:m])[sl].max()
+    sl = slice(2 * TRIM_NODES, m - 2 * TRIM_NODES)
+    d01 = np.abs(v1[::2][:m] - v0)[sl].max()
+    d12 = np.abs(v2[::4][:m] - v1[::2][:m])[sl].max()
     return convergence_order(d01, d12)

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import DomainError, PreconditionError
-from .grids import TRIM_NODES
+from .errors import DomainError, PreconditionError, SizeError, require_finite_positive
+from .grids import TRIM_NODES, laplacian_values
 from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
                       worst_node)
 
-#: default per-step relative reaction increment allowed by the controller
+#: per-step relative reaction increment allowed by the controller
 REL_INCREMENT = 1e-3
 #: default blow-up factor over the initial scale
 BLOWUP_FACTOR = 1e6
@@ -42,6 +42,11 @@ class PeriodicBox:
 
     length: float = 2.0 * np.pi
     num_nodes: int = 512
+
+    def __post_init__(self):
+        require_finite_positive("length", self.length)
+        if self.num_nodes < 3:
+            raise SizeError(f"periodic box needs at least 3 nodes, got {self.num_nodes}")
 
     @property
     def h(self) -> float:
@@ -69,6 +74,11 @@ class RadialBall:
     radius: float = np.pi
     num_intervals: int = 256
 
+    def __post_init__(self):
+        require_finite_positive("radius", self.radius)
+        if self.num_intervals < 3:
+            raise SizeError(f"radial ball needs at least 3 intervals, got {self.num_intervals}")
+
     @property
     def h(self) -> float:
         return self.radius / self.num_intervals
@@ -82,13 +92,8 @@ class RadialBall:
         return np.arange(self.num_nodes) * self.h
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        h, n = self.h, self.n
-        out = np.empty_like(f)
-        r = self.x[1:-1]
-        out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2 \
-            + (n - 1) * (f[2:] - f[:-2]) / (2.0 * h * r)
-        out[0] = n * 2.0 * (f[1] - f[0]) / h**2
-        out[-1] = 2.0 * (f[-2] - f[-1]) / h**2    # ghost node from zero flux
+        out = laplacian_values(f, self.h, self.n)
+        out[-1] = 2.0 * (f[-2] - f[-1]) / self.h**2    # ghost node from zero flux
         return out
 
     def trim_slice(self) -> slice:
@@ -199,7 +204,6 @@ def _as_field(init, x):
 
 def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
              t_final: float, num_snapshots: int = 64,
-             rel_increment: float = REL_INCREMENT,
              blowup_factor: float = BLOWUP_FACTOR,
              reaction: bool = True) -> SpaceTimeField:
     """Run the split stepper and record snapshots on a uniform time mesh.
@@ -212,8 +216,7 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
         raise DomainError(f"needs p >= r > 0, got p = {p_exp}, r = {r_exp}")
     if p_exp * r_exp <= 1:
         raise DomainError(f"needs p*r > 1, got p*r = {p_exp * r_exp}")
-    if not (np.isfinite(t_final) and t_final > 0):
-        raise DomainError(f"t_final must be finite and positive, got {t_final}")
+    require_finite_positive("t_final", t_final)
     if num_snapshots < 1:
         raise DomainError(f"needs at least one snapshot, got {num_snapshots}")
     x = geometry.x
@@ -238,7 +241,7 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
             rate = max(float((v**r_exp / u).max()), float((u**p_exp / v).max()))
         else:
             rate = 0.0
-        dt = rel_increment / rate if rate > 0 else t_final / num_snapshots
+        dt = REL_INCREMENT / rate if rate > 0 else t_final / num_snapshots
         dt = min(dt, t_snap[j_next] - t)
         if dt < dt_min:
             blown, reason = True, "controller-underflow"
@@ -282,7 +285,7 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
         geometry=geometry, p_exp=float(p_exp), r_exp=float(r_exp),
         times=np.asarray(ts), u=np.asarray(us), v=np.asarray(vs),
         blown_up=blown, truncation_reason=reason, t_reached=t,
-        meta={"dt_policy": {"rel_increment": rel_increment,
+        meta={"dt_policy": {"rel_increment": REL_INCREMENT,
                             "blowup_factor": blowup_factor,
                             "scheme": "strang: CN diffusion halves + RK4 reaction",
                             "reaction": reaction}})

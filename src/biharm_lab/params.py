@@ -26,10 +26,6 @@ def _leq(a: float, b: float) -> bool:
     return a <= b + BOUNDARY_TOL * max(1.0, abs(a), abs(b))
 
 
-def _lt(a: float, b: float) -> bool:
-    return a < b - BOUNDARY_TOL * max(1.0, abs(a), abs(b))
-
-
 @dataclass(frozen=True)
 class ParamSet:
     """The tuple (n, q, alpha, beta, gamma) the verifiers are parameterized by."""

@@ -1,4 +1,4 @@
-"""Deterministic parameter sweeps with bounded worker fan-out.
+"""Deterministic parameter sweeps.
 
 Targets are fixed tables, not random draws: shooting initial data are placed
 as multiples kappa of the gradient-free bound coefficient (biharmonic) or of
@@ -7,14 +7,10 @@ windows that lose positivity and exercise the touched-zero classification;
 multiples >= 1.6 sit safely inside the entire-solution region, so their
 margins are the quantities the sweeps verify.
 
-Worker count comes from the BIHARM_LAB_WORKERS environment variable
-(default 1); results are merged in sorted key order, so output is
-byte-identical for any worker count.
+Every sweep runs its cases one after another in sorted key order, so rows
+come out in the same order whatever order the inputs were given in.
 """
 from __future__ import annotations
-
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -32,23 +28,6 @@ KAPPA_V_GRID = (0.75, 1.4, 2.0, 3.0)
 
 DEFAULT_R_MAX = 20.0
 DEFAULT_INTERVALS = 1024
-
-
-def worker_count() -> int:
-    env = os.environ.get("BIHARM_LAB_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def _run_tasks(fn, keys):
-    w = worker_count()
-    keys = sorted(keys)
-    if w == 1:
-        return [fn(k) for k in keys]
-    with ProcessPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, keys))
 
 
 def biharmonic_targets(q: float):
@@ -81,7 +60,7 @@ def weak_bound_sweep(n_values=(3, 4, 5), q_values=(2.0, 3.0, 5.0, 7.0),
     keys = [(n, q, u0, z0, kappa, r_max, intervals)
             for n in n_values for q in q_values
             for (u0, z0, kappa) in biharmonic_targets(q)]
-    return _run_tasks(_weak_case, keys)
+    return [_weak_case(k) for k in sorted(keys)]
 
 
 def system_targets(q: float, rexp: float):
@@ -117,7 +96,7 @@ def system_sweep(n_values=(3, 4, 5), q_values=(2.0, 3.0, 5.0, 7.0),
     keys = [(n, q, rexp, u0, v0, kappa, r_max, intervals)
             for n in n_values for q in q_values for rexp in rexp_values
             for (u0, v0, kappa) in system_targets(q, rexp)]
-    return _run_tasks(_system_case, keys)
+    return [_system_case(k) for k in sorted(keys)]
 
 
 def region_sweep(n_values=(3, 4, 5, 6, 7, 8),

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import radial_ivp
-from .biharmonic import (POSITIVE, POSITIVITY_FLOOR, Classification,
-                         _profile_from_arrays, shooting_grid)
+from ._backend import RTOL, radial_ivp
+from .biharmonic import POSITIVE, Classification, _profile_from_arrays, shooting_grid
 from .errors import DomainError, PreconditionError
 from .grids import Field, RadialGrid, laplacian_values, laplacian_with_derivative
 from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
@@ -120,7 +119,7 @@ class SystemProfile:
 
 def solve_radial_system(n: int, q: float, rexp: float, u0: float, v0: float,
                         r_max: float, num_intervals: int = 2048,
-                        rtol: float = 1e-9, atol: float = 1e-12) -> SystemProfile:
+                        rtol: float = RTOL) -> SystemProfile:
     """Shoot the coupled system outward from (u0, v0) and classify the window."""
     if not (u0 > 0 and v0 > 0):
         raise DomainError(f"initial values must be positive, got u0 = {u0}, v0 = {v0}")
@@ -128,8 +127,7 @@ def solve_radial_system(n: int, q: float, rexp: float, u0: float, v0: float,
         raise DomainError(f"rexp must be positive, got {rexp}")
     h = shooting_grid(n, q, r_max, num_intervals, rtol).h
     u, du, v, dv, status, i_stop, r_event, _ = radial_ivp(
-        n, q, rexp, u0, v0, h, num_intervals, rtol=rtol, atol=atol,
-        floor_frac=POSITIVITY_FLOOR)
+        n, q, rexp, u0, v0, h, num_intervals, rtol=rtol)
     meta = {"n": n, "q": float(q), "rexp": float(rexp), "source": "shooting",
             "u0": float(u0), "v0": float(v0), "rtol": rtol}
     base = _profile_from_arrays(n, h, u, du, v, dv, status, i_stop, r_event, meta)

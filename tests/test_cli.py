@@ -278,3 +278,64 @@ class TestRefinementOrderInReport:
         assert code == 0
         rep = json.loads(capsys.readouterr().out)[0]
         assert rep["refinement_order"] >= 1.5
+
+
+class TestTolScope:
+    """--tol exists where the printed reports decide the exit code."""
+
+    SYSTEM = ["solve-system", "--n", "3", "--q", "3", "--r-exp", "2", "--u0", "1",
+              "--v0", "0.7", "--r-max", "2", "--h", "0.01"]
+
+    def test_solve_system_honours_tol(self, capsys):
+        assert run_cli(self.SYSTEM) == 3
+        capsys.readouterr()
+        assert run_cli(self.SYSTEM + ["--tol", "1"]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert reports and all(rep["tol"] == 1.0 for rep in reports)
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "--q", "7"],
+        ["solve-biharmonic", "--u0", "1", "--z0", "2", "--h", "0.5"],
+        ["simulate-parabolic", "--p-exp", "2", "--r-exp", "1", "--nodes", "64"],
+        ["sweep", "--module", "region"],
+    ])
+    def test_tol_refused_elsewhere(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--tol", "0.1"])
+        assert exc.value.code == 1
+        assert "--tol" in capsys.readouterr().err
+
+    def test_config_tol_refused_elsewhere(self, tmp_path, capsys):
+        cfg = cli.RunConfig(command="region", parameters={"q": 7.0}, tol=0.1)
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.to_json())
+        assert run_cli(["region", "--config", str(path)]) == 1
+        assert "takes no tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_exits_2(self, tol, capsys):
+        code = run_cli(["verify", "--exact", "--check", "sharp", "--r-max", "10",
+                        "--h", "0.01", f"--tol={tol}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be finite" in captured.err
+
+
+class TestParabolicGeometryCLI:
+    @pytest.mark.parametrize("flags,message", [
+        (["--nodes", "0"], "at least 3 nodes"),
+        (["--nodes", "2"], "at least 3 nodes"),
+        (["--length", "-1"], "length must be finite and positive"),
+        (["--length", "nan"], "length must be finite and positive"),
+        (["--geometry", "radial", "--radius", "nan"], "radius must be finite and positive"),
+        (["--geometry", "radial", "--radius", "0"], "radius must be finite and positive"),
+        (["--geometry", "radial", "--nodes", "1"], "at least 3 intervals"),
+        (["--geometry", "radial", "--nodes", "2"], "at least 3 intervals"),
+    ])
+    def test_bad_geometry_exits_2(self, flags, message, capsys):
+        code = run_cli(["simulate-parabolic", "--p-exp", "2", "--r-exp", "1",
+                        "--t-final", "0.01"] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from biharm_lab import parabolic as pb
-from biharm_lab.errors import DomainError, PreconditionError
+from biharm_lab.errors import DomainError, PreconditionError, SizeError
 
 
 def kinetic_oracle(p, r, u0, v0, times):
@@ -202,3 +202,34 @@ class TestScalarPowerBounds:
     def test_empty_interval_refused(self):
         with pytest.raises(PreconditionError):
             pb.convexity_epsilon(1.0, 1.0)
+
+
+class TestGeometryGuards:
+    @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
+    def test_periodic_length(self, length):
+        with pytest.raises(DomainError):
+            pb.PeriodicBox(length=length)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_radial_radius(self, radius):
+        with pytest.raises(DomainError):
+            pb.RadialBall(radius=radius)
+
+    def test_sizes(self):
+        for nodes in (0, 1, 2):
+            with pytest.raises(SizeError):
+                pb.PeriodicBox(num_nodes=nodes)
+            with pytest.raises(SizeError):
+                pb.RadialBall(num_intervals=nodes)
+        assert pb.PeriodicBox(num_nodes=3).x.shape == (3,)
+        assert pb.RadialBall(num_intervals=3).x.shape == (4,)
+
+
+class TestRadialStencil:
+    def test_interior_matches_grid_stencil(self):
+        from biharm_lab.grids import laplacian_values
+        geom = pb.RadialBall(n=4, radius=2.0, num_intervals=64)
+        f = np.cos(geom.x) + 0.1 * geom.x**3
+        lap = geom.laplacian(f)
+        assert np.array_equal(lap[:-1], laplacian_values(f, geom.h, geom.n)[:-1])
+        assert lap[-1] == 2.0 * (f[-2] - f[-1]) / geom.h**2
