@@ -67,17 +67,17 @@ class SolutionProfile:
             "grid": self.grid.to_dict(),
             "meta": dict(self.meta),
             "classification": self.classification.to_dict(),
-            "u": self.u.values.tolist(),
-            "du": self.du.values.tolist(),
-            "z": self.z.values.tolist(),
-            "dz": self.dz.values.tolist(),
+            "u": self.u.values,
+            "du": self.du.values,
+            "z": self.z.values,
+            "dz": self.dz.values,
         }
 
-    def csv_rows(self):
-        res = residual(self).values
-        for i, r in enumerate(self.grid.r):
-            yield (r, self.u.values[i], self.du.values[i],
-                   self.z.values[i], self.dz.values[i], res[i])
+    def columns(self) -> dict:
+        """Named CSV columns: r, the four fields and the discrete residual."""
+        return {"r": self.grid.r, "u": self.u.values, "du": self.du.values,
+                "z": self.z.values, "dz": self.dz.values,
+                "residual": residual(self).values}
 
 
 EXACT_AMPLITUDE = 15.0 ** -0.125   # normalizes lap^2 u = -u^(-7) for sqrt(1+r^2)

@@ -211,20 +211,23 @@ class UsageError(BiharmLabError):
     pass
 
 
-def _emit(cfg: RunConfig, name: str, json_obj=None, csv_parts=None):
+def _emit(cfg: RunConfig, name: str, json_obj=None, write_csv=None):
+    """Write the run config and the requested formats of one artifact.
+
+    ``write_csv(path)`` writes the CSV form; it is called only when asked for.
+    """
     if cfg.out is None:
         return
     outdir = Path(cfg.out)
     serialize.atomic_write_text(outdir / "run-config.json", cfg.to_json() + "\n")
     if "json" in cfg.formats and json_obj is not None:
-        serialize.write_json(outdir / f"{name}.json", serialize.sanitize_nan(json_obj))
-    if "csv" in cfg.formats and csv_parts is not None:
-        header, rows = csv_parts
-        serialize.write_csv(outdir / f"{name}.csv", header, rows)
+        serialize.write_json(outdir / f"{name}.json", json_obj)
+    if "csv" in cfg.formats and write_csv is not None:
+        write_csv(outdir / f"{name}.csv")
 
 
 def _print(obj):
-    print(json.dumps(serialize.sanitize_nan(obj), indent=2, sort_keys=True))
+    print(serialize.json_text(obj))
 
 
 def _cmd_region(cfg: RunConfig) -> int:
@@ -286,8 +289,7 @@ def _cmd_solve_biharmonic(cfg: RunConfig) -> int:
         if prof.grid.num_intervals > 8 else None
     _print({"classification": out["classification"], "meta": out["meta"],
             "residual_max": out["residual_max"]})
-    _emit(cfg, "profile", out,
-          (["r", "u", "du", "z", "dz", "residual"], prof.csv_rows()))
+    _emit(cfg, "profile", out, lambda path: serialize.write_columns(path, prof.columns()))
     return EXIT_OK
 
 
@@ -357,10 +359,15 @@ def _cmd_verify(cfg: RunConfig) -> int:
     _print(payload)
     _emit(cfg, "reports", payload)
     if cfg.out and "csv" in cfg.formats:
+        r_text = {}   # r formatted once per grid, shared by the margin CSVs
         for rep in reports:
             if rep.margin is not None:
-                serialize.write_csv(Path(cfg.out) / f"margin-{rep.inequality}.csv",
-                                    ["r", "margin"], rep.margin_csv_rows())
+                g = rep.margin.grid
+                if g not in r_text:
+                    r_text[g] = serialize.format_floats(g.r)
+                cols = rep.margin.columns("margin")
+                cols["r"] = r_text[g]
+                serialize.write_columns(Path(cfg.out) / f"margin-{rep.inequality}.csv", cols)
     return code
 
 
@@ -381,18 +388,17 @@ def _cmd_solve_system(cfg: RunConfig) -> int:
            "reports": [rep.to_dict() for rep in reports]}
     _print(out)
     _emit(cfg, "system-profile", prof.to_dict(),
-          (["r", "u", "v", "w", "margin_comparison", "residual_u", "residual_v"],
-           prof.csv_rows()))
+          lambda path: serialize.write_columns(path, prof.columns()))
     if cfg.out:
-        serialize.write_json(Path(cfg.out) / "system-reports.json",
-                             serialize.sanitize_nan(out))
+        serialize.write_json(Path(cfg.out) / "system-reports.json", out)
     return code
 
 
 def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
     p = cfg.parameters
     if p.get("geometry", "periodic") == "radial":
-        geom = parabolic.RadialBall(n=int(p.get("n", 3)),
+        # no int(): RadialBall refuses a non-integer dimension from --config
+        geom = parabolic.RadialBall(n=p.get("n", 3),
                                     radius=float(p.get("radius", np.pi)),
                                     num_intervals=int(p.get("nodes", 512)))
     else:
@@ -409,7 +415,7 @@ def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
         blowup_factor=float(p.get("blowup_factor", parabolic.BLOWUP_FACTOR)))
     manifest = fld.manifest()
     _print(manifest)
-    _emit(cfg, "run-manifest", manifest, (["t", "x", "u", "v", "w"], fld.csv_rows()))
+    _emit(cfg, "run-manifest", manifest, lambda path: serialize.write_columns(path, fld.columns()))
     return EXIT_OK
 
 
@@ -444,8 +450,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     verdicts = [r for r in rows if r.get("weak_pass") is False
                 or r.get("comparison_pass") is False or r.get("concavity_pass") is False]
     print(f"sweep {module}: {len(rows)} cases, {len(verdicts)} failures")
-    _emit(cfg, f"sweep-{module}", rows,
-          (header, serialize.rows_from_dicts(rows, header)))
+    _emit(cfg, f"sweep-{module}", rows, lambda path: serialize.write_csv(
+        path, header, ([row.get(k) for k in header] for row in rows)))
     return EXIT_VERIFICATION if verdicts else EXIT_OK
 
 

@@ -84,10 +84,11 @@ class Field:
             raise DomainError("field flagged positive has non-positive entries")
 
     def to_dict(self) -> dict:
-        return {"grid": self.grid.to_dict(), "values": self.values.tolist()}
+        return {"grid": self.grid.to_dict(), "values": self.values}
 
-    def csv_rows(self):
-        return zip(self.grid.r.tolist(), self.values.tolist())
+    def columns(self, name: str = "values") -> dict:
+        """Named CSV columns: r and the values."""
+        return {"r": self.grid.r, name: self.values}
 
 
 def _check_size(values: np.ndarray):

@@ -17,6 +17,7 @@ central time differences of the verifiers second order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -75,6 +76,10 @@ class RadialBall:
     num_intervals: int = 256
 
     def __post_init__(self):
+        # n = 1 and n = 2 are valid radial Laplacians; n = 0 would flip the
+        # sign of the (n-1) f'/r transport term and zero the axis row n f''(0)
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 1:
+            raise DomainError(f"dimension must be an integer n >= 1, got {self.n!r}")
         require_finite_positive("radius", self.radius)
         if self.num_intervals < 3:
             raise SizeError(f"radial ball needs at least 3 intervals, got {self.num_intervals}")
@@ -187,11 +192,11 @@ class SpaceTimeField:
             "dt_policy": dict(self.meta.get("dt_policy", {})),
         }
 
-    def csv_rows(self):
-        w = self.w
-        for j, t in enumerate(self.times):
-            for i, x in enumerate(self.geometry.x):
-                yield (t, x, self.u[j, i], self.v[j, i], w[j, i])
+    def columns(self) -> dict:
+        """Named CSV columns, one row per (snapshot, node), snapshot-major."""
+        x = self.geometry.x
+        return {"t": np.repeat(self.times, x.size), "x": np.tile(x, self.times.size),
+                "u": self.u.ravel(), "v": self.v.ravel(), "w": self.w.ravel()}
 
 
 def _as_field(init, x):
@@ -219,10 +224,14 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
     require_finite_positive("t_final", t_final)
     if num_snapshots < 1:
         raise DomainError(f"needs at least one snapshot, got {num_snapshots}")
+    # a factor <= 1 truncates at the first step; NaN never truncates
+    if not (np.isfinite(blowup_factor) and blowup_factor > 1):
+        raise DomainError(f"blowup_factor must be finite and > 1, got {blowup_factor}")
     x = geometry.x
     u = _as_field(u_init, x)
     v = _as_field(v_init, x)
-    if np.any(u <= 0) or np.any(v <= 0):
+    # written so NaN fails it
+    if not (np.all(u > 0) and np.all(v > 0)):
         raise DomainError("initial data must be strictly positive")
 
     diffuser = (_PeriodicDiffusion(geometry) if isinstance(geometry, PeriodicBox)

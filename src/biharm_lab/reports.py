@@ -65,11 +65,6 @@ class VerificationReport:
             out["argmin_t"] = self.argmin_t
         return out
 
-    def margin_csv_rows(self):
-        if self.margin is None:
-            return iter(())
-        return self.margin.csv_rows()
-
 
 def worst_node(margin: np.ndarray, r: np.ndarray, t: np.ndarray | None = None,
                two_sided: bool = False) -> dict:

@@ -91,17 +91,16 @@ class SystemProfile:
             "sigma": self.sigma, "ell": self.ell,
             "meta": dict(self.meta),
             "classification": self.classification.to_dict(),
-            "u": self.u.values.tolist(), "v": self.v.values.tolist(),
-            "du": self.du.values.tolist(), "dv": self.dv.values.tolist(),
+            "u": self.u.values, "v": self.v.values,
+            "du": self.du.values, "dv": self.dv.values,
         }
 
-    def csv_rows(self):
-        w = self.gap_field().values
-        m = comparison_margin(self)
+    def columns(self) -> dict:
+        """Named CSV columns: r, u, v, the gap w, the comparison margin and residuals."""
         ru, rv = self.residuals()
-        for i, r in enumerate(self.grid.r):
-            yield (r, self.u.values[i], self.v.values[i], w[i], m[i],
-                   ru.values[i], rv.values[i])
+        return {"r": self.grid.r, "u": self.u.values, "v": self.v.values,
+                "w": self.gap_field().values, "margin_comparison": comparison_margin(self),
+                "residual_u": ru.values, "residual_v": rv.values}
 
     @classmethod
     def from_fields(cls, grid: RadialGrid, u: np.ndarray, v: np.ndarray,

@@ -339,3 +339,42 @@ class TestParabolicGeometryCLI:
         assert code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+class TestParabolicInputGuards:
+    BASE = ["simulate-parabolic", "--p-exp", "2", "--r-exp", "1", "--nodes", "64",
+            "--t-final", "0.01"]
+
+    @pytest.mark.parametrize("flags", [["--u0", "nan"], ["--v0", "nan"],
+                                       ["--perturb", "nan"]])
+    def test_nan_initial_data_exits_2(self, flags, capsys):
+        assert run_cli(self.BASE + flags) == 2
+        err = capsys.readouterr().err
+        assert "strictly positive" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("factor", ["nan", "-1", "1", "inf"])
+    def test_bad_blowup_factor_exits_2(self, factor, capsys):
+        assert run_cli(self.BASE + [f"--blowup-factor={factor}"]) == 2
+        assert "blowup_factor must be finite and > 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_radial_dimension_below_one_exits_2(self, n, capsys):
+        assert run_cli(self.BASE + ["--geometry", "radial", "--n", n]) == 2
+        assert "dimension must be an integer n >= 1" in capsys.readouterr().err
+
+    def test_non_integer_dimension_in_config_exits_2(self, tmp_path, capsys):
+        cfg = cli.RunConfig(command="simulate-parabolic", parameters={
+            "geometry": "radial", "n": 2.5, "nodes": 64, "t_final": 0.01})
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.to_json())
+        assert run_cli(["simulate-parabolic", "--p-exp", "2", "--r-exp", "1",
+                        "--config", str(path)]) == 2
+        assert "dimension must be an integer n >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_low_radial_dimensions_run(self, n, tmp_path):
+        # radial Laplacians in one and two dimensions are valid operators
+        assert run_cli(self.BASE + ["--geometry", "radial", "--n", n,
+                                    "--out", str(tmp_path)]) == 0
+        man = json.loads((tmp_path / "run-manifest.json").read_text())
+        assert man["geometry"]["n"] == int(n) and man["blow_up"] is False

@@ -1,9 +1,95 @@
 import json
+import math
 
 import numpy as np
+import pytest
 
-from biharm_lab import biharmonic, serialize
+from biharm_lab import biharmonic, cli, serialize
 from biharm_lab.grids import Field, RadialGrid
+
+
+# Reference: the row-wise writers the columnar ones replace.  Every cell went
+# through _fmt and every JSON document through the pure-Python encoder of
+# json.dumps(indent=2) after a recursive NaN walk over Python lists.
+
+def ref_fmt(x) -> str:
+    if isinstance(x, float):
+        return float.__repr__(x)
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return str(x)
+
+
+def ref_csv(header, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(ref_fmt(x) for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def ref_sanitize(obj):
+    if isinstance(obj, dict):
+        return {k: ref_sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [ref_sanitize(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def ref_default(x):
+    if isinstance(x, (np.floating, np.integer)):
+        return x.item()
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    raise TypeError(f"not JSON-serializable: {type(x)}")
+
+
+def as_lists(obj):
+    """Float arrays as the Python lists the artifact classes used to build."""
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_lists(v) for v in obj]
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        return obj.tolist()
+    return obj
+
+
+def ref_json(obj) -> str:
+    return json.dumps(ref_sanitize(as_lists(obj)), indent=2, sort_keys=True,
+                      allow_nan=False, default=ref_default) + "\n"
+
+
+def ref_columns_csv(columns: dict) -> str:
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    return ref_csv(list(columns), zip(*cols))
+
+
+def assert_same(text: str, ref: str, what: str = "text"):
+    """Equality with the first difference as the message (no full-text diff)."""
+    if text != ref:
+        i = next((k for k, (a, b) in enumerate(zip(text, ref)) if a != b),
+                 min(len(text), len(ref)))
+        pytest.fail(f"{what} differs from the reference at char {i}: "
+                    f"{text[max(0, i - 40):i + 40]!r} != {ref[max(0, i - 40):i + 40]!r}")
+
+
+EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324,
+               1e16, 9999999999999998.0, 1e-05, 0.0001, 1e-4 - 1e-20, 0.1, 1.0 / 3.0,
+               1.7976931348623157e308, 2.2250738585072014e-308, -1.5, 123456789.0]
+B = serialize.CSV_BLOCK_ROWS
+LENGTHS = [0, 1, 2, B - 1, B, B + 1, 2 * B + 3]
+
+
+def sample(n: int, seed: int) -> np.ndarray:
+    """n floats: the edge values first, then normals over many decades."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+    k = min(n, len(EDGE_FLOATS))
+    a[:k] = EDGE_FLOATS[:k]
+    return a
 
 
 class TestFieldFormats:
@@ -14,12 +100,13 @@ class TestFieldFormats:
         assert rec["grid"] == {"n": 3, "h": 0.125, "N": 16}
         assert rec["values"][0] == 1.0 and len(rec["values"]) == 17
 
-    def test_csv_rows(self):
+    def test_columns(self):
         g = RadialGrid.uniform(3, 2.0, 16)
         f = Field(g, np.arange(17.0))
-        rows = list(f.csv_rows())
-        assert rows[0] == (0.0, 0.0)
-        assert rows[-1] == (2.0, 16.0)
+        cols = f.columns("margin")
+        assert list(cols) == ["r", "margin"]
+        assert (cols["r"][0], cols["margin"][0]) == (0.0, 0.0)
+        assert (cols["r"][-1], cols["margin"][-1]) == (2.0, 16.0)
 
 
 class TestWriters:
@@ -57,10 +144,116 @@ class TestWriters:
 
     def test_profile_csv_parses(self, tmp_path):
         prof = biharmonic.shoot(3, 7.0, 1.0, 2.0, 5.0, num_intervals=64)
-        path = serialize.write_csv(tmp_path / "p.csv", ["r", "u", "du", "z", "dz", "residual"],
-                                   prof.csv_rows())
-        lines = path.read_text().splitlines()[1:]
-        assert len(lines) == 65
-        for line in lines:
+        path = serialize.write_columns(tmp_path / "p.csv", prof.columns())
+        lines = path.read_text().splitlines()
+        assert lines[0] == "r,u,du,z,dz,residual"
+        assert len(lines) == 66
+        for line in lines[1:]:
             values = [float(tok) for tok in line.split(",")]
             assert len(values) == 6
+
+
+class TestAgainstRowWiseReference:
+    """The columnar writers reproduce the row-wise writers byte for byte."""
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_float_columns(self, n, tmp_path):
+        cols = {"r": sample(n, 1), "u": sample(n, 2)[::-1].copy(), "w": -sample(n, 3)}
+        path = serialize.write_columns(tmp_path / "c.csv", cols)
+        assert_same(path.read_text(), ref_columns_csv(cols))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_preformatted_column(self, n, tmp_path):
+        r = sample(n, 4)
+        margin = sample(n, 5)
+        path = serialize.write_columns(tmp_path / "m.csv",
+                                       {"r": serialize.format_floats(r), "margin": margin})
+        assert_same(path.read_text(), ref_columns_csv({"r": r, "margin": margin}))
+
+    def test_strided_column(self, tmp_path):
+        a = sample(3 * B + 5, 6)[::-1]   # views with negative and non-unit strides
+        b = sample(2 * (3 * B + 5), 7)[::2]
+        path = serialize.write_columns(tmp_path / "s.csv", {"a": a, "b": b})
+        assert_same(path.read_text(), ref_columns_csv({"a": a, "b": b}))
+
+    @pytest.mark.parametrize("n", [0, 1, B + 1])
+    def test_object_rows(self, n, tmp_path):
+        kinds = [None, True, False, "positive-on-window", 3, np.int64(7), np.float64(0.25),
+                 float("nan"), -0.0, 5e-324, 1e16, 1e-05]
+        rows = [tuple(kinds[(i + j) % len(kinds)] for j in range(4)) for i in range(n)]
+        header = ["n", "kind", "pass", "margin"]
+        path = serialize.write_csv(tmp_path / "o.csv", header, rows)
+        assert_same(path.read_text(), ref_csv(header, rows))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_json_arrays(self, n, tmp_path):
+        obj = {"grid": {"n": 3, "h": 0.5, "N": n}, "u": sample(n, 8),
+               "meta": {"r_stop": float("nan"), "q": np.float64(7.0), "k": np.int64(2)},
+               "nested": [{"v": sample(n, 9), "pass": None}, [sample(n, 10)]],
+               "ints": np.arange(3), "empty": np.zeros(0), "tail": -float("inf")}
+        path = serialize.write_json(tmp_path / "a.json", obj)
+        assert_same(path.read_text(), ref_json(obj))
+
+    def test_json_top_level_array(self):
+        a = sample(5, 11)
+        assert_same(serialize.json_text(a) + "\n", ref_json(a))
+        assert_same(serialize.json_text([a, {"b": a}]) + "\n", ref_json([a, {"b": a}]))
+
+
+def _spy_writers(monkeypatch):
+    """Record the in-memory object handed to each artifact writer, by path."""
+    seen = {}
+
+    def spy(name, prepare=lambda *args: args):
+        original = getattr(serialize, name)
+
+        def wrapper(path, *args):
+            args = prepare(*args)
+            seen.setdefault(str(path), (name, args))
+            return original(path, *args)
+        monkeypatch.setattr(serialize, name, wrapper)
+
+    spy("write_json")
+    spy("write_columns")
+    spy("write_csv", lambda header, rows: (header, list(rows)))
+    return seen
+
+
+H = "0.5"
+COMMANDS = {
+    "solve-biharmonic": ["solve-biharmonic", "--u0", "1", "--z0", "2", "--h", H],
+    "solve-system": ["solve-system", "--n", "3", "--q", "3", "--r-exp", "2", "--u0", "1",
+                     "--v0", "0.7", "--r-max", "2", "--h", "0.05"],
+    "verify": ["verify", "--exact", "--r-max", "10", "--h", "0.1"],
+    "simulate-parabolic": ["simulate-parabolic", "--p-exp", "2", "--r-exp", "1",
+                           "--nodes", "16", "--t-final", "0.05", "--snapshots", "4",
+                           "--perturb", "0.05"],
+    "sweep": ["sweep", "--module", "lane-emden", "--n", "3", "--q", "3", "--r-exp", "1",
+              "--h", H],
+}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_cli_artifacts_match_reference(name, tmp_path, monkeypatch, capsys):
+    seen = _spy_writers(monkeypatch)
+    cli.main(COMMANDS[name] + ["--format", "json,csv", "--out", str(tmp_path)])
+    capsys.readouterr()
+    files = sorted(p.name for p in tmp_path.iterdir() if p.name != "run-config.json")
+    assert files and files == sorted(p.rsplit("/", 1)[-1] for p in seen)
+    for path, (writer, args) in seen.items():
+        text = (tmp_path / path.rsplit("/", 1)[-1]).read_text()
+        if writer == "write_json":
+            assert_same(text, ref_json(args[0]), path)
+        elif writer == "write_csv":
+            assert_same(text, ref_csv(*args), path)
+        else:
+            columns = args[0]
+            assert_same(text, ref_columns_csv(columns), path)
+            for col in columns.values():
+                if isinstance(col, list):   # formatted once, shared: canonical reprs
+                    assert col == [ref_fmt(float(s)) for s in col]
+    if name == "verify":
+        r = RadialGrid.uniform(3, 10.0, 100).r
+        for path, (_, (columns,)) in seen.items():
+            if path.endswith(".csv"):
+                assert [float(s) for s in columns["r"]] == r.tolist()
