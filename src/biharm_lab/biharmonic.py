@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._backend import RTOL, STATUS_FAILED, STATUS_OK, radial_ivp
-from .errors import DomainError, IntegratorError, PreconditionError, SizeError
+from .errors import (DomainError, IntegratorError, PreconditionError, require_above,
+                     require_count, require_in)
 from .grids import Field, RadialGrid, laplacian_with_derivative
 
 POSITIVE = "positive-on-window"
@@ -110,16 +111,14 @@ def shooting_grid(n: int, q: float, r_max: float, num_intervals: int,
                   rtol: float) -> RadialGrid:
     """Guards shared by the shooting entry points; returns the grid to fill.
 
-    Refuses q <= 1, rtol <= 0, fewer than one interval and (through the
-    grid) a bad dimension or spacing, all before the kernel runs.
+    Refuses a bad q, rtol, window or interval count and (through the grid) a
+    bad dimension, all before the kernel allocates or runs.
     """
-    if not q > 1:
-        raise DomainError(f"exponent q must exceed 1, got {q}")
-    if not rtol > 0:
-        raise DomainError(f"rtol must be positive, got {rtol}")
-    if num_intervals < 1:
-        raise SizeError(f"grid needs at least one interval, got N = {num_intervals}")
-    return RadialGrid(n=n, h=r_max / num_intervals, num_intervals=num_intervals)
+    require_above("q", q, 1.0)
+    require_above("rtol", rtol)
+    require_count("num_intervals", num_intervals, 1)
+    return RadialGrid(n=n, h=require_above("r_max", r_max) / num_intervals,
+                      num_intervals=num_intervals)
 
 
 def shoot(n: int, q: float, u0: float, z0: float, r_max: float,
@@ -130,10 +129,8 @@ def shoot(n: int, q: float, u0: float, z0: float, r_max: float,
     whose Laplacian turns negative immediately, so it comes back as a
     degenerate touched-zero window rather than an error.
     """
-    if not u0 > 0:
-        raise DomainError(f"initial value u0 must be positive, got {u0}")
-    if not z0 >= 0:
-        raise DomainError(f"initial Laplacian z0 must be nonnegative, got {z0}")
+    require_above("u0", u0)
+    require_in("z0", z0, 0.0)
     h = shooting_grid(n, q, r_max, num_intervals, rtol).h
     u, du, v, dv, status, i_stop, r_event, _ = radial_ivp(
         n, q, 1.0, u0, z0, h, num_intervals, rtol=rtol)
@@ -170,8 +167,7 @@ def rescale(profile: SolutionProfile, lam: float) -> SolutionProfile:
     Node values map exactly onto the rescaled window [0, lam * r_max]; the
     classification kind is preserved and the breakdown location scales.
     """
-    if lam <= 0:
-        raise DomainError(f"scale factor must be positive, got {lam}")
+    require_above("lam", lam)
     profile.require_positive()
     q = profile.q
     mu = lam ** (4.0 / (q + 1.0))

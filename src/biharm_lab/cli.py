@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, biharmonic, parabolic, serialize, system, sweeps, verify
 from ._backend import RTOL, TOL_PER_H2
-from .errors import (BiharmLabError, DomainError, IntegratorError,
-                     PreconditionError, SizeError, require_finite_positive)
+from .errors import (MAX_COUNT, BiharmLabError, DomainError, IntegratorError,
+                     PreconditionError, SizeError, require_above, require_in)
 from .grids import RadialGrid
 from .params import (ParamSet, beta_max_or_zero, check_admissible, gamma_interval,
                      growth_exponent, tau)
@@ -171,12 +170,12 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).split(",") if tok.strip()]
+def _numbers(kind: type, text: str) -> list:
+    """Comma list of sweep values; a token that does not parse is a usage error."""
+    try:
+        return [kind(tok) for tok in str(text).split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"not a comma list of {kind.__name__}s: {text!r}") from None
 
 
 def _merge_config(args) -> RunConfig:
@@ -234,18 +233,20 @@ def _cmd_region(cfg: RunConfig) -> int:
     p = cfg.parameters
     if "q" not in p:
         raise UsageError("region needs --q")
-    n, q, alpha = int(p.get("n", 3)), float(p["q"]), float(p.get("alpha", 0.5))
+    # the default beta is a formula in (n, q, alpha): validate them first
+    params = ParamSet(n=p.get("n", 3), q=float(p["q"]), alpha=float(p.get("alpha", 0.5)))
+    n, q, alpha = params.n, params.q, params.alpha
     beta = p.get("beta")
     if beta is None:
         beta = beta_max_or_zero(alpha, q, n)
-    params = ParamSet(n=n, q=q, alpha=alpha, beta=float(beta))
+    params = replace(params, beta=float(beta))
     res = check_admissible(params)
     gamma_star = None
     gexp = None
     if res.admissible:
         gamma_star = gamma_interval(alpha, q, n).gamma_star
         # supremum of 2/(1-gamma) over the open interval [0, gamma_star)
-        gexp = 2.0 / (1.0 - gamma_star) if gamma_star < 1.0 else None
+        gexp = growth_exponent(gamma_star) if gamma_star < 1.0 else None
     out = {"params": params.to_dict(), "admissible": res.admissible,
            "reasons": res.reasons, "coefficients": res.coefficients.to_dict(),
            "coefficient_signs": res.coefficient_signs,
@@ -260,8 +261,7 @@ def _cmd_region(cfg: RunConfig) -> int:
 def _verdict(cfg: RunConfig, reports) -> int:
     """Apply --tol to the reports; returns the exit code their verdicts give."""
     if cfg.tol is not None:
-        if not math.isfinite(cfg.tol):
-            raise DomainError(f"tol must be finite, got {cfg.tol}")
+        require_in("tol", cfg.tol)
         for rep in reports:
             rep.tol = cfg.tol
     return EXIT_VERIFICATION if any(rep.passed is False for rep in reports) else EXIT_OK
@@ -269,17 +269,17 @@ def _verdict(cfg: RunConfig, reports) -> int:
 
 def _window(p, default_h) -> tuple[float, int]:
     """(r_max, interval count) of the radial grid from --r-max and --h."""
-    r_max = float(p.get("r_max", 20.0))
-    h = default_h if p.get("h") is None else float(p["h"])
-    require_finite_positive("r_max", r_max)
-    require_finite_positive("h", h)
+    r_max = require_above("r_max", float(p.get("r_max", 20.0)))
+    h = require_above("h", default_h if p.get("h") is None else float(p["h"]))
+    if not r_max / h <= MAX_COUNT:   # refused before round() or any allocation
+        raise SizeError(f"r_max/h = {r_max / h:g} exceeds {MAX_COUNT} intervals")
     return r_max, max(16, round(r_max / h))
 
 
 def _cmd_solve_biharmonic(cfg: RunConfig) -> int:
     p = cfg.parameters
     r_max, intervals = _window(p, 20.0 / 4096)
-    prof = biharmonic.shoot(int(p.get("n", 3)), float(p.get("q", 7.0)),
+    prof = biharmonic.shoot(p.get("n", 3), float(p.get("q", 7.0)),
                             float(p["u0"]), float(p["z0"]), r_max,
                             num_intervals=intervals,
                             rtol=float(p.get("rtol", RTOL)))
@@ -303,7 +303,7 @@ def _profile_for_verify(p) -> biharmonic.SolutionProfile:
     if p.get("u0") is None or p.get("z0") is None:
         raise UsageError("verify needs --exact or both --u0 and --z0")
     r_max, intervals = _window(p, default_h)
-    return biharmonic.shoot(int(p.get("n", 3)), float(p.get("q", 7.0)),
+    return biharmonic.shoot(p.get("n", 3), float(p.get("q", 7.0)),
                             float(p["u0"]), float(p["z0"]), r_max,
                             num_intervals=intervals)
 
@@ -375,7 +375,7 @@ def _cmd_solve_system(cfg: RunConfig) -> int:
     p = cfg.parameters
     r_max, intervals = _window(p, 20.0 / 4096)
     prof = system.solve_radial_system(
-        int(p.get("n", 3)), float(p.get("q", 7.0)), float(p.get("r_exp", 1.0)),
+        p.get("n", 3), float(p.get("q", 7.0)), float(p.get("r_exp", 1.0)),
         float(p["u0"]), float(p["v0"]), r_max,
         num_intervals=intervals, rtol=float(p.get("rtol", RTOL)))
     reports = []
@@ -397,13 +397,12 @@ def _cmd_solve_system(cfg: RunConfig) -> int:
 def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
     p = cfg.parameters
     if p.get("geometry", "periodic") == "radial":
-        # no int(): RadialBall refuses a non-integer dimension from --config
         geom = parabolic.RadialBall(n=p.get("n", 3),
                                     radius=float(p.get("radius", np.pi)),
-                                    num_intervals=int(p.get("nodes", 512)))
+                                    num_intervals=p.get("nodes", 512))
     else:
         geom = parabolic.PeriodicBox(length=float(p.get("length", 2.0 * np.pi)),
-                                     num_nodes=int(p.get("nodes", 512)))
+                                     num_nodes=p.get("nodes", 512))
     eps = float(p.get("perturb", 0.0))
     x = geom.x
     scale_x = 2.0 * np.pi / (x[-1] + geom.h)
@@ -411,7 +410,7 @@ def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
     v_init = float(p.get("v0", 1.2)) + eps * np.cos(2.0 * scale_x * x)
     fld = parabolic.simulate(
         geom, float(p["p_exp"]), float(p["r_exp"]), u_init, v_init,
-        float(p.get("t_final", 1.0)), num_snapshots=int(p.get("snapshots", 64)),
+        float(p.get("t_final", 1.0)), num_snapshots=p.get("snapshots", 64),
         blowup_factor=float(p.get("blowup_factor", parabolic.BLOWUP_FACTOR)))
     manifest = fld.manifest()
     _print(manifest)
@@ -423,24 +422,26 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     p = cfg.parameters
     module = p["module"]
     if module == "region":
-        alphas = _floats(p["alpha"]) if p.get("alpha") else tuple(np.linspace(0, 0.5, 21))
-        rows = sweeps.region_sweep(n_values=_ints(p.get("n", "3,4,5")),
-                                   q_values=_floats(p.get("q", "2,3,5,7")),
+        alphas = _numbers(float, p["alpha"]) if p.get("alpha") else tuple(np.linspace(0, 0.5, 21))
+        rows = sweeps.region_sweep(n_values=_numbers(int, p.get("n", "3,4,5")),
+                                   q_values=_numbers(float, p.get("q", "2,3,5,7")),
                                    alpha_values=alphas)
         header = ["alpha", "q", "n", "beta", "admissible", "I1", "I2", "I3",
                   "K1", "K2", "gamma_star"]
     elif module == "biharmonic":
         r_max, intervals = _window(p, 20.0 / 1024)
         rows = sweeps.weak_bound_sweep(
-            n_values=_ints(p.get("n", "3,4,5")), q_values=_floats(p.get("q", "2,3,5,7")),
+            n_values=_numbers(int, p.get("n", "3,4,5")),
+            q_values=_numbers(float, p.get("q", "2,3,5,7")),
             r_max=r_max, intervals=intervals)
         header = ["n", "q", "u0", "z0", "kappa", "classification", "r_stop",
                   "weak_pass", "min_margin", "argmin_r"]
     elif module == "lane-emden":
         r_max, intervals = _window(p, 20.0 / 1024)
         rows = sweeps.system_sweep(
-            n_values=_ints(p.get("n", "3,4,5")), q_values=_floats(p.get("q", "2,3,5,7")),
-            rexp_values=_floats(p.get("r_exp", "0.5,1,2")),
+            n_values=_numbers(int, p.get("n", "3,4,5")),
+            q_values=_numbers(float, p.get("q", "2,3,5,7")),
+            rexp_values=_numbers(float, p.get("r_exp", "0.5,1,2")),
             r_max=r_max, intervals=intervals)
         header = ["n", "q", "rexp", "u0", "v0", "kappa", "classification",
                   "r_stop", "comparison_pass", "min_margin", "concavity_pass",

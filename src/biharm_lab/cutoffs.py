@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_above, require_in
 from .grids import Field, RadialGrid
 
 #: nodes with phi below this floor are outside the measured support interior
@@ -81,10 +81,8 @@ def build_cutoff(m: float, R: float, num_intervals: int = 4096, n: int = 3) -> C
     Requires m >= 2 so that the exponent 1 - 2/m in the bound shape is
     nonnegative and phi is at least C^1-matched at the support boundary.
     """
-    if m < 2:
-        raise DomainError(f"cutoff profile exponent must satisfy m >= 2, got {m}")
-    if R <= 0:
-        raise DomainError(f"cutoff scale must be positive, got {R}")
+    require_in("m", m, 2.0)
+    require_above("R", R)
     grid = RadialGrid.uniform(n, R, num_intervals)
     r = grid.r
     psi, psi_r, psi_rr = bump_derivatives(r / R)

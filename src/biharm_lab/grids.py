@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, SizeError, require_above, require_count
 
 #: nodes excluded at each window end when computing pass/fail statistics
 TRIM_NODES = 4
@@ -28,19 +28,16 @@ class RadialGrid:
     num_intervals: int
 
     def __post_init__(self):
-        if self.n < 3:
-            raise DomainError(f"dimension must satisfy n >= 3, got {self.n}")
-        if not (self.h > 0):
-            raise DomainError(f"spacing must be positive, got {self.h}")
-        if self.num_intervals < 1:
-            raise SizeError("grid needs at least one interval")
+        require_count("dimension n", self.n, 3, DomainError)
+        require_above("h", self.h)
+        require_count("num_intervals", self.num_intervals, 1)
 
     @classmethod
     def uniform(cls, n: int, r_max: float, num_intervals: int) -> "RadialGrid":
         """Standard verification grid over [0, r_max]; enforces N >= 16."""
-        if num_intervals < 16:
-            raise SizeError(f"verification grids need N >= 16, got {num_intervals}")
-        return cls(n=n, h=r_max / num_intervals, num_intervals=num_intervals)
+        require_count("num_intervals", num_intervals, 16)
+        return cls(n=n, h=require_above("r_max", r_max) / num_intervals,
+                   num_intervals=num_intervals)
 
     @property
     def r(self) -> np.ndarray:

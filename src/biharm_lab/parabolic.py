@@ -17,12 +17,11 @@ central time differences of the verifiers second order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import DomainError, PreconditionError, SizeError, require_finite_positive
+from .errors import DomainError, PreconditionError, require_above, require_count
 from .grids import TRIM_NODES, laplacian_values
 from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
                       worst_node)
@@ -45,9 +44,8 @@ class PeriodicBox:
     num_nodes: int = 512
 
     def __post_init__(self):
-        require_finite_positive("length", self.length)
-        if self.num_nodes < 3:
-            raise SizeError(f"periodic box needs at least 3 nodes, got {self.num_nodes}")
+        require_above("length", self.length)
+        require_count("num_nodes", self.num_nodes, 3)
 
     @property
     def h(self) -> float:
@@ -78,11 +76,9 @@ class RadialBall:
     def __post_init__(self):
         # n = 1 and n = 2 are valid radial Laplacians; n = 0 would flip the
         # sign of the (n-1) f'/r transport term and zero the axis row n f''(0)
-        if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 1:
-            raise DomainError(f"dimension must be an integer n >= 1, got {self.n!r}")
-        require_finite_positive("radius", self.radius)
-        if self.num_intervals < 3:
-            raise SizeError(f"radial ball needs at least 3 intervals, got {self.num_intervals}")
+        require_count("dimension n", self.n, 1, DomainError)
+        require_above("radius", self.radius)
+        require_count("num_intervals", self.num_intervals, 3)
 
     @property
     def h(self) -> float:
@@ -209,30 +205,27 @@ def _as_field(init, x):
 
 def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
              t_final: float, num_snapshots: int = 64,
-             blowup_factor: float = BLOWUP_FACTOR,
-             reaction: bool = True) -> SpaceTimeField:
+             blowup_factor: float = BLOWUP_FACTOR) -> SpaceTimeField:
     """Run the split stepper and record snapshots on a uniform time mesh.
 
     Truncates (with a flag) when max(u, v) exceeds blowup_factor times the
     initial scale, when the controller step underflows, or if positivity is
     lost; snapshots recorded so far are returned.
     """
-    if not (p_exp >= r_exp > 0):
-        raise DomainError(f"needs p >= r > 0, got p = {p_exp}, r = {r_exp}")
-    if p_exp * r_exp <= 1:
-        raise DomainError(f"needs p*r > 1, got p*r = {p_exp * r_exp}")
-    require_finite_positive("t_final", t_final)
-    if num_snapshots < 1:
-        raise DomainError(f"needs at least one snapshot, got {num_snapshots}")
+    require_above("p_exp", p_exp)
+    require_above("r_exp", r_exp)
+    if not (p_exp >= r_exp and p_exp * r_exp > 1):
+        raise DomainError(f"needs p >= r and p*r > 1, got p = {p_exp}, r = {r_exp}")
+    require_above("t_final", t_final)
+    require_count("num_snapshots", num_snapshots, 1)
     # a factor <= 1 truncates at the first step; NaN never truncates
-    if not (np.isfinite(blowup_factor) and blowup_factor > 1):
-        raise DomainError(f"blowup_factor must be finite and > 1, got {blowup_factor}")
+    require_above("blowup_factor", blowup_factor, 1.0)
     x = geometry.x
     u = _as_field(u_init, x)
     v = _as_field(v_init, x)
     # written so NaN fails it
-    if not (np.all(u > 0) and np.all(v > 0)):
-        raise DomainError("initial data must be strictly positive")
+    if not (np.all((u > 0) & (u < np.inf)) and np.all((v > 0) & (v < np.inf))):
+        raise DomainError("initial data must be finite and strictly positive")
 
     diffuser = (_PeriodicDiffusion(geometry) if isinstance(geometry, PeriodicBox)
                 else _RadialDiffusion(geometry))
@@ -246,10 +239,7 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
     blown, reason = False, None
     j_next = 1
     while j_next <= num_snapshots:
-        if reaction:
-            rate = max(float((v**r_exp / u).max()), float((u**p_exp / v).max()))
-        else:
-            rate = 0.0
+        rate = max(float((v**r_exp / u).max()), float((u**p_exp / v).max()))
         dt = REL_INCREMENT / rate if rate > 0 else t_final / num_snapshots
         dt = min(dt, t_snap[j_next] - t)
         if dt < dt_min:
@@ -258,17 +248,16 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
 
         un = diffuser.cn_step(u, 0.5 * dt)
         vn = diffuser.cn_step(v, 0.5 * dt)
-        if reaction:
-            k1u = vn**r_exp
-            k1v = un**p_exp
-            k2u = (vn + 0.5 * dt * k1v) ** r_exp
-            k2v = (un + 0.5 * dt * k1u) ** p_exp
-            k3u = (vn + 0.5 * dt * k2v) ** r_exp
-            k3v = (un + 0.5 * dt * k2u) ** p_exp
-            k4u = (vn + dt * k3v) ** r_exp
-            k4v = (un + dt * k3u) ** p_exp
-            un = un + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            vn = vn + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        k1u = vn**r_exp
+        k1v = un**p_exp
+        k2u = (vn + 0.5 * dt * k1v) ** r_exp
+        k2v = (un + 0.5 * dt * k1u) ** p_exp
+        k3u = (vn + 0.5 * dt * k2v) ** r_exp
+        k3v = (un + 0.5 * dt * k2u) ** p_exp
+        k4u = (vn + dt * k3v) ** r_exp
+        k4v = (un + dt * k3u) ** p_exp
+        un = un + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        vn = vn + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         un = diffuser.cn_step(un, 0.5 * dt)
         vn = diffuser.cn_step(vn, 0.5 * dt)
 
@@ -297,7 +286,7 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
         meta={"dt_policy": {"rel_increment": REL_INCREMENT,
                             "blowup_factor": blowup_factor,
                             "scheme": "strang: CN diffusion halves + RK4 reaction",
-                            "reaction": reaction}})
+                            "reaction": True}})
 
 
 def _check_snapshot_residuals(fld: SpaceTimeField):

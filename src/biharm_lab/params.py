@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, require_above, require_count, require_in
 
 #: comparison slack for region boundaries (boundaries are algebraic numbers)
 BOUNDARY_TOL = 1e-12
@@ -37,14 +37,12 @@ class ParamSet:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.n < 3:
-            raise DomainError(f"dimension must satisfy n >= 3, got {self.n}")
-        if not self.q > 1:
-            raise DomainError(f"singular exponent must satisfy q > 1, got {self.q}")
-        if not (self.alpha >= 0 and self.beta >= 0):
-            raise DomainError("alpha and beta must be nonnegative")
-        if self.gamma is not None and not (0 <= self.gamma < 1):
-            raise DomainError(f"gamma must lie in [0, 1), got {self.gamma}")
+        require_count("dimension n", self.n, 3, DomainError)
+        require_above("q", self.q, 1.0)
+        require_in("alpha", self.alpha, 0.0)
+        require_in("beta", self.beta, 0.0)
+        if self.gamma is not None:
+            require_in("gamma", self.gamma, 0.0, 1.0)
 
     @property
     def p_half(self) -> float:
@@ -105,18 +103,8 @@ def q_min(alpha: float, n: int) -> float:
     """Smallest admissible q for a given gradient coefficient alpha in (0, 1/2]."""
     if not (0.0 < alpha <= 0.5):
         raise DomainError(f"alpha must lie in (0, 1/2], got {alpha}")
-    if n < 3:
-        raise DomainError(f"dimension must satisfy n >= 3, got {n}")
+    require_count("dimension n", n, 3, DomainError)
     return _q_floor(alpha, n)
-
-
-def beta_max(alpha: float, q: float, n: int) -> float:
-    """Largest admissible singular-term coefficient beta."""
-    den = q - 1.0 - 4.0 * alpha / n
-    if den <= 0:
-        raise DomainError(
-            f"beta_max undefined: q - 1 - 4*alpha/n = {den} must be positive")
-    return math.sqrt(2.0 / den)
 
 
 def beta_max_or_zero(alpha: float, q: float, n: int) -> float:
@@ -125,11 +113,19 @@ def beta_max_or_zero(alpha: float, q: float, n: int) -> float:
     return math.sqrt(2.0 / den) if den > 0 else 0.0
 
 
+def beta_max(alpha: float, q: float, n: int) -> float:
+    """Largest admissible singular-term coefficient beta."""
+    b = beta_max_or_zero(alpha, q, n)
+    if b == 0.0:
+        raise DomainError(f"beta_max undefined: q - 1 - 4*alpha/n must be positive and "
+                          f"finite, got q = {q}, alpha = {alpha}, n = {n}")
+    return b
+
+
 def weak_coefficient(q: float) -> float:
-    """Baseline coefficient sqrt(2/(q-1)) of the gradient-free bound."""
-    if not q > 1:
-        raise DomainError(f"requires q > 1, got {q}")
-    return math.sqrt(2.0 / (q - 1.0))
+    """Baseline coefficient sqrt(2/(q-1)) of the gradient-free bound, beta_max at alpha = 0."""
+    require_above("q", q, 1.0)
+    return beta_max_or_zero(0.0, q, 3)   # n drops out at alpha = 0
 
 
 @dataclass(frozen=True)
@@ -157,13 +153,12 @@ def check_admissible(params: ParamSet) -> AdmissibilityResult:
     alpha_ok = _leq(a, 0.5)
     if not alpha_ok:
         reasons.append(f"alpha <= 1/2 violated (alpha = {a})")
-    den = q - 1.0 - 4.0 * a / n
-    if den <= 0:
+    bmax = beta_max_or_zero(a, q, n)
+    if bmax == 0.0:
         reasons.append(
             f"beta <= beta_max violated (beta_max undefined: q <= 1 + 4*alpha/n, q = {q})")
-    elif not _leq(b, math.sqrt(2.0 / den)):
-        reasons.append(
-            f"beta <= beta_max violated (beta = {b}, beta_max = {math.sqrt(2.0 / den):.12g})")
+    elif not _leq(b, bmax):
+        reasons.append(f"beta <= beta_max violated (beta = {b}, beta_max = {bmax:.12g})")
     if alpha_ok:
         qf = _q_floor(min(a, 0.5), n)
         if not _leq(qf, q):
@@ -214,15 +209,15 @@ def gamma_interval(alpha: float, q: float, n: int) -> GammaInterval:
 
 def growth_exponent(gamma: float) -> float:
     """Admissible growth power 2/(1-gamma) for the weight gamma."""
-    if not (0.0 <= gamma < 1.0):
-        raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
-    return 2.0 / (1.0 - gamma)
+    return 2.0 / (1.0 - require_in("gamma", gamma, 0.0, 1.0))
 
 
 def tau(q: float, n: int) -> float:
     """Growth power min{4, 4/(-q + 3 + 4/n)_+} of the alpha = 1/2 bound."""
-    if q < 3 or n < 3:
-        raise DomainError(f"requires q >= 3 and n >= 3, got q = {q}, n = {n}")
+    require_count("dimension n", n, 3, DomainError)
+    require_above("q", q, 1.0)
+    if q < 3:
+        raise DomainError(f"tau requires q >= 3, got q = {q}")
     pos = max(0.0, -q + 3.0 + 4.0 / n)
     second = math.inf if pos == 0.0 else 4.0 / pos
     return min(4.0, second)

@@ -12,6 +12,8 @@ come out in the same order whatever order the inputs were given in.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import biharmonic, system, verify
@@ -107,9 +109,10 @@ def region_sweep(n_values=(3, 4, 5, 6, 7, 8),
     for n in sorted(n_values):
         for q in sorted(q_values):
             for alpha in sorted(alpha_values):
+                # the default beta is a formula in (n, q, alpha): validate them first
+                params = ParamSet(n=n, q=float(q), alpha=float(alpha))
                 beta = beta_max_or_zero(alpha, q, n)
-                params = ParamSet(n=int(n), q=float(q), alpha=float(alpha),
-                                  beta=float(beta))
+                params = replace(params, beta=float(beta))
                 res = check_admissible(params)
                 gamma_star = None
                 if res.admissible:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._backend import RTOL, radial_ivp
 from .biharmonic import POSITIVE, Classification, _profile_from_arrays, shooting_grid
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError, require_above
 from .grids import Field, RadialGrid, laplacian_values, laplacian_with_derivative
 from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
                       report_from_margin, worst_node)
@@ -25,9 +25,7 @@ RESIDUAL_THRESHOLD = 1e-3
 
 
 def sigma_exponent(q: float, rexp: float) -> float:
-    if not q > 1 or not rexp > 0:
-        raise DomainError(f"needs q > 1 and rexp > 0, got q = {q}, rexp = {rexp}")
-    return (1.0 - q) / (rexp + 1.0)
+    return (1.0 - require_above("q", q, 1.0)) / (require_above("rexp", rexp) + 1.0)
 
 
 def comparison_factor(q: float, rexp: float) -> float:
@@ -120,10 +118,9 @@ def solve_radial_system(n: int, q: float, rexp: float, u0: float, v0: float,
                         r_max: float, num_intervals: int = 2048,
                         rtol: float = RTOL) -> SystemProfile:
     """Shoot the coupled system outward from (u0, v0) and classify the window."""
-    if not (u0 > 0 and v0 > 0):
-        raise DomainError(f"initial values must be positive, got u0 = {u0}, v0 = {v0}")
-    if not rexp > 0:
-        raise DomainError(f"rexp must be positive, got {rexp}")
+    require_above("u0", u0)
+    require_above("v0", v0)
+    require_above("rexp", rexp)
     h = shooting_grid(n, q, r_max, num_intervals, rtol).h
     u, du, v, dv, status, i_stop, r_event, _ = radial_ivp(
         n, q, rexp, u0, v0, h, num_intervals, rtol=rtol)

@@ -43,8 +43,7 @@ def aux_fields(profile: SolutionProfile, alpha: float, beta: float,
                gamma: float = 0.0) -> AuxFields:
     """A, B, w and the u^(-gamma)-weighted w for a positive profile."""
     profile.require_positive()
-    if not (0.0 <= gamma < 1.0):
-        raise DomainError(f"gamma must lie in [0, 1), got {gamma}")
+    ParamSet(n=profile.n, q=profile.q, alpha=alpha, beta=beta, gamma=gamma)   # input domains
     g = profile.grid
     u = profile.u.values
     if np.any(u <= 0):

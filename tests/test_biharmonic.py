@@ -144,10 +144,16 @@ class TestShoot:
             bh.shoot(3, 7.0, -1.0, 1.0, 5.0)
         with pytest.raises(DomainError):
             bh.shoot(3, 7.0, 1.0, -0.5, 5.0)
+        with pytest.raises(DomainError):
+            bh.shoot(3.5, 7.0, 1.0, 2.0, 5.0, num_intervals=64)
+        with pytest.raises(DomainError):
+            bh.shoot(3, np.inf, 1.0, 2.0, 5.0, num_intervals=64)
 
     def test_zero_intervals_refused(self):
         with pytest.raises(SizeError):
             bh.shoot(3, 7.0, 1.0, 2.0, 5.0, num_intervals=0)
+        with pytest.raises(SizeError):   # not 64 intervals of h = 5/64.5
+            bh.shoot(3, 7.0, 1.0, 2.0, 5.0, num_intervals=64.5)
 
 
 class TestRescale:

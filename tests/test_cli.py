@@ -96,6 +96,20 @@ class TestGridSpacing:
         assert run_cli(argv) == 2
         assert "must be finite and positive" in capsys.readouterr().err
 
+    # refused before round() or any allocation; never run a grid this fine
+    @pytest.mark.parametrize("argv", [
+        ["solve-biharmonic", "--u0", "1", "--z0", "2", "--h", "1e-300"],
+        ["solve-biharmonic", "--u0", "1", "--z0", "2", "--h", "5e-324"],
+        ["solve-system", "--u0", "1", "--v0", "2", "--h", "1e-300"],
+        ["verify", "--exact", "--check", "sharp", "--h", "5e-324"],
+        ["verify", "--u0", "1", "--z0", "2", "--check", "weak", "--h", "1e-300"],
+        ["sweep", "--module", "biharmonic", "--h", "5e-324"],
+    ])
+    def test_spacing_too_fine_exits_2(self, argv, capsys):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "exceeds 4194304 intervals" in err and "Traceback" not in err
+
 
 class TestTolOverride:
     """--tol re-derives each verdict from the printed margin and scale."""
@@ -147,19 +161,57 @@ class TestShootingDomain:
         ["solve-biharmonic", "--u0", "1", "--z0", "2", "--q", "1", "--h", "0.5"],
         ["solve-biharmonic", "--u0", "1", "--z0", "2", "--q", "nan", "--h", "0.5"],
         ["solve-system", "--u0", "1", "--v0", "2", "--q", "0.5", "--h", "0.5"],
+        ["solve-biharmonic", "--u0", "1", "--z0", "2", "--q", "inf", "--h", "0.5"],
+        ["solve-system", "--u0", "1", "--v0", "2", "--q", "inf", "--h", "0.5"],
+        ["verify", "--u0", "1", "--z0", "2", "--q", "inf", "--check", "weak", "--h", "0.5"],
+        ["region", "--q", "inf"],
     ])
     def test_q_not_above_one_exits_2(self, argv, capsys):
         assert run_cli(argv) == 2
-        assert "q must exceed 1" in capsys.readouterr().err
+        assert "q must be finite and > 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", [
         ["solve-biharmonic", "--u0", "1", "--z0", "2"],
         ["solve-system", "--u0", "1", "--v0", "2"],
     ])
-    @pytest.mark.parametrize("rtol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("rtol", ["0", "-1", "nan", "inf"])
     def test_rtol_not_positive_exits_2(self, cmd, rtol, capsys):
         assert run_cli(cmd + ["--h", "0.5", "--rtol", rtol]) == 2
-        assert "rtol must be positive" in capsys.readouterr().err
+        assert "rtol must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve-biharmonic", "--u0", "inf", "--z0", "1", "--h", "0.5"],
+         "u0 must be finite and positive, got inf"),
+        (["solve-biharmonic", "--u0", "1", "--z0", "inf", "--h", "0.5"],
+         "z0 must be finite and nonnegative, got inf"),
+        (["solve-system", "--u0", "1", "--v0", "inf", "--h", "0.5"],
+         "v0 must be finite and positive, got inf"),
+        (["solve-system", "--u0", "1", "--v0", "2", "--r-exp", "inf", "--h", "0.5"],
+         "rexp must be finite and positive, got inf"),
+        (["region", "--q", "7", "--alpha", "inf"], "alpha must be finite and nonnegative"),
+        (["region", "--q", "7", "--beta", "inf"], "beta must be finite and nonnegative"),
+        (["region", "--q", "7", "--n", "0"], "dimension n must be an integer in [3, 4194304]"),
+        (["verify", "--exact", "--check", "identity", "--alpha", "nan", "--h", "0.05"],
+         "alpha must be finite and nonnegative"),
+    ])
+    def test_out_of_domain_exits_2(self, argv, message, capsys):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,params", [
+        (["solve-biharmonic", "--u0", "1", "--z0", "2"], {"n": 3.7, "h": 0.5}),
+        (["solve-system", "--u0", "1", "--v0", "2"], {"n": 3.7, "h": 0.5}),
+        (["verify"], {"n": 3.7, "u0": 1.0, "z0": 2.0, "check": "weak", "h": 0.5}),
+        (["region"], {"n": 3.7, "q": 7.0}),
+    ])
+    def test_non_integer_dimension_in_config_exits_2(self, argv, params, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(cli.RunConfig(command=argv[0], parameters=params).to_json())
+        assert run_cli(argv + ["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dimension n must be an integer in [3, 4194304], got 3.7" in captured.err
 
 
 class TestConfigRoundTrip:
@@ -221,6 +273,13 @@ class TestSweepDeterminism:
         lines = (tmp_path / "sweep-lane-emden.csv").read_text().splitlines()
         assert lines[0].startswith("n,q,rexp,u0,v0,kappa,classification")
         assert len(lines) == 13   # 3 u0 x 4 kappa + header
+
+    @pytest.mark.parametrize("flags", [["--n", "3.5"], ["--n", "x"], ["--q", "x"],
+                                       ["--alpha", "0.1,y"]])
+    def test_unparseable_list_exits_1(self, flags, capsys):
+        assert run_cli(["sweep", "--module", "region"] + flags) == 1
+        err = capsys.readouterr().err
+        assert "not a comma list of" in err and "Traceback" not in err
 
 
 class TestSimulateParabolic:
@@ -324,14 +383,16 @@ class TestTolScope:
 
 class TestParabolicGeometryCLI:
     @pytest.mark.parametrize("flags,message", [
-        (["--nodes", "0"], "at least 3 nodes"),
-        (["--nodes", "2"], "at least 3 nodes"),
+        (["--nodes", "0"], "num_nodes must be an integer in [3, 4194304]"),
+        (["--nodes", "2"], "num_nodes must be an integer in [3, 4194304]"),
         (["--length", "-1"], "length must be finite and positive"),
         (["--length", "nan"], "length must be finite and positive"),
         (["--geometry", "radial", "--radius", "nan"], "radius must be finite and positive"),
         (["--geometry", "radial", "--radius", "0"], "radius must be finite and positive"),
-        (["--geometry", "radial", "--nodes", "1"], "at least 3 intervals"),
-        (["--geometry", "radial", "--nodes", "2"], "at least 3 intervals"),
+        (["--geometry", "radial", "--nodes", "1"],
+         "num_intervals must be an integer in [3, 4194304]"),
+        (["--geometry", "radial", "--nodes", "2"],
+         "num_intervals must be an integer in [3, 4194304]"),
     ])
     def test_bad_geometry_exits_2(self, flags, message, capsys):
         code = run_cli(["simulate-parabolic", "--p-exp", "2", "--r-exp", "1",
@@ -346,7 +407,8 @@ class TestParabolicInputGuards:
             "--t-final", "0.01"]
 
     @pytest.mark.parametrize("flags", [["--u0", "nan"], ["--v0", "nan"],
-                                       ["--perturb", "nan"]])
+                                       ["--perturb", "nan"], ["--u0", "inf"],
+                                       ["--v0", "inf"]])
     def test_nan_initial_data_exits_2(self, flags, capsys):
         assert run_cli(self.BASE + flags) == 2
         err = capsys.readouterr().err
@@ -360,7 +422,7 @@ class TestParabolicInputGuards:
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_radial_dimension_below_one_exits_2(self, n, capsys):
         assert run_cli(self.BASE + ["--geometry", "radial", "--n", n]) == 2
-        assert "dimension must be an integer n >= 1" in capsys.readouterr().err
+        assert "dimension n must be an integer in [1, 4194304]" in capsys.readouterr().err
 
     def test_non_integer_dimension_in_config_exits_2(self, tmp_path, capsys):
         cfg = cli.RunConfig(command="simulate-parabolic", parameters={
@@ -369,7 +431,27 @@ class TestParabolicInputGuards:
         path.write_text(cfg.to_json())
         assert run_cli(["simulate-parabolic", "--p-exp", "2", "--r-exp", "1",
                         "--config", str(path)]) == 2
-        assert "dimension must be an integer n >= 1" in capsys.readouterr().err
+        assert "dimension n must be an integer in [1, 4194304]" in capsys.readouterr().err
+
+    def test_non_finite_exponent_exits_2(self, capsys):
+        assert run_cli(self.BASE + ["--p-exp", "inf"]) == 2
+        assert "p_exp must be finite and positive, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params,message", [
+        ({"nodes": 64.9}, "num_nodes must be an integer in [3, 4194304], got 64.9"),
+        ({"geometry": "radial", "nodes": 64.5},
+         "num_intervals must be an integer in [3, 4194304], got 64.5"),
+        ({"nodes": 64, "snapshots": 4.5},
+         "num_snapshots must be an integer in [1, 4194304], got 4.5"),
+    ])
+    def test_non_integer_size_in_config_exits_2(self, params, message, tmp_path, capsys):
+        cfg = cli.RunConfig(command="simulate-parabolic", parameters=dict(params, t_final=0.01))
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.to_json())
+        assert run_cli(["simulate-parabolic", "--p-exp", "2", "--r-exp", "1",
+                        "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("n", ["1", "2"])
     def test_low_radial_dimensions_run(self, n, tmp_path):

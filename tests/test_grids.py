@@ -22,10 +22,16 @@ class TestRadialGrid:
     def test_dimension_floor(self):
         with pytest.raises(DomainError):
             RadialGrid.uniform(2, 1.0, 64)
+        with pytest.raises(DomainError):
+            RadialGrid(n=3.5, h=0.1, num_intervals=10)
+        with pytest.raises(DomainError):
+            RadialGrid(n=3, h=np.inf, num_intervals=10)
 
     def test_minimum_size(self):
         with pytest.raises(SizeError):
             RadialGrid.uniform(3, 1.0, 8)
+        with pytest.raises(SizeError):
+            RadialGrid(n=3, h=0.1, num_intervals=10.5)
 
     def test_trim(self):
         g = grid(N=64)

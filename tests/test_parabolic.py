@@ -31,6 +31,10 @@ class TestDefinitions:
             pb.simulate(geom, 1.0, 0.9, 1.0, 1.0, 0.1)    # p r <= 1
         with pytest.raises(DomainError):
             pb.simulate(geom, 2.0, 1.0, 0.0, 1.0, 0.1)    # nonpositive data
+        with pytest.raises(DomainError):
+            pb.simulate(geom, np.inf, 1.0, 1.0, 1.0, 0.1)
+        with pytest.raises(DomainError):
+            pb.simulate(geom, 2.0, 1.0, np.inf, 1.0, 0.1)
 
 
 class TestHomogeneousRuns:
@@ -149,14 +153,16 @@ class TestPropagation:
         assert any("not applicable" in c for c in rep.caveats)
 
     def test_pure_diffusion_preserves_constant_gap(self):
-        # p = r makes w = u - v; with reaction off both heat-evolve and the
-        # constant offset -delta is preserved exactly by the CN steps
-        geom = pb.PeriodicBox(num_nodes=128)
-        fld = pb.simulate(geom, 2.0, 2.0, 1.0, 1.07, t_final=0.3,
-                          num_snapshots=16, reaction=False)
-        w = fld.w
-        assert np.abs(w - w[0, 0]).max() < 1e-13
-        assert w[0, 0] == pytest.approx(1.0 - 1.07, rel=1e-12)
+        # a CN step is linear and fixes constants, so two fields that differ
+        # by a constant keep that offset under pure diffusion
+        for diffuser in (pb._PeriodicDiffusion(pb.PeriodicBox(num_nodes=128)),
+                         pb._RadialDiffusion(pb.RadialBall(n=3, num_intervals=128))):
+            u0 = 1.0 + 0.05 * np.cos(diffuser.geom.x)
+            u, v = u0, u0 + 0.07
+            for _ in range(16):
+                u, v = diffuser.cn_step(u, 0.02), diffuser.cn_step(v, 0.02)
+            assert np.abs(v - u - 0.07).max() < 1e-13
+            assert np.abs(u - u0).max() > 1e-3   # the perturbation did diffuse
 
 
 class TestPositivityAndBlowup:
@@ -214,6 +220,15 @@ class TestGeometryGuards:
     def test_radial_radius(self, radius):
         with pytest.raises(DomainError):
             pb.RadialBall(radius=radius)
+
+    @pytest.mark.parametrize("make", [
+        lambda: pb.PeriodicBox(num_nodes=64.9),
+        lambda: pb.RadialBall(num_intervals=64.5),
+        lambda: pb.simulate(pb.PeriodicBox(num_nodes=16), 2.0, 1.0, 1.0, 1.2, 0.01,
+                            num_snapshots=4.5)])
+    def test_non_integer_counts(self, make):
+        with pytest.raises(SizeError, match="must be an integer"):
+            make()
 
     def test_sizes(self):
         for nodes in (0, 1, 2):

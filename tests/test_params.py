@@ -30,6 +30,13 @@ class TestParamSet:
             ParamSet(n=3, q=7.0, gamma=1.0)
         assert ParamSet(n=3, q=7.0).p_half == 3.0
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(n=3.5, q=7.0), dict(n=3, q=math.inf), dict(n=3, q=7.0, alpha=math.inf),
+        dict(n=3, q=7.0, beta=math.inf)])
+    def test_non_integer_or_infinite_refused(self, kwargs):
+        with pytest.raises(DomainError):
+            ParamSet(**kwargs)
+
 
 class TestCoefficients:
     def test_alpha_half_degeneracies(self):
@@ -86,6 +93,8 @@ class TestQMin:
             q_min(0.0, 3)
         with pytest.raises(DomainError):
             q_min(0.6, 3)
+        with pytest.raises(DomainError):
+            q_min(0.5, 3.5)
 
     def test_strictly_increasing_in_alpha(self):
         for n in (3, 4, 8):
@@ -108,6 +117,10 @@ class TestBetaMax:
     def test_domain(self):
         with pytest.raises(DomainError):
             beta_max(0.5, 1.5, 3)   # q - 1 - 2/n < 0
+
+    def test_weak_coefficient_refuses_infinite_q(self):
+        with pytest.raises(DomainError):
+            weak_coefficient(math.inf)   # sqrt(2/(q-1)) would read 0
 
 
 class TestAdmissibility:
@@ -220,3 +233,7 @@ class TestTau:
     def test_domain(self):
         with pytest.raises(DomainError):
             tau(2.9, 3)
+        with pytest.raises(DomainError):
+            tau(math.inf, 3)
+        with pytest.raises(DomainError):
+            tau(7.0, 3.5)

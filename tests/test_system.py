@@ -32,6 +32,8 @@ class TestDefinitions:
             st.sigma_exponent(1.0, 1.0)
         with pytest.raises(DomainError):
             st.sigma_exponent(7.0, 0.0)
+        with pytest.raises(DomainError):
+            st.sigma_exponent(np.inf, 1.0)
 
 
 class TestSolveRadialSystem:
