@@ -23,7 +23,7 @@ from . import __version__, biharmonic, parabolic, serialize, system, sweeps, ver
 from ._backend import RTOL, TOL_PER_H2
 from .errors import (MAX_COUNT, BiharmLabError, DomainError, IntegratorError,
                      PreconditionError, SizeError, require_above, require_in)
-from .grids import RadialGrid
+from .grids import RadialGrid, self_convergence_order
 from .params import (ParamSet, beta_max_or_zero, check_admissible, gamma_interval,
                      growth_exponent, tau)
 
@@ -63,11 +63,18 @@ class RunConfig:
                    tol=data.get("tol"))
 
 
+#: dests that are RunConfig fields (or help), not command parameters
+_NOT_PARAMETERS = ("command", "out", "format", "config", "tol", "help")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; contract says 1
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+    def parameters(self) -> dict:   # dest -> action of each parameter flag
+        return {a.dest: a for a in self._actions if a.dest not in _NOT_PARAMETERS}
 
 
 def _build_parser() -> _Parser:
@@ -76,6 +83,7 @@ def _build_parser() -> _Parser:
                             "singular biharmonic and coupled Lane-Emden type problems")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices
 
     def common(sp):
         sp.add_argument("--out", help="output directory for artifacts")
@@ -171,16 +179,37 @@ def _build_parser() -> _Parser:
 
 
 def _numbers(kind: type, text: str) -> list:
-    """Comma list of sweep values; a token that does not parse is a usage error."""
-    try:
-        return [kind(tok) for tok in str(text).split(",") if tok.strip()]
+    """Comma list of sweep values; a token that does not parse, or no token, is a usage error."""
+    tokens = [tok for tok in str(text).split(",") if tok.strip()]
+    try:   # no token is read as one empty token, which does not parse either
+        return [kind(tok) for tok in tokens or [""]]
     except ValueError:
         raise UsageError(f"not a comma list of {kind.__name__}s: {text!r}") from None
 
 
-def _merge_config(args) -> RunConfig:
+def _config_parameters(parameters: dict, flags: dict, path: str) -> dict:
+    """Config parameters, checked as argparse checks a flag's text; a null is not given."""
+    out = {}
+    for key, value in parameters.items():
+        action = flags.get(key)
+        if action is None:
+            raise UsageError(f"config {path}: unknown parameter {key!r}")
+        if value is None:
+            continue
+        # no bool, text or integer beyond the float range; domains are checked as for a flag
+        number = type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+        if action.type in (int, float) and not number:
+            raise UsageError(f"config {path}: {key} must be a number, got {value!r}")
+        if action.choices and value not in action.choices:
+            raise UsageError(f"config {path}: {key} must be one of "
+                             f"{', '.join(action.choices)}, got {value!r}")
+        out[key] = value
+    return out
+
+
+def _merge_config(args, flags: dict) -> RunConfig:
     params = {k: v for k, v in vars(args).items()
-              if k not in ("command", "out", "format", "config", "tol") and v is not None}
+              if k not in _NOT_PARAMETERS and v is not None}
     tol = getattr(args, "tol", None)
     if getattr(args, "config", None):
         try:
@@ -192,7 +221,7 @@ def _merge_config(args) -> RunConfig:
                 f"config command {base.command!r} does not match {args.command!r}")
         if base.tol is not None and "tol" not in args:
             raise UsageError(f"{args.command} takes no tol, config {args.config} sets one")
-        merged = dict(base.parameters)
+        merged = _config_parameters(base.parameters, flags, args.config)
         merged.update(params)
         params = merged
         out = args.out or base.out
@@ -204,6 +233,12 @@ def _merge_config(args) -> RunConfig:
         formats = (args.format or "json").split(",")
     return RunConfig(command=args.command, parameters=params, out=out,
                      formats=[f.strip() for f in formats if f.strip()], tol=tol)
+
+
+def _refuse_unread(p: dict, keys, run: str):
+    """A parameter the run would not read is a usage error, not dropped silently."""
+    if given := [k for k in keys if k in p]:
+        raise UsageError(f"{run} does not read " + ", ".join("--" + k.replace("_", "-") for k in given))
 
 
 class UsageError(BiharmLabError):
@@ -236,9 +271,7 @@ def _cmd_region(cfg: RunConfig) -> int:
     # the default beta is a formula in (n, q, alpha): validate them first
     params = ParamSet(n=p.get("n", 3), q=float(p["q"]), alpha=float(p.get("alpha", 0.5)))
     n, q, alpha = params.n, params.q, params.alpha
-    beta = p.get("beta")
-    if beta is None:
-        beta = beta_max_or_zero(alpha, q, n)
+    beta = p.get("beta", beta_max_or_zero(alpha, q, n))
     params = replace(params, beta=float(beta))
     res = check_admissible(params)
     gamma_star = None
@@ -299,6 +332,7 @@ def _profile_for_verify(p) -> biharmonic.SolutionProfile:
     if p.get("exact"):
         if p.get("q", 7.0) != 7.0 or p.get("n", 3) != 3:
             raise UsageError("--exact pins (n, q) = (3, 7); drop --n/--q or --exact")
+        _refuse_unread(p, ("u0", "z0"), "verify --exact")
         return biharmonic.exact_solution(RadialGrid.uniform(3, *_window(p, default_h)))
     if p.get("u0") is None or p.get("z0") is None:
         raise UsageError("verify needs --exact or both --u0 and --z0")
@@ -308,18 +342,18 @@ def _profile_for_verify(p) -> biharmonic.SolutionProfile:
                             num_intervals=intervals)
 
 
-def _exact_aux_refinement_order(prof, alpha: float, beta: float) -> float:
-    """Observed order of the aux-inequality margin over three nested grids."""
-    from .grids import self_convergence_order
+def _aux_report(prof, alpha: float, beta: float, exact: bool):
+    """The aux-inequality report; on the closed form, with its observed order over three grids."""
+    rep = verify.verify_aux_inequality(prof, alpha, beta)
     n_fine = prof.grid.num_intervals
-    if n_fine % 4 != 0 or n_fine < 64:
-        return float("nan")
-    margins = []
-    for div in (4, 2, 1):
-        g = RadialGrid.uniform(3, prof.grid.r_max, n_fine // div)
-        rep = verify.verify_aux_inequality(biharmonic.exact_solution(g), alpha, beta)
-        margins.append(rep.margin.values)
-    return self_convergence_order(margins)
+    if exact and (n_fine % 4 or n_fine < 64):
+        rep.refinement_order = float("nan")
+    elif exact:
+        rep.refinement_order = self_convergence_order([
+            verify.verify_aux_inequality(biharmonic.exact_solution(
+                RadialGrid.uniform(3, prof.grid.r_max, n_fine // div)), alpha, beta).margin.values
+            for div in (4, 2, 1)])
+    return rep
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
@@ -327,32 +361,21 @@ def _cmd_verify(cfg: RunConfig) -> int:
     check = p.get("check", "all")
     prof = _profile_for_verify(p)
     alpha = float(p.get("alpha", 0.5))
-    beta = p.get("beta")
-    beta = beta_max_or_zero(alpha, prof.q, prof.n) if beta is None else float(beta)
+    beta = float(p.get("beta", beta_max_or_zero(alpha, prof.q, prof.n)))
     gamma = p.get("gamma")
-
-    reports = []
-    if check in ("pointwise", "all"):
-        reports.append(verify.verify_pointwise_bound(prof, alpha, beta))
-    if check in ("sharp", "all"):
-        reports.append(verify.verify_sharp_bound(prof))
-    if check in ("weak", "all"):
-        reports.append(verify.verify_weak_bound(prof))
-    if check in ("gradient", "all"):
-        reports.append(verify.verify_gradient_bound(prof))
-    if check in ("aux-ineq", "all"):
-        rep = verify.verify_aux_inequality(prof, alpha, beta)
-        if p.get("exact"):
-            rep.refinement_order = _exact_aux_refinement_order(prof, alpha, beta)
-        reports.append(rep)
-    if check in ("identity", "all"):
-        reports.append(verify.laplacian_identity_defect(prof, alpha, beta))
-    if check in ("weighted", "all"):
-        g = float(gamma) if gamma is not None else 0.5 * gamma_interval(
-            alpha, prof.q, prof.n).gamma_star
-        reports.append(verify.verify_weighted_aux_inequality(prof, alpha, beta, g))
-    if check in ("curvature", "all"):
-        reports.append(verify.scalar_curvature(prof)[1])
+    checks = {   # in report order; built lazily, as some refuse inputs the others take
+        "pointwise": lambda: verify.verify_pointwise_bound(prof, alpha, beta),
+        "sharp": lambda: verify.verify_sharp_bound(prof),
+        "weak": lambda: verify.verify_weak_bound(prof),
+        "gradient": lambda: verify.verify_gradient_bound(prof),
+        "aux-ineq": lambda: _aux_report(prof, alpha, beta, bool(p.get("exact"))),
+        "identity": lambda: verify.laplacian_identity_defect(prof, alpha, beta),
+        "weighted": lambda: verify.verify_weighted_aux_inequality(
+            prof, alpha, beta, float(gamma) if gamma is not None
+            else 0.5 * gamma_interval(alpha, prof.q, prof.n).gamma_star),
+        "curvature": lambda: verify.scalar_curvature(prof)[1],
+    }
+    reports = [make() for name, make in checks.items() if check in (name, "all")]
 
     code = _verdict(cfg, reports)
     payload = [rep.to_dict() for rep in reports]
@@ -396,7 +419,10 @@ def _cmd_solve_system(cfg: RunConfig) -> int:
 
 def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
     p = cfg.parameters
-    if p.get("geometry", "periodic") == "radial":
+    geometry = p.get("geometry", "periodic")
+    _refuse_unread(p, ("length",) if geometry == "radial" else ("radius", "n"),
+                   f"the {geometry} geometry")
+    if geometry == "radial":
         geom = parabolic.RadialBall(n=p.get("n", 3),
                                     radius=float(p.get("radius", np.pi)),
                                     num_intervals=p.get("nodes", 512))
@@ -421,33 +447,22 @@ def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
 def _cmd_sweep(cfg: RunConfig) -> int:
     p = cfg.parameters
     module = p["module"]
+    _refuse_unread(p, {"region": ("r_exp", "r_max", "h"), "biharmonic": ("r_exp", "alpha"),
+                       "lane-emden": ("alpha",)}[module], f"sweep --module {module}")
+    lists = {"n_values": _numbers(int, p.get("n", "3,4,5")),
+             "q_values": _numbers(float, p.get("q", "2,3,5,7"))}
     if module == "region":
-        alphas = _numbers(float, p["alpha"]) if p.get("alpha") else tuple(np.linspace(0, 0.5, 21))
-        rows = sweeps.region_sweep(n_values=_numbers(int, p.get("n", "3,4,5")),
-                                   q_values=_numbers(float, p.get("q", "2,3,5,7")),
-                                   alpha_values=alphas)
-        header = ["alpha", "q", "n", "beta", "admissible", "I1", "I2", "I3",
-                  "K1", "K2", "gamma_star"]
+        alphas = _numbers(float, p["alpha"]) if "alpha" in p else tuple(np.linspace(0, 0.5, 21))
+        rows = sweeps.region_sweep(**lists, alpha_values=alphas)
     elif module == "biharmonic":
         r_max, intervals = _window(p, 20.0 / 1024)
-        rows = sweeps.weak_bound_sweep(
-            n_values=_numbers(int, p.get("n", "3,4,5")),
-            q_values=_numbers(float, p.get("q", "2,3,5,7")),
-            r_max=r_max, intervals=intervals)
-        header = ["n", "q", "u0", "z0", "kappa", "classification", "r_stop",
-                  "weak_pass", "min_margin", "argmin_r"]
-    elif module == "lane-emden":
+        rows = sweeps.weak_bound_sweep(**lists, r_max=r_max, intervals=intervals)
+    else:   # lane-emden; argparse and the config check restrict the choices
         r_max, intervals = _window(p, 20.0 / 1024)
-        rows = sweeps.system_sweep(
-            n_values=_numbers(int, p.get("n", "3,4,5")),
-            q_values=_numbers(float, p.get("q", "2,3,5,7")),
-            rexp_values=_numbers(float, p.get("r_exp", "0.5,1,2")),
-            r_max=r_max, intervals=intervals)
-        header = ["n", "q", "rexp", "u0", "v0", "kappa", "classification",
-                  "r_stop", "comparison_pass", "min_margin", "concavity_pass",
-                  "qualifying_nodes"]
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown sweep module {module!r}")
+        rows = sweeps.system_sweep(**lists, rexp_values=_numbers(float, p.get("r_exp", "0.5,1,2")),
+                                   r_max=r_max, intervals=intervals)
+    # no list is empty, so there is a first row; its keys are the CSV columns
+    header = list(rows[0])
     verdicts = [r for r in rows if r.get("weak_pass") is False
                 or r.get("comparison_pass") is False or r.get("concavity_pass") is False]
     print(f"sweep {module}: {len(rows)} cases, {len(verdicts)} failures")
@@ -482,9 +497,10 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, parser.commands[args.command].parameters())
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

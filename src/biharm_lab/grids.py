@@ -89,23 +89,23 @@ class Field:
 
 
 def _check_size(values: np.ndarray):
-    if values.shape[0] < 4:
+    if values.shape[-1] < 4:
         raise SizeError("stencils need at least 4 nodes (N >= 4)")
 
 
 def laplacian_values(f: np.ndarray, h: float, n: int) -> np.ndarray:
-    """lap f = f'' + (n-1) f'/r on raw samples of an even radial function."""
+    """lap f = f'' + (n-1) f'/r on raw samples of an even radial function (r: last axis)."""
     f = np.asarray(f, dtype=float)
     _check_size(f)
     out = np.empty_like(f)
-    r_int = np.arange(1, f.shape[0] - 1) * h
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2 \
-        + (n - 1) * (f[2:] - f[:-2]) / (2.0 * h * r_int)
+    r_int = np.arange(1, f.shape[-1] - 1) * h
+    out[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h**2 \
+        + (n - 1) * (f[..., 2:] - f[..., :-2]) / (2.0 * h * r_int)
     # r = 0: even extension makes f'(0) = 0 and lap f(0) = n f''(0)
-    out[0] = n * 2.0 * (f[1] - f[0]) / h**2
-    r_end = (f.shape[0] - 1) * h
-    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h**2 \
-        + (n - 1) * (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h * r_end)
+    out[..., 0] = n * 2.0 * (f[..., 1] - f[..., 0]) / h**2
+    r_end = (f.shape[-1] - 1) * h
+    out[..., -1] = (2.0 * f[..., -1] - 5.0 * f[..., -2] + 4.0 * f[..., -3] - f[..., -4]) / h**2 \
+        + (n - 1) * (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h * r_end)
     return out
 
 

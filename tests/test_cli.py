@@ -248,6 +248,78 @@ class TestConfigRoundTrip:
         assert run_cli(["region", "--q", "7", "--config", str(path)]) == 1
 
 
+class TestConfigParameters:
+    """A config value gets the checks of its flag; a null is not given."""
+
+    def run_config(self, argv, params, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": argv[0], "parameters": params}))
+        return run_cli(argv + ["--config", str(path)])
+
+    @pytest.mark.parametrize("argv,params,message", [
+        (["region"], {"q": "abc"}, "q must be a number, got 'abc'"),
+        (["region"], {"q": True}, "q must be a number, got True"),
+        (["region"], {"q": 7.0, "n": "3"}, "n must be a number, got '3'"),
+        (["region"], {"q": 7.0, "alpah": 0.3}, "unknown parameter 'alpah'"),
+        (["region"], {"q": 7.0, "tol": 0.1}, "unknown parameter 'tol'"),
+        (["region"], {"q": 10**400}, "q must be a number, got 1000"),
+        (["region"], {"q": None}, "region needs --q"),
+        (["verify"], {"exact": True, "check": "bogus"}, "check must be one of"),
+        (["simulate-parabolic", "--p-exp", "2", "--r-exp", "1"],
+         {"geometry": "sphere"}, "geometry must be one of periodic, radial"),
+    ])
+    def test_refused_exit_1(self, argv, params, message, tmp_path, capsys):
+        assert self.run_config(argv, params, tmp_path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+
+    def test_null_is_not_given(self, tmp_path, capsys):
+        assert self.run_config(["region"], {"q": 7.0, "alpha": None, "beta": None},
+                               tmp_path) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["params"]["alpha"] == 0.5
+        assert out["beta_max_used"] == pytest.approx(math.sqrt(3 / 8), rel=1e-12)
+
+
+class TestUnreadFlags:
+    """A flag the run does not read is a usage error (exit 1)."""
+
+    PARABOLIC = ["simulate-parabolic", "--p-exp", "2", "--r-exp", "1", "--nodes", "16",
+                 "--t-final", "0.01", "--snapshots", "2"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (PARABOLIC + ["--radius", "nan"], "the periodic geometry does not read --radius"),
+        (PARABOLIC + ["--n", "3"], "the periodic geometry does not read --n"),
+        (PARABOLIC + ["--geometry", "radial", "--length", "nan"],
+         "the radial geometry does not read --length"),
+        (["verify", "--exact", "--check", "sharp", "--u0", "nan"],
+         "verify --exact does not read --u0"),
+        (["verify", "--exact", "--check", "sharp", "--z0", "1"],
+         "verify --exact does not read --z0"),
+        (["sweep", "--module", "region", "--n="], "not a comma list of ints: ''"),
+        (["sweep", "--module", "region", "--alpha= ,"], "not a comma list of floats"),
+        (["sweep", "--module", "region", "--q", "inf", "--h", "0.1"],
+         "sweep --module region does not read --h"),
+        (["sweep", "--module", "biharmonic", "--r-exp", "1"],
+         "sweep --module biharmonic does not read --r-exp"),
+        (["sweep", "--module", "lane-emden", "--alpha", "0.1"],
+         "sweep --module lane-emden does not read --alpha"),
+    ])
+    def test_exits_1(self, argv, message, capsys):
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+
+    def test_from_config_too(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "simulate-parabolic",
+                                    "parameters": {"radius": 2.0}}))
+        assert run_cli(self.PARABOLIC + ["--config", str(path)]) == 1
+        assert "does not read --radius" in capsys.readouterr().err
+
+
 class TestSweepDeterminism:
     def test_region_sweep_byte_identical(self, tmp_path, capsys):
         args = ["sweep", "--module", "region", "--n", "3,4", "--q", "3,7",

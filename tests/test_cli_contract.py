@@ -3,7 +3,8 @@
 Every argv either runs or is refused with its documented code: 0 success,
 1 usage, 2 precondition, 3 verification failure, 4 integrator failure.
 Nothing but argparse's SystemExit leaves ``cli.main``, no traceback reaches
-stderr, and a non-finite number is always refused (1 or 2).
+stderr, a non-finite number is always refused (1 or 2), and a flag the run
+does not read, or an empty sweep list, is always a usage error (1).
 
 Finite draws keep the work small: at most 4096 intervals (r_max <= 20 with
 h >= 20/4096, or a spacing fine enough to be refused before allocation),
@@ -32,6 +33,11 @@ def _values(bad, finite):
 
 def floats(*finite):
     return _values(BAD, finite)
+
+
+def rarely(values, other=st.none()):
+    """``values`` one draw in six, else ``other``, so that argvs which run stay common."""
+    return st.sampled_from(range(6)).flatmap(lambda i: values if i == 0 else other)
 
 
 def ints(*finite):
@@ -72,9 +78,11 @@ SOLVE_SYSTEM = command(
     "solve-system", (required("u0", floats("0.7", "1")), required("v0", floats("0.7", "2")),
                      required("h", H)),
     n=N, q=Q, r_exp=floats("0.5", "1", "2"), r_max=R_MAX, rtol=RTOL, tol=floats("0.1"))
-# alpha, beta and gamma are drawn only for the checks that read them
+# alpha, beta and gamma are drawn only for the checks that read them; --exact
+# also draws the shooting starts it does not read
 VERIFY_START = st.one_of(
-    st.just(["--exact"]),
+    st.tuples(st.just(["--exact"]), flags(u0=rarely(floats("0.8")), z0=rarely(floats("2")))).map(
+        lambda t: [tok for part in t for tok in part]),
     st.tuples(required("u0", floats("0.8", "1")), required("z0", floats("2", "3")),
               flags(n=N, q=Q)).map(lambda t: [tok for part in t for tok in part]))
 VERIFY = st.one_of(
@@ -93,20 +101,26 @@ PARABOLIC_SIZES = (required("p_exp", EXPONENT), required("r_exp", EXPONENT),
                    required("t_final", floats("0.01", "0.05")))
 PARABOLIC_COMMON = dict(u0=floats("0.5", "1"), v0=floats("1.2", "2"),
                         perturb=floats("0.02"), blowup_factor=floats("1", "10"))
+# each geometry also draws the extent and dimension flags it does not read
 SIMULATE = st.one_of(
     command("simulate-parabolic", PARABOLIC_SIZES, length=floats("1", "6.3"),
-            **PARABOLIC_COMMON),
+            radius=rarely(floats("3.1")), n=rarely(N), **PARABOLIC_COMMON),
     command("simulate-parabolic", PARABOLIC_SIZES + (st.just(["--geometry=radial"]),),
-            radius=floats("1", "3.1"), n=N, **PARABOLIC_COMMON))
+            radius=floats("1", "3.1"), n=N, length=rarely(floats("6.3")), **PARABOLIC_COMMON))
+
+
+def unread_simulate_flags(argv):
+    return ("--length",) if "--geometry=radial" in argv else ("--radius", "--n")
 
 
 def number_lists(bad, *tokens):
-    return st.lists(_values(bad, tokens), min_size=1, max_size=3).map(",".join)
+    # the empty list is drawn too; it sweeps nothing, so it is refused
+    return rarely(st.just(""), st.lists(_values(bad, tokens), min_size=1, max_size=3).map(",".join))
 
 
 SWEEP_REGION = command("sweep", (st.just(["--module=region"]),),
                        n=number_lists(BAD_INT, "3", "4"), q=number_lists(BAD, "1", "2.5", "7"),
-                       alpha=number_lists(BAD, "0.25", "0.5"))
+                       alpha=number_lists(BAD, "0.25", "0.5"), h=rarely(floats("0.5")))
 
 
 def run_main(argv):
@@ -119,12 +133,15 @@ def run_main(argv):
     return code, err.getvalue()
 
 
-def check_contract(argv):
+def check_contract(argv, unread=()):
+    """``unread`` names the drawn flags the run does not read."""
     code, err = run_main(argv)
     assert code in (0, 1, 2, 3, 4), (argv, code)
     assert "Traceback" not in err, (argv, err)
     if any(tok.split("=", 1)[-1].split(",").count(bad) for tok in argv for bad in NON_FINITE):
         assert code in (1, 2), (argv, code)
+    if any(tok.split("=", 1)[0] in unread or tok.endswith("=") for tok in argv):
+        assert code == 1, (argv, code)
 
 
 CONTRACT = settings(derandomize=True, deadline=None, max_examples=150,
@@ -152,16 +169,16 @@ def test_solve_system_contract(argv):
 @CONTRACT
 @given(VERIFY)
 def test_verify_contract(argv):
-    check_contract(argv)
+    check_contract(argv, ("--u0", "--z0") if "--exact" in argv else ())
 
 
 @settings(CONTRACT, max_examples=300)   # most draws carry some bad value
 @given(SIMULATE)
 def test_simulate_parabolic_contract(argv):
-    check_contract(argv)
+    check_contract(argv, unread_simulate_flags(argv))
 
 
 @CONTRACT
 @given(SWEEP_REGION)
 def test_sweep_region_contract(argv):
-    check_contract(argv)
+    check_contract(argv, ("--h",))

@@ -248,3 +248,138 @@ class TestRadialStencil:
         lap = geom.laplacian(f)
         assert np.array_equal(lap[:-1], laplacian_values(f, geom.h, geom.n)[:-1])
         assert lap[-1] == 2.0 * (f[-2] - f[-1]) / geom.h**2
+
+
+def stack_run(case):
+    """A perturbed periodic run, a radial run or a homogeneous run."""
+    if case == "radial":
+        geom = pb.RadialBall(n=3, radius=np.pi, num_intervals=96)
+        r = geom.x
+        return pb.simulate(geom, 2.5, 1.0, 1.0 + 0.03 * np.cos(r),
+                           1.6 + 0.02 * np.cos(2 * r), t_final=0.1, num_snapshots=32)
+    geom = pb.PeriodicBox(num_nodes=96)
+    if case == "homogeneous":
+        return pb.simulate(geom, 2.0, 1.0, 1.0, 1.2, t_final=0.1, num_snapshots=16)
+    x = geom.x
+    return pb.simulate(geom, 2.0, 1.3, 1.0 + 0.05 * np.cos(2 * x),
+                       2.0 + 0.04 * np.sin(2 * x), t_final=0.1, num_snapshots=32)
+
+
+def loop_residual(fld):
+    """Per-snapshot reference of the snapshot residual check."""
+    dt = fld.times[1] - fld.times[0]
+    geom = fld.geometry
+    worst = 0.0
+    for j in range(1, fld.times.shape[0] - 1):
+        ut = (fld.u[j + 1] - fld.u[j - 1]) / (2.0 * dt)
+        vt = (fld.v[j + 1] - fld.v[j - 1]) / (2.0 * dt)
+        res_u = ut - geom.laplacian(fld.u[j]) - fld.v[j] ** fld.r_exp
+        res_v = vt - geom.laplacian(fld.v[j]) - fld.u[j] ** fld.p_exp
+        sc = max(1.0, float(np.abs(ut).max()), float(np.abs(vt).max()))
+        worst = max(worst, float(np.abs(res_u).max()) / sc,
+                    float(np.abs(res_v).max()) / sc)
+    return worst
+
+
+def loop_heat_margin(fld):
+    """Per-snapshot reference of the heat inequality's worst margin and scale."""
+    geom = fld.geometry
+    sig, ell = fld.sigma, fld.ell
+    dt = fld.times[1] - fld.times[0]
+    w = fld.w
+    sl = geom.trim_slice()
+    worst = {"min_margin": np.inf}
+    scale = 1.0
+    for j in range(1, fld.times.shape[0] - 1):
+        lap_w = geom.laplacian(w[j])
+        w_t = (w[j + 1] - w[j - 1]) / (2.0 * dt)
+        reac = ell * sig * fld.v[j] ** (sig - 1.0) \
+            * (fld.u[j] ** fld.p_exp - ell**fld.p_exp * fld.v[j] ** (sig * fld.p_exp))
+        scale = max(scale, float(np.abs(lap_w[sl]).max()),
+                    float(np.abs(w_t[sl]).max()), float(np.abs(reac[sl]).max()))
+        margin = (lap_w - w_t - reac)[sl]
+        i = int(np.argmin(margin))
+        if margin[i] < worst["min_margin"]:   # strict: the earliest snapshot wins a tie
+            worst = {"min_margin": float(margin[i]), "argmin_r": float(geom.x[sl][i]),
+                     "argmin_t": float(fld.times[j])}
+    return dict(worst, scale=scale)
+
+
+class TestStackedForm:
+    """Operators act on the last axis: a stack equals its rows, bitwise."""
+
+    GEOMETRIES = [pb.PeriodicBox(num_nodes=64), pb.RadialBall(n=3, num_intervals=64),
+                  pb.RadialBall(n=2, radius=2.0, num_intervals=40)]
+    IDS = ["periodic", "radial-n3", "radial-n2"]
+
+    @staticmethod
+    def stack(geom):
+        x = geom.x
+        return np.stack((1.0 + 0.1 * np.cos(x), 2.0 + 0.3 * np.cos(2 * x) + 0.01 * x**2))
+
+    def test_grid_laplacian(self):
+        from biharm_lab.grids import laplacian_values
+        S = self.stack(pb.RadialBall(n=4, radius=2.0, num_intervals=50))
+        S3 = np.stack((S, 2.0 * S[::-1]))   # (2, 2, nodes)
+        assert np.array_equal(laplacian_values(S, 0.04, 4),
+                              [laplacian_values(f, 0.04, 4) for f in S])
+        assert np.array_equal(laplacian_values(S3, 0.04, 4),
+                              [[laplacian_values(f, 0.04, 4) for f in rows] for rows in S3])
+
+    @pytest.mark.parametrize("geom", GEOMETRIES, ids=IDS)
+    def test_geometry_laplacian(self, geom):
+        S = self.stack(geom)
+        assert np.array_equal(geom.laplacian(S), [geom.laplacian(f) for f in S])
+
+    @pytest.mark.parametrize("geom", GEOMETRIES, ids=IDS)
+    def test_cn_step(self, geom):
+        diffuser = (pb._PeriodicDiffusion(geom) if isinstance(geom, pb.PeriodicBox)
+                    else pb._RadialDiffusion(geom))
+        S = self.stack(geom)
+        for s in (1e-4, 0.05):
+            assert np.array_equal(diffuser.cn_step(S, s), [diffuser.cn_step(f, s) for f in S])
+
+    @pytest.mark.parametrize("case", ["periodic", "radial", "homogeneous"])
+    def test_verifiers_match_snapshot_loops(self, case):
+        fld = stack_run(case)
+        assert not fld.blown_up
+        assert pb._check_snapshot_residuals(fld) == loop_residual(fld)
+        rep = pb.verify_heat_diff_inequality(fld)
+        ref = loop_heat_margin(fld)
+        got = {"min_margin": rep.min_margin, "argmin_r": rep.argmin_r,
+               "argmin_t": rep.argmin_t, "scale": rep.scale}
+        assert got == ref
+
+    @pytest.mark.parametrize("geom", GEOMETRIES[:2], ids=IDS[:2])
+    def test_residual_refusal_matches_loop(self, geom):
+        # four snapshots of a fast-growing run are far too coarse in time
+        x = geom.x
+        fld = pb.simulate(geom, 3.0, 1.5, 1.5 + 0.2 * np.cos(x), 1.8 + 0.1 * np.cos(2 * x),
+                          0.5, num_snapshots=4, blowup_factor=50.0)
+        worst = loop_residual(fld)
+        assert worst > pb.RESIDUAL_THRESHOLD
+        with pytest.raises(PreconditionError, match=f"relative residual {worst:.3e} exceeds"):
+            pb.verify_heat_diff_inequality(fld)
+
+
+class TestCounters:
+    def test_deterministic_and_kept_out_of_manifest(self):
+        from dataclasses import replace
+
+        from biharm_lab.serialize import json_text
+        runs = [stack_run("radial") for _ in range(2)]
+        counters = [fld.meta["counters"] for fld in runs]
+        assert counters[0] == counters[1]
+        c = counters[0]
+        assert c["diffusion_solves"] == 2 * c["steps"]
+        assert c["steps"] >= 32 and 0 < c["dt_min"] <= 0.1 / 32
+        for fld in runs:
+            text = json_text(fld.manifest())
+            bare = replace(fld, meta={"dt_policy": fld.meta["dt_policy"]})
+            assert "counters" not in text and text == json_text(bare.manifest())
+
+    def test_no_step_taken(self):
+        # a controller step below the floor truncates before the first step
+        fld = pb.simulate(pb.PeriodicBox(num_nodes=16), 2.0, 1.0, 1e10, 1e10, 1.0)
+        assert fld.truncation_reason == "controller-underflow"
+        assert fld.meta["counters"] == {"steps": 0, "dt_min": None, "diffusion_solves": 0}
