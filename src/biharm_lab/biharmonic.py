@@ -10,7 +10,7 @@ z') sampled on a uniform grid together with a window classification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class SolutionProfile:
     dz: Field
     meta: dict
     classification: Classification
+    #: the kernel's step counts for a shot, {} otherwise; kept out of the artifacts
+    counters: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -132,14 +134,14 @@ def shoot(n: int, q: float, u0: float, z0: float, r_max: float,
     require_above("u0", u0)
     require_in("z0", z0, 0.0)
     h = shooting_grid(n, q, r_max, num_intervals, rtol).h
-    u, du, v, dv, status, i_stop, r_event, _ = radial_ivp(
+    *arrays, status, i_stop, r_event, stats = radial_ivp(
         n, q, 1.0, u0, z0, h, num_intervals, rtol=rtol)
     meta = {"n": n, "q": float(q), "source": "shooting",
             "u0": float(u0), "z0": float(z0), "rtol": rtol}
-    return _profile_from_arrays(n, h, u, du, v, dv, status, i_stop, r_event, meta)
+    return _profile_from_arrays(n, h, *arrays, status, i_stop, r_event, meta, stats)
 
 
-def _profile_from_arrays(n, h, u, du, v, dv, status, i_stop, r_event, meta):
+def _profile_from_arrays(n, h, u, du, v, dv, status, i_stop, r_event, meta, stats):
     if status == STATUS_FAILED and i_stop < 1:
         raise IntegratorError(f"integration failed at r = {r_event:.6g}",
                               location=r_event)
@@ -158,7 +160,7 @@ def _profile_from_arrays(n, h, u, du, v, dv, status, i_stop, r_event, meta):
         Field(grid, du[:k].copy()),
         Field(grid, v[:k].copy()),
         Field(grid, dv[:k].copy()),
-        meta, cls)
+        meta, cls, stats)
 
 
 def rescale(profile: SolutionProfile, lam: float) -> SolutionProfile:

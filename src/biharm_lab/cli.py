@@ -359,6 +359,10 @@ def _aux_report(prof, alpha: float, beta: float, exact: bool):
 def _cmd_verify(cfg: RunConfig) -> int:
     p = cfg.parameters
     check = p.get("check", "all")
+    if check in ("sharp", "weak", "gradient", "curvature"):
+        _refuse_unread(p, ("alpha", "beta", "gamma"), f"verify --check {check}")
+    elif check not in ("weighted", "all"):
+        _refuse_unread(p, ("gamma",), f"verify --check {check}")
     prof = _profile_for_verify(p)
     alpha = float(p.get("alpha", 0.5))
     beta = float(p.get("beta", beta_max_or_zero(alpha, prof.q, prof.n)))

@@ -93,16 +93,29 @@ def _check_size(values: np.ndarray):
         raise SizeError("stencils need at least 4 nodes (N >= 4)")
 
 
+def transport_denominators(num_nodes: int, h: float) -> np.ndarray:
+    """2 h r_i at the interior nodes i = 1..N-1, the central f'/r divisors."""
+    return 2.0 * h * (np.arange(1, num_nodes - 1) * h)
+
+
+def laplacian_rows(f: np.ndarray, h: float, n: int, two_h_r: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """Write lap f into ``out`` at the axis and the interior nodes (r: last axis).
+
+    ``two_h_r`` holds ``transport_denominators``; the wall row is the caller's.
+    """
+    out[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h**2 \
+        + (n - 1) * (f[..., 2:] - f[..., :-2]) / two_h_r
+    # r = 0: even extension makes f'(0) = 0 and lap f(0) = n f''(0)
+    out[..., 0] = n * 2.0 * (f[..., 1] - f[..., 0]) / h**2
+    return out
+
+
 def laplacian_values(f: np.ndarray, h: float, n: int) -> np.ndarray:
     """lap f = f'' + (n-1) f'/r on raw samples of an even radial function (r: last axis)."""
     f = np.asarray(f, dtype=float)
     _check_size(f)
-    out = np.empty_like(f)
-    r_int = np.arange(1, f.shape[-1] - 1) * h
-    out[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h**2 \
-        + (n - 1) * (f[..., 2:] - f[..., :-2]) / (2.0 * h * r_int)
-    # r = 0: even extension makes f'(0) = 0 and lap f(0) = n f''(0)
-    out[..., 0] = n * 2.0 * (f[..., 1] - f[..., 0]) / h**2
+    out = laplacian_rows(f, h, n, transport_denominators(f.shape[-1], h), np.empty_like(f))
     r_end = (f.shape[-1] - 1) * h
     out[..., -1] = (2.0 * f[..., -1] - 5.0 * f[..., -2] + 4.0 * f[..., -3] - f[..., -4]) / h**2 \
         + (n - 1) * (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h * r_end)

@@ -17,12 +17,14 @@ central time differences of the verifiers second order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, PreconditionError, require_above, require_count
-from .grids import TRIM_NODES, laplacian_values
+from .grids import TRIM_NODES, laplacian_rows, transport_denominators
 from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
                       worst_node)
 
@@ -92,8 +94,12 @@ class RadialBall:
     def x(self) -> np.ndarray:
         return np.arange(self.num_nodes) * self.h
 
+    @cached_property
+    def two_h_r(self) -> np.ndarray:
+        return transport_denominators(self.num_nodes, self.h)
+
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        out = laplacian_values(f, self.h, self.n)
+        out = laplacian_rows(f, self.h, self.n, self.two_h_r, np.empty_like(f))
         out[..., -1] = 2.0 * (f[..., -2] - f[..., -1]) / self.h**2    # ghost node from zero flux
         return out
 
@@ -125,14 +131,13 @@ class _PeriodicDiffusion:
 class _RadialDiffusion:
     def __init__(self, geom: RadialBall):
         self.geom = geom
-        h, n, m = geom.h, geom.n, geom.num_nodes
-        r = geom.x
+        h, n = geom.h, geom.n
         # the operator's (upper, diagonal, lower) bands in solve_banded's layout
-        bands = np.zeros((3, m))
+        bands = np.zeros((3, geom.num_nodes))
         upper, diag, lower = bands
         diag[1:] = -2.0 / h**2
-        lower[0:-2] = 1.0 / h**2 - (n - 1) / (2.0 * h * r[1:-1])
-        upper[2:] = 1.0 / h**2 + (n - 1) / (2.0 * h * r[1:-1])
+        lower[0:-2] = 1.0 / h**2 - (n - 1) / geom.two_h_r
+        upper[2:] = 1.0 / h**2 + (n - 1) / geom.two_h_r
         diag[0] = -2.0 * n / h**2
         upper[1] = 2.0 * n / h**2
         lower[-2] = 2.0 / h**2
@@ -143,7 +148,14 @@ class _RadialDiffusion:
         ab = -k2 * self._bands
         ab[1] += 1.0
         rhs = f + k2 * self.geom.laplacian(f)
-        return solve_banded((1, 1), ab, rhs.T).T   # one column per row of f
+        # the routine solve_banded((1, 1), ab, rhs.T) runs, on the same band
+        # slices, without its validation layers; ab and rhs are scratch, so it
+        # solves in place, one column per row of f
+        *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs.T, overwrite_dl=1,
+                            overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        if info:
+            raise LinAlgError(f"dgtsv failed with info = {info}")
+        return x.T
 
 
 @dataclass
@@ -194,7 +206,21 @@ class SpaceTimeField:
 
 def _reaction(S: np.ndarray, p_exp: float, r_exp: float) -> np.ndarray:
     """(v^r, u^p) for the stack S = [u, v]; a scalar exponent per row keeps NumPy's fast paths."""
-    return np.stack((S[1] ** r_exp, S[0] ** p_exp))
+    out = np.empty_like(S)
+    out[0] = S[1] ** r_exp
+    out[1] = S[0] ** p_exp
+    return out
+
+
+def _truncation(S: np.ndarray, cap: float) -> str | None:
+    """Why a step to the state S truncates the run, or None to go on."""
+    # NaN carries through both reductions, so it fails the finiteness test
+    lo, hi = float(S.min()), float(S.max())
+    if not (-np.inf < lo and hi < np.inf):
+        return "non-finite-state"
+    if lo <= 0:
+        return "positivity-lost"
+    return "blow-up" if hi > cap else None
 
 
 def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
@@ -230,14 +256,14 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
 
     # S is replaced, never written in place, so snapshots keep references
     snaps, ts, dts = [S], [0.0], []
-    t, blown, reason = 0.0, False, None
+    t, reason = 0.0, None
     j_next = 1
     while j_next <= num_snapshots:
         rate = float((_reaction(S, p_exp, r_exp) / S).max())
         dt = REL_INCREMENT / rate if rate > 0 else t_final / num_snapshots
         dt = min(dt, t_snap[j_next] - t)
         if dt < dt_floor:
-            blown, reason = True, "controller-underflow"
+            reason = "controller-underflow"
             break
 
         dts.append(dt)
@@ -248,16 +274,12 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
         k4 = _reaction(Sn + dt * k3, p_exp, r_exp)
         Sn = diffuser.cn_step(Sn + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.5 * dt)
 
-        if not np.all(np.isfinite(Sn)):
-            blown, reason = True, "non-finite-state"
-            break
-        if np.any(Sn <= 0):
-            blown, reason = True, "positivity-lost"
+        reason = _truncation(Sn, cap)
+        if reason in ("non-finite-state", "positivity-lost"):
             break
         S = Sn
         t += dt
-        if float(S.max()) > cap:
-            blown, reason = True, "blow-up"
+        if reason == "blow-up":   # the step counts towards t_reached
             break
         if t >= t_snap[j_next] - 1e-14 * max(t_final, 1.0):
             t = t_snap[j_next]
@@ -269,7 +291,7 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
     return SpaceTimeField(
         geometry=geometry, p_exp=float(p_exp), r_exp=float(r_exp),
         times=np.asarray(ts), u=snaps[0], v=snaps[1],
-        blown_up=blown, truncation_reason=reason, t_reached=t,
+        blown_up=reason is not None, truncation_reason=reason, t_reached=t,
         meta={"dt_policy": {"rel_increment": REL_INCREMENT,
                             "blowup_factor": blowup_factor,
                             "scheme": "strang: CN diffusion halves + RK4 reaction",
@@ -324,16 +346,22 @@ def verify_heat_diff_inequality(fld: SpaceTimeField) -> VerificationReport:
         **worst_node(lap_w - w_t - reac, geom.x[sl], fld.times[1:-1]))
 
 
+def _comparison_terms(fld: SpaceTimeField) -> tuple[np.ndarray, np.ndarray]:
+    return (fld.v ** (fld.r_exp + 1.0) / (fld.r_exp + 1.0),
+            fld.u ** (fld.p_exp + 1.0) / (fld.p_exp + 1.0))
+
+
 def comparison_margin(fld: SpaceTimeField) -> np.ndarray:
-    return (fld.v ** (fld.r_exp + 1.0) / (fld.r_exp + 1.0)
-            - fld.u ** (fld.p_exp + 1.0) / (fld.p_exp + 1.0))
+    v_term, u_term = _comparison_terms(fld)
+    return v_term - u_term
 
 
 def verify_component_comparison(fld: SpaceTimeField) -> VerificationReport:
     """Margin v^(r+1)/(r+1) - u^(p+1)/(p+1) >= 0 at all snapshot nodes."""
-    margin = comparison_margin(fld)
-    scale = max(1.0, float((fld.v ** (fld.r_exp + 1.0)).max() / (fld.r_exp + 1.0)),
-                float((fld.u ** (fld.p_exp + 1.0)).max() / (fld.p_exp + 1.0)))
+    v_term, u_term = _comparison_terms(fld)
+    margin = v_term - u_term
+    # division by a positive constant is monotone: max(x / c) == max(x) / c
+    scale = max(1.0, float(v_term.max()), float(u_term.max()))
     return VerificationReport(
         inequality="parabolic-power-comparison",
         params={"p": fld.p_exp, "r": fld.r_exp}, tol=TOL_FIRST_ORDER, scale=scale,
@@ -391,11 +419,10 @@ def verify_scalar_power_bounds(p_exp: float, r_exp: float,
     mask = b > 0
     a, b = a[mask], b[mask]
 
-    lhs1 = (a + b) ** p_exp - a**p_exp
-    rel1 = (lhs1 - b**p_exp) / np.maximum(1.0, (a + b) ** p_exp)
-    lhs2 = a**p_exp - b**p_exp
+    ab_p, a_p, b_p = (a + b) ** p_exp, a**p_exp, b**p_exp
+    rel1 = (ab_p - a_p - b_p) / np.maximum(1.0, ab_p)
     rhs2 = (p_exp / (1.0 + eps)) * b ** (p_exp - eps - 1.0) * (a - b) ** (1.0 + eps)
-    rel2 = (lhs2 - rhs2) / np.maximum(1.0, a**p_exp)
+    rel2 = (a_p - b_p - rhs2) / np.maximum(1.0, a_p)
 
     worst = float(min(rel1.min(), rel2.min()))
     violations = int((rel1 < -1e-12).sum() + (rel2 < -1e-12).sum())

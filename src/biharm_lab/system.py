@@ -9,7 +9,7 @@ used where w would be positive.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class SystemProfile:
     rexp: float
     meta: dict
     classification: Classification
+    #: the kernel's step counts for a shot, {} otherwise; kept out of the artifacts
+    counters: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -122,15 +124,15 @@ def solve_radial_system(n: int, q: float, rexp: float, u0: float, v0: float,
     require_above("v0", v0)
     require_above("rexp", rexp)
     h = shooting_grid(n, q, r_max, num_intervals, rtol).h
-    u, du, v, dv, status, i_stop, r_event, _ = radial_ivp(
+    *arrays, status, i_stop, r_event, stats = radial_ivp(
         n, q, rexp, u0, v0, h, num_intervals, rtol=rtol)
     meta = {"n": n, "q": float(q), "rexp": float(rexp), "source": "shooting",
             "u0": float(u0), "v0": float(v0), "rtol": rtol}
-    base = _profile_from_arrays(n, h, u, du, v, dv, status, i_stop, r_event, meta)
+    base = _profile_from_arrays(n, h, *arrays, status, i_stop, r_event, meta, stats)
     return SystemProfile(base.grid, base.u, Field(base.grid, base.z.values,
                                                   positive=bool(np.all(base.z.values > 0))),
                          base.du, base.dz, float(q), float(rexp), meta,
-                         base.classification)
+                         base.classification, base.counters)
 
 
 def comparison_margin(profile: SystemProfile) -> np.ndarray:

@@ -226,3 +226,32 @@ class TestScalingCovariance:
         tail = r >= 30.0
         ratio = prof.u.values[tail] / r[tail] ** 2
         assert np.all(np.diff(ratio) <= 1e-12)
+
+
+class TestKernelCounters:
+    """Shots keep the kernel's step counts as ``counters``, outside the artifacts."""
+
+    @pytest.mark.parametrize("shot", ["biharmonic", "system"])
+    def test_deterministic_and_kept_out_of_artifacts(self, shot):
+        from dataclasses import replace
+
+        from biharm_lab import system
+        from biharm_lab.serialize import json_text
+        if shot == "biharmonic":
+            profs = [bh.shoot(3, 7.0, 1.0, 2.0, 10.0, num_intervals=256) for _ in range(2)]
+        else:
+            profs = [system.solve_radial_system(3, 3.0, 2.0, 1.0, 0.7, 2.0, num_intervals=256)
+                     for _ in range(2)]
+        assert profs[0].counters == profs[1].counters
+        c = profs[0].counters
+        assert set(c) == {"accepted", "rejected", "rhs_evals"} and c["accepted"] > 0
+        for prof in profs:
+            bare = replace(prof, counters={})
+            assert json_text(prof.to_dict()) == json_text(bare.to_dict())
+            assert list(prof.columns()) == list(bare.columns())
+            assert "counters" not in json_text(prof.to_dict())
+
+    def test_exact_and_rescaled_carry_none(self):
+        exact = bh.exact_solution(RadialGrid.uniform(3, 5.0, 64))
+        assert exact.counters == {}
+        assert bh.rescale(bh.shoot(3, 7.0, 1.0, 2.0, 5.0, num_intervals=256), 2.0).counters == {}

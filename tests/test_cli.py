@@ -287,6 +287,7 @@ class TestUnreadFlags:
 
     PARABOLIC = ["simulate-parabolic", "--p-exp", "2", "--r-exp", "1", "--nodes", "16",
                  "--t-final", "0.01", "--snapshots", "2"]
+    VERIFY = ["verify", "--exact", "--r-max", "5", "--h", "0.05"]
 
     @pytest.mark.parametrize("argv,message", [
         (PARABOLIC + ["--radius", "nan"], "the periodic geometry does not read --radius"),
@@ -305,6 +306,20 @@ class TestUnreadFlags:
          "sweep --module biharmonic does not read --r-exp"),
         (["sweep", "--module", "lane-emden", "--alpha", "0.1"],
          "sweep --module lane-emden does not read --alpha"),
+        (VERIFY + ["--check", "sharp", "--alpha", "nan"],
+         "verify --check sharp does not read --alpha"),
+        (VERIFY + ["--check", "weak", "--beta", "nan", "--gamma", "inf"],
+         "verify --check weak does not read --beta, --gamma"),
+        (VERIFY + ["--check", "gradient", "--gamma", "0.1"],
+         "verify --check gradient does not read --gamma"),
+        (VERIFY + ["--check", "curvature", "--alpha", "0.5"],
+         "verify --check curvature does not read --alpha"),
+        (VERIFY + ["--check", "pointwise", "--gamma", "nan"],
+         "verify --check pointwise does not read --gamma"),
+        (VERIFY + ["--check", "aux-ineq", "--gamma", "0.1"],
+         "verify --check aux-ineq does not read --gamma"),
+        (VERIFY + ["--check", "identity", "--gamma", "0.1"],
+         "verify --check identity does not read --gamma"),
     ])
     def test_exits_1(self, argv, message, capsys):
         assert run_cli(argv) == 1
@@ -318,6 +333,13 @@ class TestUnreadFlags:
                                     "parameters": {"radius": 2.0}}))
         assert run_cli(self.PARABOLIC + ["--config", str(path)]) == 1
         assert "does not read --radius" in capsys.readouterr().err
+
+    def test_verify_coefficients_from_config_too(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "verify", "parameters": {"gamma": 0.1}}))
+        assert run_cli(self.VERIFY + ["--check", "identity", "--config", str(path)]) == 1
+        assert "verify --check identity does not read --gamma" in capsys.readouterr().err
+        assert run_cli(self.VERIFY + ["--check", "weighted", "--config", str(path)]) == 0
 
 
 class TestSweepDeterminism:

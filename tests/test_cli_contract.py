@@ -78,20 +78,36 @@ SOLVE_SYSTEM = command(
     "solve-system", (required("u0", floats("0.7", "1")), required("v0", floats("0.7", "2")),
                      required("h", H)),
     n=N, q=Q, r_exp=floats("0.5", "1", "2"), r_max=R_MAX, rtol=RTOL, tol=floats("0.1"))
-# alpha, beta and gamma are drawn only for the checks that read them; --exact
-# also draws the shooting starts it does not read
+# --exact also draws the shooting starts it does not read, and each check the
+# coefficients it does not read
 VERIFY_START = st.one_of(
     st.tuples(st.just(["--exact"]), flags(u0=rarely(floats("0.8")), z0=rarely(floats("2")))).map(
         lambda t: [tok for part in t for tok in part]),
     st.tuples(required("u0", floats("0.8", "1")), required("z0", floats("2", "3")),
               flags(n=N, q=Q)).map(lambda t: [tok for part in t for tok in part]))
+ALPHA, BETA, GAMMA = floats("0.25", "0.5"), floats("0.1"), floats("0.1", "0.9")
+#: the checks that read no coefficient, and those that read alpha and beta only
+NO_COEFFICIENTS = ("sharp", "weak", "gradient", "curvature")
+NO_GAMMA = ("pointwise", "aux-ineq", "identity")
 VERIFY = st.one_of(
-    st.tuples(VERIFY_START, st.sampled_from(["sharp", "weak", "gradient", "curvature"]),
-              required("h", H), flags(r_max=R_MAX, tol=floats("0.1"))),
-    st.tuples(VERIFY_START, st.sampled_from(["pointwise", "aux-ineq", "identity", "weighted"]),
-              required("h", H), flags(r_max=R_MAX, alpha=floats("0.25", "0.5"),
-                                      beta=floats("0.1"), gamma=floats("0.1", "0.9")))
+    st.tuples(VERIFY_START, st.sampled_from(NO_COEFFICIENTS), required("h", H),
+              flags(r_max=R_MAX, tol=floats("0.1"), alpha=rarely(ALPHA), beta=rarely(BETA),
+                    gamma=rarely(GAMMA))),
+    st.tuples(VERIFY_START, st.sampled_from(NO_GAMMA), required("h", H),
+              flags(r_max=R_MAX, alpha=ALPHA, beta=BETA, gamma=rarely(GAMMA))),
+    st.tuples(VERIFY_START, st.just("weighted"), required("h", H),
+              flags(r_max=R_MAX, alpha=ALPHA, beta=BETA, gamma=GAMMA))
 ).map(lambda t: ["verify"] + t[0] + [f"--check={t[1]}"] + t[2] + t[3])
+
+
+def unread_verify_flags(argv):
+    check = next(tok.split("=", 1)[1] for tok in argv if tok.startswith("--check="))
+    unread = ("--u0", "--z0") if "--exact" in argv else ()
+    if check in NO_COEFFICIENTS:
+        return unread + ("--alpha", "--beta", "--gamma")
+    return unread + (("--gamma",) if check in NO_GAMMA else ())
+
+
 EXPONENT = floats("0.5", "1", "1.5", "2")
 # sizes and t_final are always drawn: their defaults (512 nodes, 64
 # snapshots, t_final = 1) are far above the caps
@@ -169,7 +185,7 @@ def test_solve_system_contract(argv):
 @CONTRACT
 @given(VERIFY)
 def test_verify_contract(argv):
-    check_contract(argv, ("--u0", "--z0") if "--exact" in argv else ())
+    check_contract(argv, unread_verify_flags(argv))
 
 
 @settings(CONTRACT, max_examples=300)   # most draws carry some bad value

@@ -184,6 +184,69 @@ class TestPositivityAndBlowup:
         rep = pb.verify_heat_diff_inequality(fld)
         assert rep.passed
 
+    @pytest.mark.parametrize("geom", [pb.PeriodicBox(num_nodes=16),
+                                      pb.RadialBall(n=3, num_intervals=16)],
+                             ids=["periodic", "radial"])
+    def test_overflowing_reaction_is_a_non_finite_state(self, geom):
+        # u grows by a relative 1e-3 a step, so u^p overflows within the RK4
+        # stages; both diffusions carry the inf into a non-finite state
+        with np.errstate(over="ignore", invalid="ignore"):
+            fld = pb.simulate(geom, 7e5, 1.0, float(np.exp(5.59e-5)), 5e8, 1.0,
+                              num_snapshots=4)
+        assert fld.truncation_reason == "non-finite-state" and fld.blown_up
+        assert fld.meta["counters"]["steps"] == 1 and fld.times.shape == (1,)
+
+
+def three_call_reason(S, cap):
+    """The truncation tests as three separate reductions."""
+    if not np.all(np.isfinite(S)):
+        return "non-finite-state"
+    if np.any(S <= 0):
+        return "positivity-lost"
+    if float(S.max()) > cap:
+        return "blow-up"
+    return None
+
+
+class TestTruncation:
+    CAP = 10.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0, 11.0, 10.0, 5.0])
+    def test_matches_three_reductions(self, bad):
+        for row, node in [(0, 0), (0, 3), (1, 7)]:
+            S = np.stack((np.linspace(1.0, 2.0, 8), np.linspace(3.0, 0.5, 8)))
+            S[row, node] = bad
+            assert pb._truncation(S, self.CAP) == three_call_reason(S, self.CAP)
+
+    @pytest.mark.parametrize("values", [(np.nan, -1.0), (np.inf, -1.0), (-np.inf, 20.0),
+                                        (0.0, 20.0), (np.nan, np.inf), (-1.0, 11.0)])
+    def test_first_failing_test_wins(self, values):
+        S = np.ones((2, 8))
+        S[0, 2], S[1, 5] = values
+        assert pb._truncation(S, self.CAP) == three_call_reason(S, self.CAP)
+        assert pb._truncation(S, self.CAP) is not None
+
+
+class TestDirectSolve:
+    """cn_step calls dgtsv on the bands solve_banded((1, 1), ...) would pass it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_matches_solve_banded(self, n, rows):
+        from scipy.linalg import solve_banded
+        geom = pb.RadialBall(n=n, radius=2.0, num_intervals=40)
+        diffuser = pb._RadialDiffusion(geom)
+        x = geom.x
+        S = np.stack((1.0 + 0.1 * np.cos(x), 2.0 + 0.3 * np.cos(2 * x) + 0.01 * x**2))[:rows]
+        for s in (1e-4, 0.05, 3.0):
+            ab = -0.5 * s * diffuser._bands
+            ab[1] += 1.0
+            rhs = S + 0.5 * s * geom.laplacian(S)
+            ref = solve_banded((1, 1), ab, rhs.T).T
+            got = diffuser.cn_step(S, s)
+            assert got.shape == S.shape and np.array_equal(got, ref)
+            assert np.array_equal(diffuser.cn_step(S[0], s), ref[0])
+
 
 class TestScalarPowerBounds:
     def test_square_case_is_identity(self):
