@@ -258,34 +258,37 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
     snaps, ts, dts = [S], [0.0], []
     t, reason = 0.0, None
     j_next = 1
-    while j_next <= num_snapshots:
-        rate = float((_reaction(S, p_exp, r_exp) / S).max())
-        dt = REL_INCREMENT / rate if rate > 0 else t_final / num_snapshots
-        dt = min(dt, t_snap[j_next] - t)
-        if dt < dt_floor:
-            reason = "controller-underflow"
-            break
+    # an overflowing reaction turns the state inf or NaN, which _truncation
+    # reports as non-finite-state: NumPy need not warn about it as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        while j_next <= num_snapshots:
+            rate = float((_reaction(S, p_exp, r_exp) / S).max())
+            dt = REL_INCREMENT / rate if rate > 0 else t_final / num_snapshots
+            dt = min(dt, t_snap[j_next] - t)
+            if dt < dt_floor:
+                reason = "controller-underflow"
+                break
 
-        dts.append(dt)
-        Sn = diffuser.cn_step(S, 0.5 * dt)
-        k1 = _reaction(Sn, p_exp, r_exp)
-        k2 = _reaction(Sn + 0.5 * dt * k1, p_exp, r_exp)
-        k3 = _reaction(Sn + 0.5 * dt * k2, p_exp, r_exp)
-        k4 = _reaction(Sn + dt * k3, p_exp, r_exp)
-        Sn = diffuser.cn_step(Sn + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.5 * dt)
+            dts.append(dt)
+            Sn = diffuser.cn_step(S, 0.5 * dt)
+            k1 = _reaction(Sn, p_exp, r_exp)
+            k2 = _reaction(Sn + 0.5 * dt * k1, p_exp, r_exp)
+            k3 = _reaction(Sn + 0.5 * dt * k2, p_exp, r_exp)
+            k4 = _reaction(Sn + dt * k3, p_exp, r_exp)
+            Sn = diffuser.cn_step(Sn + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.5 * dt)
 
-        reason = _truncation(Sn, cap)
-        if reason in ("non-finite-state", "positivity-lost"):
-            break
-        S = Sn
-        t += dt
-        if reason == "blow-up":   # the step counts towards t_reached
-            break
-        if t >= t_snap[j_next] - 1e-14 * max(t_final, 1.0):
-            t = t_snap[j_next]
-            snaps.append(S)
-            ts.append(t)
-            j_next += 1
+            reason = _truncation(Sn, cap)
+            if reason in ("non-finite-state", "positivity-lost"):
+                break
+            S = Sn
+            t += dt
+            if reason == "blow-up":   # the step counts towards t_reached
+                break
+            if t >= t_snap[j_next] - 1e-14 * max(t_final, 1.0):
+                t = t_snap[j_next]
+                snaps.append(S)
+                ts.append(t)
+                j_next += 1
 
     snaps = np.stack(snaps, axis=1)   # (2, snapshots, nodes)
     return SpaceTimeField(

@@ -10,11 +10,20 @@ differential inequality (I1, I2, I3, K1, K2, and the gamma-weighted J1, J2,
 L1, L2) are all elementary algebra in (n, q, alpha, beta, gamma); on the
 admissible set the I's are nonnegative and the K's positive, and for gamma
 inside the feasible interval L1, L2 are strictly positive.
+
+The region formulas take Python floats or NumPy arrays alike, so that a grid
+block runs through the same expressions as a single checked tuple; the
+helpers below are the only operations spelt differently for the two, and an
+array element gets the float's value bitwise.  The private formulas do not
+validate their inputs: ParamSet does.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+
+import numpy as np
 
 from .errors import DomainError, PreconditionError, require_above, require_count, require_in
 
@@ -22,8 +31,44 @@ from .errors import DomainError, PreconditionError, require_above, require_count
 BOUNDARY_TOL = 1e-12
 
 
-def _leq(a: float, b: float) -> bool:
-    return a <= b + BOUNDARY_TOL * max(1.0, abs(a), abs(b))
+def _any_array(xs) -> bool:
+    return any(isinstance(x, np.ndarray) for x in xs)
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _square(x):
+    # libm pow, as Python's x ** 2 calls it; an ndarray's ** 2 multiplies
+    # instead, which rounds differently about once in a thousand
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
+
+
+def _max(*xs):
+    return reduce(np.maximum, xs) if _any_array(xs) else max(xs)
+
+
+def _min(*xs):
+    return reduce(np.minimum, xs) if _any_array(xs) else min(xs)
+
+
+def _where_positive(x, f):
+    """f(x) where x > 0, else 0.0; f sees only the positive elements of an array."""
+    if isinstance(x, np.ndarray):
+        out = np.zeros(x.shape)
+        pos = x > 0
+        out[pos] = f(x[pos])
+        return out
+    return f(x) if x > 0 else 0.0
+
+
+def _leq(a, b):
+    return a <= b + BOUNDARY_TOL * _max(1.0, abs(a), abs(b))
+
+
+def _half_p(q):
+    return (q - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -46,7 +91,7 @@ class ParamSet:
 
     @property
     def p_half(self) -> float:
-        return (self.q - 1.0) / 2.0
+        return _half_p(self.q)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "q": self.q, "alpha": self.alpha,
@@ -75,13 +120,16 @@ class Coefficients:
 
 def coefficients(params: ParamSet) -> Coefficients:
     """All nine derived coefficients; gamma defaults to 0 when unset."""
-    n, q, a, b = params.n, params.q, params.alpha, params.beta
     g = params.gamma if params.gamma is not None else 0.0
-    p = params.p_half
+    return _coefficients(params.n, params.q, params.alpha, params.beta, g)
+
+
+def _coefficients(n, q, a, b, g=0.0) -> Coefficients:
+    p = _half_p(q)
     K1 = 1.0 + 4.0 * (1.0 - 2.0 * a) / n
     K2 = p - 4.0 * a / n
     return Coefficients(
-        I1=(2.0 / n) * (1.0 - 2.0 * a) ** 2 - 2.0 * a * a + a,
+        I1=(2.0 / n) * _square(1.0 - 2.0 * a) - 2.0 * a * a + a,
         I2=1.0 + (2.0 / n) * a * b * b - p * b * b,
         I3=p * ((q + 1.0) / 2.0 - a) - a * (q - 8.0 * a / n + 4.0 / n),
         K1=K1,
@@ -94,9 +142,9 @@ def coefficients(params: ParamSet) -> Coefficients:
     )
 
 
-def _q_floor(alpha: float, n: int) -> float:
-    return 3.0 * alpha + math.sqrt(9.0 * alpha * alpha
-                                   + (1.0 - 2.0 * alpha) * (1.0 + 16.0 * alpha / n))
+def _q_floor(alpha, n):
+    return 3.0 * alpha + _sqrt(9.0 * alpha * alpha
+                               + (1.0 - 2.0 * alpha) * (1.0 + 16.0 * alpha / n))
 
 
 def q_min(alpha: float, n: int) -> float:
@@ -109,8 +157,7 @@ def q_min(alpha: float, n: int) -> float:
 
 def beta_max_or_zero(alpha: float, q: float, n: int) -> float:
     """beta_max(alpha, q, n) where it is defined, else 0 (the default beta)."""
-    den = q - 1.0 - 4.0 * alpha / n
-    return math.sqrt(2.0 / den) if den > 0 else 0.0
+    return _where_positive(q - 1.0 - 4.0 * alpha / n, lambda den: _sqrt(2.0 / den))
 
 
 def beta_max(alpha: float, q: float, n: int) -> float:
@@ -149,20 +196,17 @@ def check_admissible(params: ParamSet) -> AdmissibilityResult:
     I1, I2, I3 >= 0 and K1, K2 > 0.
     """
     n, q, a, b = params.n, params.q, params.alpha, params.beta
+    alpha_ok, bmax, beta_ok, qf, q_ok, admissible = _region_tests(n, q, a, b)
     reasons = []
-    alpha_ok = _leq(a, 0.5)
     if not alpha_ok:
         reasons.append(f"alpha <= 1/2 violated (alpha = {a})")
-    bmax = beta_max_or_zero(a, q, n)
     if bmax == 0.0:
         reasons.append(
             f"beta <= beta_max violated (beta_max undefined: q <= 1 + 4*alpha/n, q = {q})")
-    elif not _leq(b, bmax):
+    elif not beta_ok:
         reasons.append(f"beta <= beta_max violated (beta = {b}, beta_max = {bmax:.12g})")
-    if alpha_ok:
-        qf = _q_floor(min(a, 0.5), n)
-        if not _leq(qf, q):
-            reasons.append(f"q >= q_min violated (q = {q}, q_min = {qf:.12g})")
+    if alpha_ok and not q_ok:
+        reasons.append(f"q >= q_min violated (q = {q}, q_min = {qf:.12g})")
 
     coefs = coefficients(params)
 
@@ -172,8 +216,22 @@ def check_admissible(params: ParamSet) -> AdmissibilityResult:
         return 1 if x > 0 else -1
 
     signs = {k: sign(getattr(coefs, k)) for k in ("I1", "I2", "I3", "K1", "K2")}
-    return AdmissibilityResult(admissible=not reasons, reasons=reasons,
+    return AdmissibilityResult(admissible=bool(admissible), reasons=reasons,
                                coefficient_signs=signs, coefficients=coefs)
+
+
+def _region_tests(n, q, a, b):
+    """The three region inequalities and their conjunction, on floats or arrays.
+
+    Returns (alpha_ok, bmax, beta_ok, qf, q_ok, admissible): bmax is 0 where
+    beta_max is undefined, and qf is q_min at min(alpha, 1/2).
+    """
+    alpha_ok = _leq(a, 0.5)
+    bmax = beta_max_or_zero(a, q, n)
+    beta_ok = (bmax != 0.0) & _leq(b, bmax)
+    qf = _q_floor(_min(a, 0.5), n)
+    q_ok = _leq(qf, q)
+    return alpha_ok, bmax, beta_ok, qf, q_ok, alpha_ok & beta_ok & q_ok
 
 
 @dataclass(frozen=True)
@@ -200,11 +258,15 @@ def gamma_interval(alpha: float, q: float, n: int) -> GammaInterval:
     res = check_admissible(ParamSet(n=n, q=q, alpha=alpha, beta=0.0))
     if not res.admissible:
         raise PreconditionError("; ".join(res.reasons))
+    return GammaInterval(gamma_star=_gamma_star(alpha, q, n))
+
+
+def _gamma_star(alpha, q, n):
     b_lin = 3.0 * alpha - 1.0
     c_const = -(alpha + 4.0 * alpha * (1.0 - 2.0 * alpha) / n)
-    root = (-b_lin + math.sqrt(b_lin * b_lin - 4.0 * c_const)) / 2.0
+    root = (-b_lin + _sqrt(b_lin * b_lin - 4.0 * c_const)) / 2.0
     cap = (q - 1.0 - 8.0 * alpha / n) / 2.0
-    return GammaInterval(gamma_star=min(root, cap, 1.0))
+    return _min(root, cap, 1.0)
 
 
 def growth_exponent(gamma: float) -> float:

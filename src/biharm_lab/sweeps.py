@@ -12,12 +12,10 @@ come out in the same order whatever order the inputs were given in.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import biharmonic, system, verify
-from .params import (ParamSet, beta_max_or_zero, check_admissible, gamma_interval,
+from .params import (ParamSet, _coefficients, _gamma_star, _region_tests, beta_max_or_zero,
                      weak_coefficient)
 
 #: initial-amplitude grid shared by both shooting sweeps
@@ -101,25 +99,56 @@ def system_sweep(n_values=(3, 4, 5), q_values=(2.0, 3.0, 5.0, 7.0),
     return [_system_case(k) for k in sorted(keys)]
 
 
+def _by_q(x, shape) -> list:
+    """The q rows of a (q, alpha) block of the given shape, as lists.
+
+    A value free of q (I1, K1) broadcasts to a single row: every q row
+    shares that one list, so its floats are made once per block.  That keeps
+    the rows' memory below the per-cell version's.
+    """
+    rows = np.broadcast_to(x, (len(x), shape[1])).tolist()
+    return rows * shape[0] if len(rows) == 1 else rows
+
+
 def region_sweep(n_values=(3, 4, 5, 6, 7, 8),
                  q_values=tuple(np.linspace(1.25, 10.0, 36)),
                  alpha_values=tuple(np.linspace(0.0, 0.5, 21))) -> list[dict]:
-    """Admissibility and derived coefficients over a rectangular grid."""
+    """Admissibility and derived coefficients over a rectangular grid.
+
+    beta is beta_max where it is defined, else 0, and gamma_star is set on
+    admissible cells.  Each dimension's (q, alpha) block goes through the
+    formulas of check_admissible and gamma_interval as arrays, with the same
+    values; every row value is a Python float, int, bool or None.
+    """
+    ns = sorted(n_values)
+    qs = [float(q) for q in sorted(q_values)]
+    alphas = [float(a) for a in sorted(alpha_values)]
+    if not (ns and qs and alphas):
+        return []
+    # refuse the bad value a cell-by-cell ParamSet would meet first: cells run
+    # n-major, then q, then alpha, so n0, q0, every alpha, every q, every n
+    for a in alphas:
+        ParamSet(n=ns[0], q=qs[0], alpha=a)
+    for q in qs[1:]:
+        ParamSet(n=ns[0], q=q)
+    for n in ns[1:]:
+        ParamSet(n=n, q=qs[0])
+
+    q_col, a_row = np.array(qs)[:, None], np.array(alphas)[None, :]
     rows = []
-    for n in sorted(n_values):
-        for q in sorted(q_values):
-            for alpha in sorted(alpha_values):
-                # the default beta is a formula in (n, q, alpha): validate them first
-                params = ParamSet(n=n, q=float(q), alpha=float(alpha))
-                beta = beta_max_or_zero(alpha, q, n)
-                params = replace(params, beta=float(beta))
-                res = check_admissible(params)
-                gamma_star = None
-                if res.admissible:
-                    gamma_star = gamma_interval(alpha, q, n).gamma_star
-                c = res.coefficients
-                rows.append({"alpha": float(alpha), "q": float(q), "n": int(n),
-                             "beta": float(beta), "admissible": res.admissible,
-                             "I1": c.I1, "I2": c.I2, "I3": c.I3,
-                             "K1": c.K1, "K2": c.K2, "gamma_star": gamma_star})
+    # a huge alpha overflows the coefficients, and gamma_star's root is NaN on
+    # some inadmissible cells; those values are never read or stay inadmissible
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in map(int, ns):
+            beta = beta_max_or_zero(a_row, q_col, n)
+            admissible = _region_tests(n, q_col, a_row, beta)[-1]
+            c = _coefficients(n, q_col, a_row, beta)
+            gamma = _gamma_star(a_row, q_col, n)
+            block = (beta, admissible, c.I1, c.I2, c.I3, c.K1, c.K2, gamma)
+            for q, *cells in zip(qs, *(_by_q(x, beta.shape) for x in block)):
+                rows.extend(
+                    {"alpha": a, "q": q, "n": n, "beta": b, "admissible": ok,
+                     "I1": i1, "I2": i2, "I3": i3, "K1": k1, "K2": k2,
+                     "gamma_star": g if ok else None}
+                    for a, b, ok, i1, i2, i3, k1, k2, g in zip(alphas, *cells))
     return rows

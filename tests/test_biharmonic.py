@@ -244,7 +244,9 @@ class TestKernelCounters:
                      for _ in range(2)]
         assert profs[0].counters == profs[1].counters
         c = profs[0].counters
-        assert set(c) == {"accepted", "rejected", "rhs_evals"} and c["accepted"] > 0
+        assert set(c) == {"accepted", "rejected", "rhs_evals", "dt_min", "dt_max", "stop"}
+        assert c["accepted"] > 0 and c["stop"] == "window-end"
+        assert 0 < c["dt_min"] <= c["dt_max"]
         for prof in profs:
             bare = replace(prof, counters={})
             assert json_text(prof.to_dict()) == json_text(bare.to_dict())
@@ -255,3 +257,186 @@ class TestKernelCounters:
         exact = bh.exact_solution(RadialGrid.uniform(3, 5.0, 64))
         assert exact.counters == {}
         assert bh.rescale(bh.shoot(3, 7.0, 1.0, 2.0, 5.0, num_intervals=256), 2.0).counters == {}
+
+
+def _plain_rhs(r, u, du, v, dv, n, q, rexp):
+    """The right-hand side as one call: (ok, u', du', v', dv')."""
+    import math
+    if u <= 0.0 or v < 0.0:
+        return False, 0.0, 0.0, 0.0, 0.0
+    try:
+        vr = v**rexp
+        uq = u**-q
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return False, 0.0, 0.0, 0.0, 0.0
+    if not (math.isfinite(vr) and math.isfinite(uq)):
+        return False, 0.0, 0.0, 0.0, 0.0
+    c = (n - 1.0) / r
+    return True, du, vr - c * du, dv, -uq - c * dv
+
+
+def plain_ivp(n, q, rexp, u0, v0, h, N):
+    """radial_ivp in its plain form: one right-hand-side call per stage, a
+    loop over the tableau rows, and math.isfinite, abs and max as calls."""
+    import math
+    b = _backend
+    A = [(), (b._A21,), (b._A31, b._A32), (b._A41, b._A42, b._A43),
+         (b._A51, b._A52, b._A53, b._A54), (b._A61, b._A62, b._A63, b._A64, b._A65),
+         (b._B1, 0.0, b._B3, b._B4, b._B5, b._B6)]
+    C = (0.0, b._A21, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
+    E = (b._E1, 0.0, b._E3, b._E4, b._E5, b._E6, b._E7)
+    outs = tuple(np.zeros(N + 1) for _ in range(4))
+    outs[0][0], outs[2][0] = u0, v0
+    fl_u, fl_v = b.POSITIVITY_FLOOR * u0, b.POSITIVITY_FLOOR * v0
+    uq0 = u0**-q
+    vr0 = v0**rexp if v0 > 0.0 else 0.0
+    au, av = vr0 / (2.0 * n), -uq0 / (2.0 * n)
+    denom4 = 8.0 * n * (n + 2.0)
+    bu = -rexp * v0 ** (rexp - 1.0) * uq0 / denom4 if v0 > 0.0 else 0.0
+    bv = q * u0 ** (-q - 1.0) * vr0 / denom4
+    r = r_start = min(h, 1e-2)
+    r2 = r * r
+    y = [u0 + au * r2 + bu * r2 * r2, 2.0 * au * r + 4.0 * bu * r2 * r,
+         v0 + av * r2 + bv * r2 * r2, 2.0 * av * r + 4.0 * bv * r2 * r]
+    counts = [0, 0, 0]
+    if y[0] <= fl_u or y[2] <= fl_v:
+        return (*outs, b.STATUS_TOUCHED, 0, r, counts)
+    i_first = 1
+    if r_start == h:
+        for out, x in zip(outs, y):
+            out[1] = x
+        i_first = 2
+        if N == 1:
+            return (*outs, b.STATUS_OK, N, r, counts)
+    rtol = b.RTOL
+    fac_tol = min(1.0, b.TOL_PER_H2 * h * h / rtol)
+    rtol *= fac_tol
+    atol = b.ATOL * fac_tol
+    r_end = N * h
+    steps = []
+
+    def finish(status, r_covered, r_event, accepted, rejected, nfev):
+        i_stop = b._last_node(r_covered, h, N)
+        b._dense_fill(steps, h, i_first, i_stop, outs)
+        return (*outs, status, i_stop, r_event, [accepted, rejected, nfev])
+
+    dt_nat = 0.5 * min(h, 1e-3)
+    dt_min = 1e-13 * max(h, 1.0)
+    nfev = 1
+    ok, *k1 = _plain_rhs(r, *y, n, q, rexp)
+    accepted = rejected = 0
+    if not ok:
+        return finish(b.STATUS_FAILED, r, r, accepted, rejected, nfev)
+    while accepted + rejected < b.MAX_STEPS:
+        clamped = r + dt_nat >= r_end
+        dtc = r_end - r if clamped else dt_nat
+        ks = [k1]
+        for s in range(1, 7):
+            row = A[s]
+            if s == 1:
+                ys = [y[c] + dtc * row[0] * k1[c] for c in range(4)]
+            else:
+                ys = []
+                for c in range(4):
+                    acc = row[0] * ks[0][c]
+                    for j in range(1, s):
+                        if j != 1 or s != 6:   # the solution row skips stage 2
+                            acc = acc + row[j] * ks[j][c]
+                    ys.append(y[c] + dtc * acc)
+            if s == 6:
+                z = ys
+            nfev += 1
+            ok, *k = _plain_rhs(r + dtc if s >= 5 else r + C[s] * dtc, *ys, n, q, rexp)
+            if not ok:
+                break
+            ks.append(k)
+        if ok:
+            err = 0.0
+            for c in range(4):
+                e = E[0] * ks[0][c]
+                for j in range(2, 7):
+                    e = e + E[j] * ks[j][c]
+                sc = atol + rtol * max(abs(y[c]), abs(z[c]))
+                err += (dtc * e / sc) ** 2
+            err = math.sqrt(err / 4.0)
+        else:
+            err = math.inf
+        if err <= 1.0:
+            accepted += 1
+            r_next = r_end if clamped else r + dtc
+            if z[0] <= fl_u or z[2] <= fl_v:
+                return finish(b.STATUS_TOUCHED, r, r_next, accepted, rejected, nfev)
+            steps.append(b._pack_step(r, dtc, *y, *(x for k in ks for x in k)))
+            r, y, k1 = r_next, z, ks[6]
+            if clamped:
+                return finish(b.STATUS_OK, r, r, accepted, rejected, nfev)
+            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
+            dt_nat = dtc * fac
+        else:
+            rejected += 1
+            fac = 0.2 if err == math.inf else min(0.9, max(0.2, 0.9 * err**-0.2))
+            dt_nat = dtc * fac
+            if dt_nat < dt_min:
+                near = (y[0] <= max(2.0 * fl_u, 1e-5 * u0)
+                        or y[2] <= max(2.0 * fl_v, 1e-5 * v0))
+                status = b.STATUS_TOUCHED if near else b.STATUS_FAILED
+                return finish(status, r, r, accepted, rejected, nfev)
+    return finish(b.STATUS_FAILED, r, r, accepted, rejected, nfev)
+
+
+class TestPlainForm:
+    """The unrolled kernel gives its plain form's output bitwise."""
+
+    SHOTS = {
+        "closed-form-32768": (3, 7.0, 1.0, bh.EXACT_AMPLITUDE, 3.0 * bh.EXACT_AMPLITUDE,
+                              20.0 / 32768, 32768),
+        "system": (3, 3.0, 2.0, 1.0, 0.7, 2 / 256, 256),
+        "touched-zero": (3, 7, 1, 1, 0.3, 0.05, 400),
+        "z0-zero": (3, 7.0, 1.0, 1.0, 0.0, 0.05, 400),
+        "N1-start-on-node": (3, 7.0, 1.0, 1.0, 2.0, 0.01, 1),
+        "N1-one-step": (3, 7.0, 1.0, 1.0, 2.0, 0.5, 1),
+        "rejections": (3, 1.5, 5.0, 1e3, 1e-6, 0.1, 200),
+        # sweep shots on [0, 20]: long enough for rare rounding differences to show
+        "sweep-n3": (3, 2.0, 0.5, 1.0, 2.5, 20.0 / 1024, 1024),
+        "sweep-n4": (4, 3.0, 0.5, 0.7, 0.9, 20.0 / 1024, 1024),
+        "sweep-n5": (5, 5.0, 2.0, 1.5, 0.4, 20.0 / 1024, 1024),
+    }
+
+    @pytest.mark.parametrize("shot", list(SHOTS))
+    def test_matches_plain_form(self, shot):
+        got = _backend.radial_ivp(*self.SHOTS[shot])
+        ref = plain_ivp(*self.SHOTS[shot])
+        for a, b in zip(got[:4], ref[:4]):
+            assert np.array_equal(a, b)
+        assert got[4:7] == ref[4:7]
+        st = got[7]
+        assert [st["accepted"], st["rejected"], st["rhs_evals"]] == ref[7]
+        if shot == "rejections":
+            assert st["rejected"] > 0
+
+
+class TestStopReasons:
+    """stats["stop"] names the cause behind each status."""
+
+    @pytest.mark.parametrize("shot,stop", [
+        ((3, 7.0, 1.0, 1.0, 2.0, 10.0 / 256, 256), "window-end"),
+        ((3, 7, 1, 1, 0.3, 0.05, 400), "touched"),
+        ((3, 7.0, 1.0, 1.0, 0.0, 0.05, 400), "touched"),          # before the first step
+        ((3, 7.0, 2.0, 1.0, 1e154, 0.01, 10), "undefined-start"),  # v^2 at r_start overflows
+        ((3, 7.0, 1.0, 1e-60, 1.0, 0.5, 10), "undefined-start"),   # u0^-q overflows
+        ((3, 7.0, 2.0, 1.0, 1e200, 0.5, 10), "undefined-start")])  # v0^rexp overflows
+    def test_stop(self, shot, stop):
+        *_, status, _, _, st = _backend.radial_ivp(*shot)
+        assert st["stop"] == stop and _backend.STOPS[stop] == status
+        if st["accepted"]:
+            assert 0 < st["dt_min"] <= st["dt_max"]
+        else:
+            assert st["dt_min"] is None and st["dt_max"] is None
+        if stop == "undefined-start":   # no step was tried
+            assert st["rhs_evals"] <= 1 and st["rejected"] == 0
+
+    def test_max_steps(self, monkeypatch):
+        monkeypatch.setattr(_backend, "MAX_STEPS", 3)
+        *_, status, _, _, st = _backend.radial_ivp(3, 7.0, 1.0, 1.0, 2.0, 10.0 / 256, 256)
+        assert st["stop"] == "max-steps" and status == _backend.STATUS_FAILED
+        assert st["accepted"] + st["rejected"] == 3

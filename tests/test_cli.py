@@ -411,6 +411,16 @@ class TestExitCodeMapping:
             del cli._COMMANDS["_test_boom"]
         assert code == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["solve-biharmonic", "--u0", "1e-60", "--z0", "1"],
+        ["solve-system", "--u0", "1", "--v0", "1e200", "--r-exp", "2"]],
+        ids=["u0^-q", "v0^rexp"])
+    def test_overflowing_start_maps_to_4(self, argv, capsys):
+        # the kernel's even-series start overflows before the first step
+        assert run_cli(argv + ["--h", "0.5"]) == 4
+        err = capsys.readouterr().err
+        assert "integration failed at r = 0" in err and "Traceback" not in err
+
 
 class TestRadialParabolicCLI:
     def test_radial_geometry_manifest(self, tmp_path):

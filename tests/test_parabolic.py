@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -189,10 +191,13 @@ class TestPositivityAndBlowup:
                              ids=["periodic", "radial"])
     def test_overflowing_reaction_is_a_non_finite_state(self, geom):
         # u grows by a relative 1e-3 a step, so u^p overflows within the RK4
-        # stages; both diffusions carry the inf into a non-finite state
-        with np.errstate(over="ignore", invalid="ignore"):
+        # stages; both diffusions carry the inf into a non-finite state, which
+        # the truncation reports without a NumPy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             fld = pb.simulate(geom, 7e5, 1.0, float(np.exp(5.59e-5)), 5e8, 1.0,
                               num_snapshots=4)
+        assert caught == []
         assert fld.truncation_reason == "non-finite-state" and fld.blown_up
         assert fld.meta["counters"]["steps"] == 1 and fld.times.shape == (1,)
 

@@ -237,3 +237,104 @@ class TestTau:
             tau(math.inf, 3)
         with pytest.raises(DomainError):
             tau(7.0, 3.5)
+
+
+def cell_rows(n_values, q_values, alpha_values):
+    """region_sweep's rows one checked cell at a time, through the public API."""
+    from dataclasses import replace
+
+    from biharm_lab.params import beta_max_or_zero
+    rows = []
+    for n in sorted(n_values):
+        for q in sorted(q_values):
+            for alpha in sorted(alpha_values):
+                params = ParamSet(n=n, q=float(q), alpha=float(alpha))
+                beta = beta_max_or_zero(alpha, q, n)
+                res = check_admissible(replace(params, beta=float(beta)))
+                c = res.coefficients
+                rows.append({"alpha": float(alpha), "q": float(q), "n": int(n),
+                             "beta": float(beta), "admissible": res.admissible,
+                             "I1": c.I1, "I2": c.I2, "I3": c.I3, "K1": c.K1, "K2": c.K2,
+                             "gamma_star": float(gamma_interval(alpha, q, n).gamma_star)
+                             if res.admissible else None})
+    return rows
+
+
+def exact(rows):
+    """Rows with floats as float.hex and every other value tagged with its type."""
+    return [{k: v.hex() if type(v) is float else (type(v).__name__, v) for k, v in row.items()}
+            for row in rows]
+
+
+class TestRegionSweep:
+    """The per-dimension array blocks give the checked per-cell rows bitwise."""
+
+    # alpha = 1/2, alpha above it (by more and less than BOUNDARY_TOL), q with
+    # beta_max undefined, q exactly at q_min, and unsorted, repeated entries
+    N = (7, 3, 4)
+    ALPHA = (0.6, 0.0, 0.1, 0.25, 0.5, 0.5 + 1e-13, 0.5 + 1e-9, 0.37, 0.1)
+    Q = (7.0, 1.1, 1.5, q_min(0.25, 4), q_min(0.5, 3), q_min(0.1, 7), 3.0, 10.0, 2.2)
+
+    def test_rows_match_cells(self):
+        from biharm_lab.sweeps import region_sweep
+        rows = region_sweep(self.N, self.Q, self.ALPHA)
+        ref = cell_rows(self.N, self.Q, self.ALPHA)
+        assert exact(rows) == exact(ref)
+        # the grid reaches every branch of the verdict
+        verdicts = {(r["admissible"], r["beta"] == 0.0) for r in rows}
+        assert verdicts == {(True, False), (False, False), (False, True)}
+        assert any(r["admissible"] and r["q"] == q_min(0.5, 3) for r in rows)
+
+    def test_default_grid_matches_cells(self):
+        from biharm_lab.sweeps import region_sweep
+        grid = ((3, 4, 5, 6, 7, 8), tuple(np.linspace(1.25, 10.0, 36)),
+                tuple(np.linspace(0.0, 0.5, 21)))
+        assert exact(region_sweep()) == exact(cell_rows(*grid))
+
+    @pytest.mark.parametrize("grid", [{}, {"n_values": (3, 5), "q_values": (2.0, 7.0),
+                                           "alpha_values": (0.0, 0.25, 0.5)}],
+                             ids=["defaults", "cli-lists"])
+    def test_row_types(self, grid):
+        from biharm_lab.sweeps import region_sweep
+        rows = region_sweep(**grid)
+        assert any(r["gamma_star"] is not None for r in rows)
+        for row in rows:
+            assert type(row["n"]) is int and type(row["admissible"]) is bool
+            assert all(type(row[k]) is float for k in ("alpha", "q", "beta", "I1", "I2",
+                                                       "I3", "K1", "K2"))
+            assert type(row["gamma_star"]) is (float if row["admissible"] else type(None))
+
+    @pytest.mark.parametrize("grid", [
+        ((3, 2), (7.0,), (0.1,)), ((3, 2.5), (1.0, 7.0), (0.1,)),
+        ((3, 4), (7.0, 0.5), (0.2, -0.1)), ((3, 4), (math.inf, 7.0), (0.2, -0.1)),
+        ((1, 2), (0.5,), (-1.0,)), ((3,), (7.0, math.nan), (0.2,)),
+        ((3,), (7.0,), (0.2, math.inf)), ((4, 3, 2**23), (7.0,), (0.2,)),
+        ((3,), (), (0.2,))])
+    def test_refusals_match_cells(self, grid):
+        from biharm_lab.sweeps import region_sweep
+        try:
+            expected = cell_rows(*grid)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                region_sweep(*grid)
+            assert str(got.value) == str(exc)
+        else:
+            assert expected == [] and region_sweep(*grid) == []
+
+
+def test_region_sweep_huge_alpha_is_inadmissible():
+    # (1 - 2 alpha)^2 overflows: the block carries inf and NaN, warns nothing,
+    # and the verdict stays inadmissible; the finite cells are unaffected
+    from biharm_lab.sweeps import region_sweep
+    rows = region_sweep((3,), (7.0,), (0.2, 1e200))
+    assert rows[0]["admissible"] and not rows[1]["admissible"]
+    assert math.isnan(rows[1]["I1"]) and rows[1]["gamma_star"] is None
+    assert exact(rows[:1]) == exact(cell_rows((3,), (7.0,), (0.2,)))
+
+
+def test_square_is_libm_pow():
+    # an ndarray's ** 2 multiplies, which rounds differently from Python's
+    # x ** 2 about once in a thousand; the region block must not
+    from biharm_lab.params import _square
+    x = np.random.default_rng(3).uniform(-10.0, 10.0, 20000)
+    assert [v.hex() for v in _square(x).tolist()] == [(v ** 2).hex() for v in x.tolist()]
