@@ -6,11 +6,13 @@ Integrates the first-order reduction of the coupled radial system
 
 with a Dormand-Prince 5(4) embedded pair and a fourth-order even-series
 start through the removable singularity at r = 0.  Steps are chosen by the
-error control alone; only the last one is clamped onto the window end
-r_N = N*h.  The uniform grid nodes are filled once per shot, with NumPy,
-from the quartic continuous extension of the accepted steps (Shampine 1986,
-Math. Comp. 46; Hairer-Norsett-Wanner, Solving ODEs I, II.6), so the step
-count does not grow with N.
+error control alone.  integrate returns the accepted steps and why the shot
+stopped (a Shot); fill samples a Shot on any uniform grid, with NumPy, from
+the quartic continuous extension of the steps (Shampine 1986, Math. Comp.
+46; Hairer-Norsett-Wanner, Solving ODEs I, II.6), so the step count does not
+grow with N.  radial_ivp is the two on one grid, with the last step clamped
+onto the window end r_N = N*h; the sweeps fill one unclamped shot onto the
+rescaled grids of a whole scale-invariant family.
 
 The verifiers difference the stored fields twice, which amplifies step noise
 by 1/h^2, so the kernel tightens the requested rtol to at most
@@ -28,7 +30,7 @@ takes about 8.3 us against 12.3 us with the calls (Python 3.11, one core of
 a shared 2-core x86-64 machine, 108 shots at N = 1024).  Each inline stage
 keeps _rhs's operand order, so the results are bitwise those of the call
 form; an undefined or non-finite power raises _Undefined, which the step
-catches once as a rejection.
+catches once as a rejection, as it does an error norm past the float range.
 
 Status codes: 0 = reached the window end, 1 = a component touched its
 positivity floor, 2 = integrator failure; stats["stop"] names the cause
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,22 +125,79 @@ def _last_node(r, h, N):
     return i
 
 
-def _dense_fill(steps, h, i_first, i_stop, outs):
-    """Evaluate the continuous extension of the stored steps at nodes i_first..i_stop."""
+def _dense_fill(steps, poly, h, i_first, i_stop, outs):
+    """Evaluate the continuous extension of the steps at nodes i_first..i_stop.
+
+    steps holds one packed record per step (r, dt, the state, the stages) and
+    poly its extension coefficients, _extension(steps).
+    """
     if i_stop < i_first:
         return
-    data = np.frombuffer(b"".join(steps), dtype=float).reshape(-1, _STEP_WIDTH)
-    r0, dt = data[:, 0], data[:, 1]
-    # (steps, component, power): Q[s, c, m] = sum_j k_j[c] P[j, m]
-    Q = data[:, 6:].reshape(-1, 7, 4).transpose(0, 2, 1) @ _P
+    r0, dt = steps[:, 0], steps[:, 1]
     ri = np.arange(i_first, i_stop + 1) * h
     s = np.searchsorted(r0, ri, side="right") - 1
     dts = dt[s]
     x = (ri - r0[s]) / dts
+    # the four components at once: (node, component) blocks, Horner in x
+    q, xc = poly[s], x[:, None]
+    p = xc * (q[..., 0] + xc * (q[..., 1] + xc * (q[..., 2] + xc * q[..., 3])))
+    vals = steps[s, 2:6] + dts[:, None] * p
     for c, out in enumerate(outs):
-        qc = Q[s, c]
-        poly = x * (qc[:, 0] + x * (qc[:, 1] + x * (qc[:, 2] + x * qc[:, 3])))
-        out[i_first:i_stop + 1] = data[s, 2 + c] + dts * poly
+        out[i_first:i_stop + 1] = vals[:, c]
+
+
+def _extension(steps):
+    """(steps, component, power): Q[s, c, m] = sum_j k_j[c] P[j, m]."""
+    return steps[:, 6:].reshape(-1, 7, 4).transpose(0, 2, 1) @ _P
+
+
+class Shot(NamedTuple):
+    """One integration: its accepted steps, the even-series start and the stop.
+
+    series is (r_start, u0, au, bu, v0, av, bv) of the start
+    u = u0 + au r^2 + bu r^4, v = v0 + av r^2 + bv r^4.  The steps cover
+    [r_start, r_covered]; r_covered is 0 when the start already stopped the
+    shot, and r_event is as radial_ivp returns it.
+    """
+
+    steps: np.ndarray
+    poly: np.ndarray
+    series: tuple
+    stop: str
+    r_covered: float
+    r_event: float
+    stats: dict
+
+
+def fill(shot: Shot, h: float, num_intervals: int):
+    """Sample a shot on the uniform grid r_i = i*h, i = 0..N.
+
+    Returns (u, du, v, dv, status, i_stop).  The arrays are valid through
+    i_stop, the last node the shot covers; status is STATUS_OK when the shot
+    covers the whole grid, else its stop's.  Nodes at or below r_start come
+    from the even series, the others from the continuous extension of the
+    steps that start before the grid's end, so a grid reads the same steps
+    however far past it the shot ran.
+    """
+    N = int(num_intervals)
+    outs = u, du, v, dv = tuple(np.zeros(N + 1) for _ in range(4))
+    r_start, u0, au, bu, v0, av, bv = shot.series
+    u[0], v[0] = u0, v0
+    r_end = N * h
+    status = STATUS_OK if shot.r_covered >= r_end else STOPS[shot.stop]
+    i_stop = _last_node(shot.r_covered, h, N)
+    i_series = min(i_stop, _last_node(r_start, h, N))
+    if i_series:
+        r = np.arange(1, i_series + 1) * h
+        r2 = r * r
+        k = slice(1, i_series + 1)
+        u[k] = u0 + au * r2 + bu * r2 * r2
+        du[k] = 2.0 * au * r + 4.0 * bu * r2 * r
+        v[k] = v0 + av * r2 + bv * r2 * r2
+        dv[k] = 2.0 * av * r + 4.0 * bv * r2 * r
+    m = np.searchsorted(shot.steps[:, 0], r_end)   # the steps that start on the grid
+    _dense_fill(shot.steps[:m], shot.poly[:m], h, i_series + 1, i_stop, outs)
+    return u, du, v, dv, status, i_stop
 
 
 def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=RTOL):
@@ -153,32 +213,57 @@ def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=RTOL):
     step (None before the first) and names why the shot stopped (STOPS).
     """
     N = int(num_intervals)
-    u_out = np.zeros(N + 1)
-    du_out = np.zeros(N + 1)
-    v_out = np.zeros(N + 1)
-    dv_out = np.zeros(N + 1)
-    outs = (u_out, du_out, v_out, dv_out)
-    u_out[0], du_out[0], v_out[0], dv_out[0] = u0, 0.0, v0, 0.0
+    shot = integrate(n, q, rexp, u0, v0, h, N * h, rtol)
+    *arrays, status, i_stop = fill(shot, h, N)
+    return (*arrays, status, i_stop, shot.r_event, shot.stats)
+
+
+def series_start(n, q, rexp, u0, v0):
+    """(au, bu, av, bv) of the even-series start u = u0 + au r^2 + bu r^4,
+    v = v0 + av r^2 + bv r^4; raises ArithmeticError when a power of the
+    initial values overflows, where a shot stops as "undefined-start"."""
+    denom4 = 8.0 * n * (n + 2.0)
+    uq0 = u0**-q
+    vr0 = v0**rexp if v0 > 0.0 else 0.0
+    bu = -rexp * v0 ** (rexp - 1.0) * uq0 / denom4 if v0 > 0.0 else 0.0
+    bv = q * u0 ** (-q - 1.0) * vr0 / denom4
+    return vr0 / (2.0 * n), bu, -uq0 / (2.0 * n), bv
+
+
+def integrate(n, q, rexp, u0, v0, h, r_end, rtol=RTOL, clamp=True) -> Shot:
+    """Integrate outward from r = 0 until r_end, a touch or a failure.
+
+    h sets the start radius, the first step and the tolerance cap, as for a
+    shot on the grid of spacing h.  With clamp, the last step is clamped
+    onto r_end; without, the shot stops after the first accepted step that
+    reaches r_end, so its steps do not depend on r_end.
+    """
     stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0,
              "dt_min": None, "dt_max": None, "stop": None}
+    r_start = min(h, 1e-2)
+    # one packed record per accepted step, read back as one float array;
+    # packing keeps the store compact next to tuples of Python floats
+    steps = []
+    push = steps.append
+
+    def finish(stop, r_covered, r_event, accepted=0, rejected=0, nfev=0, dt_lo=0.0, dt_hi=0.0):
+        data = np.frombuffer(b"".join(steps), dtype=float).reshape(-1, _STEP_WIDTH)
+        stats.update(accepted=accepted, rejected=rejected, rhs_evals=nfev, stop=stop)
+        if accepted:
+            stats.update(dt_min=dt_lo, dt_max=dt_hi)
+        return Shot(data, _extension(data), series, stop, r_covered, r_event, stats)
 
     fl_u = POSITIVITY_FLOOR * u0
     fl_v = POSITIVITY_FLOOR * v0
 
-    # even-series start: u = u0 + au r^2 + bu r^4, v = v0 + av r^2 + bv r^4
-    denom4 = 8.0 * n * (n + 2.0)
     try:
-        uq0 = u0**-q
-        vr0 = v0**rexp if v0 > 0.0 else 0.0
-        bu = -rexp * v0 ** (rexp - 1.0) * uq0 / denom4 if v0 > 0.0 else 0.0
-        bv = q * u0 ** (-q - 1.0) * vr0 / denom4
-    except ArithmeticError:   # a power of the initial values overflows
-        stats["stop"] = "undefined-start"
-        return u_out, du_out, v_out, dv_out, STATUS_FAILED, 0, 0.0, stats
-    au = vr0 / (2.0 * n)
-    av = -uq0 / (2.0 * n)
+        au, bu, av, bv = series_start(n, q, rexp, u0, v0)
+    except ArithmeticError:
+        # the coefficients are never read: the shot covers no node past r = 0
+        series = (r_start, u0, 0.0, 0.0, v0, 0.0, 0.0)
+        return finish("undefined-start", 0.0, 0.0)
+    series = (r_start, u0, au, bu, v0, av, bv)
 
-    r_start = min(h, 1e-2)
     r = r_start
     r2 = r * r
     u = u0 + au * r2 + bu * r2 * r2
@@ -187,32 +272,13 @@ def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=RTOL):
     dv = 2.0 * av * r + 4.0 * bv * r2 * r
 
     if u <= fl_u or v <= fl_v:
-        stats["stop"] = "touched"
-        return u_out, du_out, v_out, dv_out, STATUS_TOUCHED, 0, r, stats
-    i_first = 1
-    if r_start == h:
-        u_out[1], du_out[1], v_out[1], dv_out[1] = u, du, v, dv
-        i_first = 2
-        if N == 1:
-            stats["stop"] = "window-end"
-            return u_out, du_out, v_out, dv_out, STATUS_OK, N, r, stats
+        return finish("touched", 0.0, r)
+    if r_start >= r_end:
+        return finish("window-end", r, r)
 
     fac_tol = min(1.0, TOL_PER_H2 * h * h / rtol)
     rtol *= fac_tol
     atol = ATOL * fac_tol
-    r_end = N * h
-    # one packed record per accepted step, read back as one float array;
-    # packing keeps the store compact next to tuples of Python floats
-    steps = []
-    push = steps.append
-
-    def finish(stop, r_covered, r_event, accepted, rejected, nfev, dt_lo, dt_hi):
-        i_stop = _last_node(r_covered, h, N)
-        _dense_fill(steps, h, i_first, i_stop, outs)
-        stats.update(accepted=accepted, rejected=rejected, rhs_evals=nfev, stop=stop)
-        if accepted:
-            stats.update(dt_min=dt_lo, dt_max=dt_hi)
-        return u_out, du_out, v_out, dv_out, STOPS[stop], i_stop, r_event, stats
 
     dt_nat = 0.5 * min(h, 1e-3)
     dt_floor = 1e-13 * max(h, 1.0)
@@ -229,7 +295,8 @@ def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=RTOL):
     nm1 = n - 1.0
     mq = -q
     while accepted + rejected < MAX_STEPS:
-        clamped = r + dt_nat >= r_end
+        last = r + dt_nat >= r_end   # the step reaches r_end
+        clamped = last and clamp
         dtc = r_end - r if clamped else dt_nat
 
         # stages 2-7, each the stage state followed by the right-hand side at
@@ -327,9 +394,7 @@ def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=RTOL):
             k7_1 = vr - c * z1
             k7_2 = z3
             k7_3 = -uq - c * z3
-        except ArithmeticError:   # the guards leave pow no ValueError to raise
-            err = inf
-        else:
+
             # max(abs(a), abs(b)) as conditionals: the same value, without calls
             e = dtc * (_E1 * k1_0 + _E3 * k3_0 + _E4 * k4_0 + _E5 * k5_0 + _E6 * k6_0 + _E7 * k7_0)
             a = u if u >= 0.0 else -u
@@ -352,6 +417,8 @@ def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=RTOL):
             sc = atol + rtol * (b if b > a else a)
             err += (e / sc) ** 2
             err = sqrt(err / 4.0)
+        except ArithmeticError:   # the guards leave pow no ValueError to raise
+            err = inf   # also an error estimate past the float range
 
         if err <= 1.0:
             accepted += 1
@@ -371,7 +438,7 @@ def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=RTOL):
             r = r_next
             u, du, v, dv = z0, z1, z2, z3
             k1_0, k1_1, k1_2, k1_3 = k7_0, k7_1, k7_2, k7_3
-            if clamped:
+            if last:
                 return finish("window-end", r, r, accepted, rejected, nfev, dt_lo, dt_hi)
             # min(5, max(0.2, fac)) without calls: err <= 1 here, so fac >= 0.9
             fac = 5.0 if err == 0.0 else 0.9 * err**-0.2

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._backend import RTOL, STATUS_FAILED, STATUS_OK, radial_ivp
 from .errors import (DomainError, IntegratorError, PreconditionError, require_above,
-                     require_count, require_in)
+                     require_count, require_in, require_power)
 from .grids import Field, RadialGrid, laplacian_with_derivative
 
 POSITIVE = "positive-on-window"
@@ -113,8 +113,9 @@ def shooting_grid(n: int, q: float, r_max: float, num_intervals: int,
                   rtol: float) -> RadialGrid:
     """Guards shared by the shooting entry points; returns the grid to fill.
 
-    Refuses a bad q, rtol, window or interval count and (through the grid) a
-    bad dimension, all before the kernel allocates or runs.
+    Refuses a bad q, rtol, window or interval count and, through the grid, a
+    bad dimension or a spacing whose h^2 (and so the kernel's tolerance cap)
+    leaves the float range, all before the kernel allocates or runs.
     """
     require_above("q", q, 1.0)
     require_above("rtol", rtol)
@@ -163,16 +164,37 @@ def _profile_from_arrays(n, h, u, du, v, dv, status, i_stop, r_event, meta, stat
         meta, cls, stats)
 
 
+def scaling_exponents(q: float, rexp: float = 1.0) -> tuple[float, float]:
+    """(a, b) of the symmetry (u, v) -> (lam^a u(x/lam), lam^b v(x/lam)).
+
+    It maps solutions of lap u = v^rexp, lap v = -u^(-q) onto solutions:
+    a = 2(1+rexp)/(1+rexp q) and b = 2(1-q)/(1+rexp q).  The biharmonic
+    problem is rexp = 1 with v = lap u, where a = 4/(q+1) and b = a - 2.
+    """
+    d = 1.0 + rexp * q
+    return 2.0 * (1.0 + rexp) / d, 2.0 * (1.0 - q) / d
+
+
+def rescale_factors(lam: float, a: float, b: float) -> tuple[float, float, float, float]:
+    """Factors of (u, u', v, v') under the symmetry with exponents (a, b).
+
+    Refuses (DomainError) a factor outside the float range.
+    """
+    mu = require_power("lam**a", lam, a)
+    nu = require_power("lam**b", lam, b)
+    return mu, require_above("lam**(a-1)", mu / lam), nu, require_above("lam**(b-1)", nu / lam)
+
+
 def rescale(profile: SolutionProfile, lam: float) -> SolutionProfile:
     """Scaling-symmetry image u_lam(x) = lam^(4/(q+1)) u(x/lam).
 
-    Node values map exactly onto the rescaled window [0, lam * r_max]; the
-    classification kind is preserved and the breakdown location scales.
+    The r = 1 case of rescale_factors.  Node values map exactly onto the
+    rescaled window [0, lam * r_max]; the classification kind is preserved
+    and the breakdown location scales.
     """
     require_above("lam", lam)
     profile.require_positive()
-    q = profile.q
-    mu = lam ** (4.0 / (q + 1.0))
+    fu, fdu, fz, fdz = rescale_factors(lam, *scaling_exponents(profile.q))
     grid = RadialGrid(n=profile.grid.n, h=profile.grid.h * lam,
                       num_intervals=profile.grid.num_intervals)
     cls = profile.classification
@@ -180,13 +202,13 @@ def rescale(profile: SolutionProfile, lam: float) -> SolutionProfile:
         cls = replace(cls, r_stop=cls.r_stop * lam)
     meta = dict(profile.meta)
     meta.update(source="rescaled", scale=lam * meta.get("scale", 1.0),
-                u0=mu * profile.meta["u0"], z0=mu / lam**2 * profile.meta["z0"])
+                u0=fu * profile.meta["u0"], z0=fz * profile.meta["z0"])
     return SolutionProfile(
         grid,
-        Field(grid, mu * profile.u.values, positive=True),
-        Field(grid, mu / lam * profile.du.values),
-        Field(grid, mu / lam**2 * profile.z.values),
-        Field(grid, mu / lam**3 * profile.dz.values),
+        Field(grid, fu * profile.u.values, positive=True),
+        Field(grid, fdu * profile.du.values),
+        Field(grid, fz * profile.z.values),
+        Field(grid, fdz * profile.dz.values),
         meta, cls)
 
 

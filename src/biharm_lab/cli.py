@@ -291,10 +291,15 @@ def _cmd_region(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _require_tol(cfg: RunConfig):
+    """Refuse a bad --tol after the usage checks, before any shot."""
+    if cfg.tol is not None:
+        require_in("tol", cfg.tol)
+
+
 def _verdict(cfg: RunConfig, reports) -> int:
     """Apply --tol to the reports; returns the exit code their verdicts give."""
     if cfg.tol is not None:
-        require_in("tol", cfg.tol)
         for rep in reports:
             rep.tol = cfg.tol
     return EXIT_VERIFICATION if any(rep.passed is False for rep in reports) else EXIT_OK
@@ -330,12 +335,7 @@ def _profile_for_verify(p) -> biharmonic.SolutionProfile:
     aux_checks = p.get("check", "all") in ("aux-ineq", "weighted", "identity", "all")
     default_h = 20.0 / 32768 if aux_checks else 20.0 / 4096
     if p.get("exact"):
-        if p.get("q", 7.0) != 7.0 or p.get("n", 3) != 3:
-            raise UsageError("--exact pins (n, q) = (3, 7); drop --n/--q or --exact")
-        _refuse_unread(p, ("u0", "z0"), "verify --exact")
         return biharmonic.exact_solution(RadialGrid.uniform(3, *_window(p, default_h)))
-    if p.get("u0") is None or p.get("z0") is None:
-        raise UsageError("verify needs --exact or both --u0 and --z0")
     r_max, intervals = _window(p, default_h)
     return biharmonic.shoot(p.get("n", 3), float(p.get("q", 7.0)),
                             float(p["u0"]), float(p["z0"]), r_max,
@@ -363,10 +363,20 @@ def _cmd_verify(cfg: RunConfig) -> int:
         _refuse_unread(p, ("alpha", "beta", "gamma"), f"verify --check {check}")
     elif check not in ("weighted", "all"):
         _refuse_unread(p, ("gamma",), f"verify --check {check}")
-    prof = _profile_for_verify(p)
+    if p.get("exact"):
+        if p.get("q", 7.0) != 7.0 or p.get("n", 3) != 3:
+            raise UsageError("--exact pins (n, q) = (3, 7); drop --n/--q or --exact")
+        _refuse_unread(p, ("u0", "z0"), "verify --exact")
+    elif p.get("u0") is None or p.get("z0") is None:
+        raise UsageError("verify needs --exact or both --u0 and --z0")
+    _require_tol(cfg)
     alpha = float(p.get("alpha", 0.5))
-    beta = float(p.get("beta", beta_max_or_zero(alpha, prof.q, prof.n)))
     gamma = p.get("gamma")
+    # the run's parameter domains, refused before the shot as --tol is
+    ParamSet(n=p.get("n", 3), q=float(p.get("q", 7.0)), alpha=alpha,
+             beta=float(p.get("beta", 0.0)), gamma=None if gamma is None else float(gamma))
+    prof = _profile_for_verify(p)
+    beta = float(p.get("beta", beta_max_or_zero(alpha, prof.q, prof.n)))
     checks = {   # in report order; built lazily, as some refuse inputs the others take
         "pointwise": lambda: verify.verify_pointwise_bound(prof, alpha, beta),
         "sharp": lambda: verify.verify_sharp_bound(prof),
@@ -399,6 +409,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_solve_system(cfg: RunConfig) -> int:
+    _require_tol(cfg)
     p = cfg.parameters
     r_max, intervals = _window(p, 20.0 / 4096)
     prof = system.solve_radial_system(
@@ -436,8 +447,9 @@ def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
     eps = float(p.get("perturb", 0.0))
     x = geom.x
     scale_x = 2.0 * np.pi / (x[-1] + geom.h)
-    u_init = float(p.get("u0", 1.0)) + eps * np.cos(scale_x * x)
-    v_init = float(p.get("v0", 1.2)) + eps * np.cos(2.0 * scale_x * x)
+    with np.errstate(invalid="ignore"):   # -inf + inf: simulate refuses the NaN start
+        u_init = float(p.get("u0", 1.0)) + eps * np.cos(scale_x * x)
+        v_init = float(p.get("v0", 1.2)) + eps * np.cos(2.0 * scale_x * x)
     fld = parabolic.simulate(
         geom, float(p["p_exp"]), float(p["r_exp"]), u_init, v_init,
         float(p.get("t_final", 1.0)), num_snapshots=p.get("snapshots", 64),

@@ -43,6 +43,32 @@ def require_in(name: str, x: float, lo: float = -math.inf, hi: float = math.inf)
     return x
 
 
+def require_power(name: str, x: float, y: float) -> float:
+    """x ** y for a finite x > 0, refused (DomainError) unless it is finite and > 0.
+
+    Python's float power raises past the float range and underflows to 0
+    below it; either way the power has left the range its users compute in.
+    """
+    try:
+        return require_above(name, x ** y)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite and positive, got {x:g}**{y:g}, "
+                          f"which overflows") from None
+
+
+def require_spacing(name: str, h: float, weight: float = 1.0) -> float:
+    """Refuse (DomainError) a spacing unless h^2 and weight/h^2 are finite and > 0; returns h.
+
+    Difference stencils divide by h^2 with weights up to ``weight``, and the
+    shooting kernel's tolerance cap is proportional to h^2: a spacing whose
+    square overflows or underflows leaves them without meaning.
+    """
+    h2 = require_above(name, h) * h
+    if not (0.0 < h2 < math.inf and weight / h2 < math.inf):
+        raise DomainError(f"{name} must have h^2 and {weight:g}/h^2 finite and positive, got {h}")
+    return h
+
+
 def require_count(name: str, x: int, lo: int, error: type = SizeError) -> int:
     """Refuse (``error``) anything but an integer, not bool, lo <= x <= MAX_COUNT; returns x."""
     if isinstance(x, bool) or not isinstance(x, Integral) or not lo <= x <= MAX_COUNT:

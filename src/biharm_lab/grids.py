@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SizeError, require_above, require_count
+from .errors import DomainError, SizeError, require_above, require_count, require_spacing
 
 #: nodes excluded at each window end when computing pass/fail statistics
 TRIM_NODES = 4
@@ -29,7 +29,7 @@ class RadialGrid:
 
     def __post_init__(self):
         require_count("dimension n", self.n, 3, DomainError)
-        require_above("h", self.h)
+        require_spacing("h", self.h, 2.0 * self.n)   # the axis row's weight
         require_count("num_intervals", self.num_intervals, 1)
 
     @classmethod

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError   # the class scipy.linalg raises
 
-from .errors import DomainError, PreconditionError, require_above, require_count
+from .errors import (DomainError, PreconditionError, require_above, require_count,
+                     require_spacing)
 from .grids import TRIM_NODES, laplacian_rows, transport_denominators
 from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
                       worst_node)
@@ -48,6 +48,7 @@ class PeriodicBox:
     def __post_init__(self):
         require_above("length", self.length)
         require_count("num_nodes", self.num_nodes, 3)
+        require_spacing("length/num_nodes", self.h, 4.0)   # the stencil's largest eigenvalue is 4/h^2
 
     @property
     def h(self) -> float:
@@ -81,6 +82,7 @@ class RadialBall:
         require_count("dimension n", self.n, 1, DomainError)
         require_above("radius", self.radius)
         require_count("num_intervals", self.num_intervals, 3)
+        require_spacing("radius/num_intervals", self.h, 2.0 * self.n)   # the axis row's weight
 
     @property
     def h(self) -> float:
@@ -130,6 +132,10 @@ class _PeriodicDiffusion:
 
 class _RadialDiffusion:
     def __init__(self, geom: RadialBall):
+        # SciPy is imported here, by the one stepper that needs it, so that
+        # every other run starts without it
+        from scipy.linalg.lapack import dgtsv
+        self._dgtsv = dgtsv
         self.geom = geom
         h, n = geom.h, geom.n
         # the operator's (upper, diagonal, lower) bands in solve_banded's layout
@@ -151,8 +157,8 @@ class _RadialDiffusion:
         # the routine solve_banded((1, 1), ab, rhs.T) runs, on the same band
         # slices, without its validation layers; ab and rhs are scratch, so it
         # solves in place, one column per row of f
-        *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs.T, overwrite_dl=1,
-                            overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        *_, x, info = self._dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs.T, overwrite_dl=1,
+                                  overwrite_d=1, overwrite_du=1, overwrite_b=1)
         if info:
             raise LinAlgError(f"dgtsv failed with info = {info}")
         return x.T

@@ -41,8 +41,14 @@ def _sqrt(x):
 
 def _square(x):
     # libm pow, as Python's x ** 2 calls it; an ndarray's ** 2 multiplies
-    # instead, which rounds differently about once in a thousand
-    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
+    # instead, which rounds differently about once in a thousand.  A float
+    # raises past the range, where an array element overflows to inf
+    if isinstance(x, np.ndarray):
+        return np.float_power(x, 2.0)
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _max(*xs):

@@ -23,6 +23,16 @@ TOL_FIRST_ORDER = 1e-8
 TOL_SECOND_ORDER = 1e-6
 
 
+def refusing_overflow(verifier):
+    """``verifier`` with NumPy's overflow and invalid-value warnings off.
+
+    A field past the float range then turns into inf or NaN without a
+    warning, and the Field the verifier builds its margin into refuses it
+    (DomainError): the refusal reports it, not a warning on stderr.
+    """
+    return np.errstate(over="ignore", invalid="ignore")(verifier)
+
+
 @dataclass
 class VerificationReport:
     """Outcome of one pointwise inequality check."""

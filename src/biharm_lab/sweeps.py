@@ -7,14 +7,19 @@ windows that lose positivity and exercise the touched-zero classification;
 multiples >= 1.6 sit safely inside the entire-solution region, so their
 margins are the quantities the sweeps verify.
 
-Every sweep runs its cases one after another in sorted key order, so rows
-come out in the same order whatever order the inputs were given in.
+The shooting sweeps run one base shot per scale-invariant family and fill
+every member's row from it (_family_profiles).  Every sweep returns its rows
+in sorted key order, so rows come out in the same order whatever order the
+inputs were given in.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import biharmonic, system, verify
+from ._backend import RTOL, fill, integrate, series_start
+from .biharmonic import _profile_from_arrays, shooting_grid
+from .errors import DomainError, IntegratorError, require_above, require_power
 from .params import (ParamSet, _coefficients, _gamma_star, _region_tests, beta_max_or_zero,
                      weak_coefficient)
 
@@ -23,6 +28,8 @@ U0_GRID = (0.6, 0.85, 1.2, 1.7)
 #: multiples of the gradient-free bound for the biharmonic sweep; the first
 #: two lose positivity inside the window, the rest stay entire-like
 KAPPA_GRID = (0.5, 0.9, 1.6, 2.2, 3.0, 4.5)
+#: initial amplitudes of the system sweep
+SYSTEM_U0_GRID = (0.7, 1.0, 1.5)
 #: multiples of the comparison level for the system sweep
 KAPPA_V_GRID = (0.75, 1.4, 2.0, 3.0)
 
@@ -34,13 +41,89 @@ def biharmonic_targets(q: float):
     """(u0, z0, kappa) table for one exponent q."""
     coef = weak_coefficient(q)
     p = (q - 1.0) / 2.0
-    return [(u0, kappa * coef * u0**-p, kappa)
+    return [(u0, kappa * coef * require_power(f"u0**(-(q-1)/2) at q = {q:g}", u0, -p), kappa)
             for u0 in U0_GRID for kappa in KAPPA_GRID]
 
 
-def _weak_case(key):
-    n, q, u0, z0, kappa, r_max, intervals = key
-    prof = biharmonic.shoot(n, q, u0, z0, r_max, num_intervals=intervals)
+def system_targets(q: float, rexp: float):
+    """(u0, v0, kappa) table for one pair (q, rexp)."""
+    ell = system.comparison_factor(q, rexp)
+    sig = system.sigma_exponent(q, rexp)
+    return [(u0, kappa * ell * require_power(f"u0**sigma at q = {q:g}", u0, sig), kappa)
+            for u0 in SYSTEM_U0_GRID for kappa in KAPPA_V_GRID]
+
+
+def _family_plan(n, q, rexp, starts, r_max, intervals):
+    """(h, members) of one family, with every guard checked before its shot.
+
+    Member k, started at (u0_k, v0_k), is the base solution rescaled by
+    lam_k = u0_k^(1/a); members holds (u0, lam, rescale factors, window end
+    r_max/lam in base coordinates) per member.  A member whose own start is
+    undefined fails at r = 0, as its direct shot does.
+    """
+    h = shooting_grid(n, q, r_max, intervals, RTOL).h
+    a, b = biharmonic.scaling_exponents(q, rexp)
+    members = []
+    for u0, v0 in starts:
+        try:
+            series_start(n, q, rexp, u0, v0)
+        except ArithmeticError:
+            raise IntegratorError("integration failed at r = 0", location=0.0) from None
+        try:
+            lam = require_power("u0**(1/a)", u0, 1.0 / a)
+            factors = biharmonic.rescale_factors(lam, a, b)
+        except DomainError as exc:
+            raise DomainError(f"family scale of u0 = {u0:g} at q = {q:g}: {exc}") from None
+        members.append((u0, lam, factors, require_above("member window", intervals * (h / lam))))
+    return h, members
+
+
+def _family_profiles(n, q, rexp, v0, plan, intervals):
+    """The members' profiles, in plan order, from one base shot at (1, v0).
+
+    The base runs on the sweep's own h, free of any window end, to the first
+    accepted step past the widest member window.  Member k samples it on the
+    spacing h/lam_k, which the rescale maps onto the sweep grid; its window
+    is positive when the base covers it, else it takes the base's stop at
+    lam_k r_event.  A member reads only the steps that start on its window,
+    so its profile is the one its family of one would give.
+    """
+    h, members = plan
+    shot = integrate(n, q, rexp, 1.0, v0, h, max(end for *_, end in members), clamp=False)
+    for u0, lam, factors, _ in members:
+        meta = {"n": n, "q": float(q), "rexp": float(rexp), "source": "family",
+                "u0": u0, "scale": lam, "rtol": RTOL}
+        yield _member_profile(shot, n, h, intervals, lam, factors, meta,
+                              dict(shot.stats, family_size=len(members)))
+
+
+def _member_profile(shot, n, h, intervals, lam, factors, meta, counters):
+    # a function of its own, so that the fill's arrays are freed before the
+    # row's verifiers run rather than held by the suspended generator
+    *arrays, status, i_stop = fill(shot, h / lam, intervals)
+    return _profile_from_arrays(n, h, *(f * x for f, x in zip(factors, arrays)),
+                                status, i_stop, lam * shot.r_event, meta, counters)
+
+
+def _family_sweep(keys, families, r_max, intervals, make_row):
+    """Rows of the keys in sorted order, one base shot per family.
+
+    families maps the start (n, q, rexp, v0) of a family's base shot to its
+    members, {key: (u0, v0)}; make_row(key, profile) gives a member's row.
+    Every family's guards run before the first shot.
+    """
+    bases = sorted(families)
+    plans = [_family_plan(*base[:3], families[base].values(), r_max, intervals)
+             for base in bases]
+    rows = {}
+    for base, plan in zip(bases, plans):
+        for key, prof in zip(families[base], _family_profiles(*base, plan, intervals)):
+            rows[key] = make_row(key, prof)
+    return [rows[key] for key in sorted(keys)]
+
+
+def _weak_row(key, prof):
+    n, q, u0, z0, kappa = key
     row = {"n": n, "q": q, "u0": u0, "z0": z0, "kappa": kappa,
            "classification": prof.classification.kind,
            "r_stop": prof.classification.r_stop,
@@ -56,24 +139,24 @@ def weak_bound_sweep(n_values=(3, 4, 5), q_values=(2.0, 3.0, 5.0, 7.0),
                      r_max: float = DEFAULT_R_MAX,
                      intervals: int = DEFAULT_INTERVALS) -> list[dict]:
     """Shoot the target table and check the gradient-free bound on every
-    positive-on-window profile."""
-    keys = [(n, q, u0, z0, kappa, r_max, intervals)
-            for n in n_values for q in q_values
-            for (u0, z0, kappa) in biharmonic_targets(q)]
-    return [_weak_case(k) for k in sorted(keys)]
+    positive-on-window profile.
+
+    z0 = kappa c u0^(-(q-1)/2), c the weak coefficient, is invariant under
+    the scaling symmetry, so the u0 of one (n, q, kappa) are one family
+    with its base at (1, kappa c).
+    """
+    keys, families = [], {}
+    for n in n_values:
+        for q in q_values:
+            coef = weak_coefficient(q)
+            for u0, z0, kappa in biharmonic_targets(q):
+                keys.append(key := (n, q, u0, z0, kappa))
+                families.setdefault((n, q, 1.0, kappa * coef), {})[key] = (u0, z0)
+    return _family_sweep(keys, families, r_max, intervals, _weak_row)
 
 
-def system_targets(q: float, rexp: float):
-    ell = system.comparison_factor(q, rexp)
-    sig = system.sigma_exponent(q, rexp)
-    return [(u0, kappa * ell * u0**sig, kappa)
-            for u0 in (0.7, 1.0, 1.5) for kappa in KAPPA_V_GRID]
-
-
-def _system_case(key):
-    n, q, rexp, u0, v0, kappa, r_max, intervals = key
-    prof = system.solve_radial_system(n, q, rexp, u0, v0, r_max,
-                                      num_intervals=intervals)
+def _system_row(key, prof):
+    n, q, rexp, u0, v0, kappa = key
     row = {"n": n, "q": q, "rexp": rexp, "u0": u0, "v0": v0, "kappa": kappa,
            "classification": prof.classification.kind,
            "r_stop": prof.classification.r_stop,
@@ -92,11 +175,21 @@ def system_sweep(n_values=(3, 4, 5), q_values=(2.0, 3.0, 5.0, 7.0),
                  rexp_values=(0.5, 1.0, 2.0), r_max: float = DEFAULT_R_MAX,
                  intervals: int = DEFAULT_INTERVALS) -> list[dict]:
     """Solve the coupled system over the sweep grid and verify the
-    component comparison plus the concavity step on positive windows."""
-    keys = [(n, q, rexp, u0, v0, kappa, r_max, intervals)
-            for n in n_values for q in q_values for rexp in rexp_values
-            for (u0, v0, kappa) in system_targets(q, rexp)]
-    return [_system_case(k) for k in sorted(keys)]
+    component comparison plus the concavity step on positive windows.
+
+    v0 = kappa l u0^sigma is invariant under the scaling symmetry, so the u0
+    of one (n, q, rexp, kappa) are one family with its base at (1, kappa l).
+    """
+    keys, families = [], {}
+    for n in n_values:
+        for q in q_values:
+            for rexp in rexp_values:
+                ell = system.comparison_factor(q, rexp)
+                for u0, v0, kappa in system_targets(q, rexp):
+                    keys.append(key := (n, q, rexp, u0, v0, kappa))
+                    families.setdefault((n, q, rexp, kappa * ell), {})[key] = (u0, v0)
+    return _family_sweep(keys, families, r_max, intervals, lambda key, prof: _system_row(
+        key, system.as_system_profile(prof, key[1], key[2])))
 
 
 def _by_q(x, shape) -> list:

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._backend import RTOL, radial_ivp
-from .biharmonic import POSITIVE, Classification, _profile_from_arrays, shooting_grid
+from .biharmonic import (POSITIVE, Classification, SolutionProfile, _profile_from_arrays,
+                         shooting_grid)
 from .errors import PreconditionError, require_above
 from .grids import Field, RadialGrid, laplacian_values, laplacian_with_derivative
 from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
-                      report_from_margin, worst_node)
+                      refusing_overflow, report_from_margin, worst_node)
 
 #: discrete residual (relative) above which w-based checks refuse to run
 RESIDUAL_THRESHOLD = 1e-3
@@ -128,11 +129,15 @@ def solve_radial_system(n: int, q: float, rexp: float, u0: float, v0: float,
         n, q, rexp, u0, v0, h, num_intervals, rtol=rtol)
     meta = {"n": n, "q": float(q), "rexp": float(rexp), "source": "shooting",
             "u0": float(u0), "v0": float(v0), "rtol": rtol}
-    base = _profile_from_arrays(n, h, *arrays, status, i_stop, r_event, meta, stats)
-    return SystemProfile(base.grid, base.u, Field(base.grid, base.z.values,
-                                                  positive=bool(np.all(base.z.values > 0))),
-                         base.du, base.dz, float(q), float(rexp), meta,
-                         base.classification, base.counters)
+    return as_system_profile(
+        _profile_from_arrays(n, h, *arrays, status, i_stop, r_event, meta, stats), q, rexp)
+
+
+def as_system_profile(base: SolutionProfile, q: float, rexp: float) -> SystemProfile:
+    """The system reading of a shot's profile: its z and z' are v and v'."""
+    v = Field(base.grid, base.z.values, positive=bool(np.all(base.z.values > 0)))
+    return SystemProfile(base.grid, base.u, v, base.du, base.dz, float(q), float(rexp),
+                         base.meta, base.classification, base.counters)
 
 
 def comparison_margin(profile: SystemProfile) -> np.ndarray:
@@ -141,6 +146,7 @@ def comparison_margin(profile: SystemProfile) -> np.ndarray:
             - profile.u.values ** (1.0 - q) / (q - 1.0))
 
 
+@refusing_overflow
 def verify_component_comparison(profile: SystemProfile) -> VerificationReport:
     """Margin v^(rexp+1)/(rexp+1) - u^(1-q)/(q-1) >= 0 at every node.
 
@@ -178,6 +184,7 @@ def gap_inequality_rhs(profile: SystemProfile) -> np.ndarray:
     return -ell * sig * u ** (sig - 1.0) * (ell**rexp * u ** (sig * rexp) - v**rexp)
 
 
+@refusing_overflow
 def verify_gap_diff_inequality(profile: SystemProfile) -> VerificationReport:
     """Differential inequality lap w >= -l sigma u^(sigma-1) (l^r u^(sigma r) - v^r).
 

@@ -24,7 +24,7 @@ from .grids import Field, derivative_values, laplacian_values
 from .params import (ParamSet, beta_max, check_admissible, coefficients,
                      gamma_interval, weak_coefficient)
 from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
-                      report_from_margin, worst_node)
+                      refusing_overflow, report_from_margin, worst_node)
 
 GROWTH_CAVEAT = "growth: heuristic (finite-window tail test only)"
 
@@ -39,6 +39,7 @@ class AuxFields:
     w_gamma: Field    # u^(-gamma) w
 
 
+@refusing_overflow
 def aux_fields(profile: SolutionProfile, alpha: float, beta: float,
                gamma: float = 0.0) -> AuxFields:
     """A, B, w and the u^(-gamma)-weighted w for a positive profile."""
@@ -68,6 +69,7 @@ def _growth_guard_ok(profile: SolutionProfile, exponent: float = 2.0) -> bool:
     return bool(np.all(d[len(d) // 2:] <= 1e-12))
 
 
+@refusing_overflow
 def verify_pointwise_bound(profile: SolutionProfile, alpha: float, beta: float,
                            check_region: bool = True) -> VerificationReport:
     """Margin lap u - alpha u^(-1)|grad u|^2 - beta u^(-(q-1)/2) >= 0."""
@@ -106,6 +108,7 @@ def verify_weak_bound(profile: SolutionProfile) -> VerificationReport:
     return rep
 
 
+@refusing_overflow
 def verify_gradient_bound(profile: SolutionProfile) -> VerificationReport:
     """Gradient-only bound lap u >= |grad u|^2 / (2u), valid for every q > 1."""
     profile.require_positive()
@@ -130,6 +133,7 @@ def _aux_rhs(profile, aux, coefs, alpha, beta):
     return rhs
 
 
+@refusing_overflow
 def verify_aux_inequality(profile: SolutionProfile, alpha: float,
                           beta: float) -> VerificationReport:
     """Differential inequality for the auxiliary function w.
@@ -141,6 +145,9 @@ def verify_aux_inequality(profile: SolutionProfile, alpha: float,
     profile.require_positive()
     params = ParamSet(n=profile.n, q=profile.q, alpha=alpha, beta=beta)
     coefs = coefficients(params)
+    if not np.all(np.isfinite(list(coefs.to_dict().values()))):   # alpha or beta past the float range
+        raise DomainError(f"the aux-inequality coefficients at alpha = {alpha:g}, "
+                          f"beta = {beta:g} are not finite")
     aux = aux_fields(profile, alpha, beta)
     g = profile.grid
     lhs = profile.u.values * laplacian_values(aux.w.values, g.h, g.n)
@@ -150,6 +157,7 @@ def verify_aux_inequality(profile: SolutionProfile, alpha: float,
                               TOL_SECOND_ORDER, scale, params.to_dict())
 
 
+@refusing_overflow
 def laplacian_identity_defect(profile: SolutionProfile, alpha: float,
                               beta: float) -> VerificationReport:
     """Identity u lap B = p B w + p (p+1-alpha) A B - p beta B^2, p = (q-1)/2.
@@ -171,6 +179,7 @@ def laplacian_identity_defect(profile: SolutionProfile, alpha: float,
         two_sided=True)
 
 
+@refusing_overflow
 def verify_weighted_aux_inequality(profile: SolutionProfile, alpha: float,
                                    beta: float, gamma: float) -> VerificationReport:
     """The u^(-gamma)-weighted form of the auxiliary differential inequality.
@@ -201,6 +210,7 @@ def verify_weighted_aux_inequality(profile: SolutionProfile, alpha: float,
                               params.to_dict())
 
 
+@refusing_overflow
 def scalar_curvature(profile: SolutionProfile) -> tuple[Field, VerificationReport]:
     """Scalar curvature of the conformal metric u^(2/(n-2)) g_flat.
 

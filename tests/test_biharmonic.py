@@ -39,7 +39,8 @@ class TestDenseOutput:
         steps = [np.concatenate(([r, d], rng.normal(size=4 + 7 * 4)))
                  for r, d in zip(r0, dt)]
         outs = tuple(np.zeros(10) for _ in range(4))
-        _backend._dense_fill([st.tobytes() for st in steps], h, 1, 9, outs)
+        data = np.array(steps)
+        _backend._dense_fill(data, _backend._extension(data), h, 1, 9, outs)
         got = np.array(outs)[:, 1:]
         for i, r in enumerate(np.arange(1, 10) * h):
             s = np.searchsorted(r0, r, side="right") - 1
@@ -317,7 +318,8 @@ def plain_ivp(n, q, rexp, u0, v0, h, N):
 
     def finish(status, r_covered, r_event, accepted, rejected, nfev):
         i_stop = b._last_node(r_covered, h, N)
-        b._dense_fill(steps, h, i_first, i_stop, outs)
+        data = np.frombuffer(b"".join(steps)).reshape(-1, b._STEP_WIDTH)
+        b._dense_fill(data, b._extension(data), h, i_first, i_stop, outs)
         return (*outs, status, i_stop, r_event, [accepted, rejected, nfev])
 
     dt_nat = 0.5 * min(h, 1e-3)

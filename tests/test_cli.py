@@ -564,3 +564,59 @@ class TestParabolicInputGuards:
                                     "--out", str(tmp_path)]) == 0
         man = json.loads((tmp_path / "run-manifest.json").read_text())
         assert man["geometry"]["n"] == int(n) and man["blow_up"] is False
+
+
+class TestFloatRange:
+    """Domain-valid inputs at the ends of the float range run or are refused, without a traceback."""
+
+    def test_huge_alpha_region_is_inadmissible(self, capsys):
+        # (1 - 2 alpha)^2 overflows: the cell is reported as the region sweep reports it
+        assert run_cli(["region", "--n", "3", "--q", "7", "--alpha", "1e200"]) == 0
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["admissible"] is False
+        assert "alpha <= 1/2 violated (alpha = 1e+200)" in out["reasons"]
+        assert out["coefficients"]["I1"] is None and out["coefficients"]["I3"] is None
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--exact", "--check", "pointwise", "--alpha", "1e300", "--beta", "1"],
+         "precondition error: alpha <= 1/2 violated (alpha = 1e+300)"),
+        (["verify", "--exact", "--check", "aux-ineq", "--alpha", "1e200", "--beta", "1e200"],
+         "precondition error: the aux-inequality coefficients at alpha = 1e+200, "
+         "beta = 1e+200 are not finite"),
+        (["solve-biharmonic", "--n", "3", "--q", "7", "--u0", "1", "--z0", "2",
+          "--r-max", "1e-300", "--h", "1e-301"],
+         "precondition error: h must have h^2 and 6/h^2 finite and positive, got 6.25e-302"),
+        (["simulate-parabolic", "--p-exp", "2", "--r-exp", "1", "--length", "1e300",
+          "--snapshots", "4", "--nodes", "16"],
+         "precondition error: length/num_nodes must have h^2 and 4/h^2 finite and positive"),
+        (["simulate-parabolic", "--p-exp", "2", "--r-exp", "1", "--length", "1e-300",
+          "--snapshots", "4", "--nodes", "16"],
+         "precondition error: length/num_nodes must have h^2 and 4/h^2 finite and positive"),
+        (["simulate-parabolic", "--p-exp", "2", "--r-exp", "1", "--geometry", "radial",
+          "--radius", "1e300", "--snapshots", "4", "--nodes", "16"],
+         "precondition error: radius/num_intervals must have h^2 and 6/h^2 finite and positive"),
+        (["sweep", "--module", "biharmonic", "--n", "3", "--q", "1e300"],
+         "precondition error: u0**(-(q-1)/2) at q = 1e+300 must be finite and positive"),
+        (["sweep", "--module", "lane-emden", "--n", "3", "--q", "1e300"],
+         "precondition error: u0**sigma at q = 1e+300 must be finite and positive"),
+    ])
+    def test_refused_exits_2(self, argv, message, capsys):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_cli_starts_without_scipy(self):
+        # SciPy is imported by the radial parabolic stepper alone
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        code = ("import sys; from biharm_lab import cli; "
+                "assert cli.main(['region', '--q', '7']) == 0; "
+                "print('scipy.linalg' in sys.modules, 'scipy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.splitlines()
+        assert out[-1] == "False False"

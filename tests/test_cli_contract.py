@@ -8,7 +8,8 @@ does not read, or an empty sweep list, is always a usage error (1).
 
 Finite draws keep the work small: at most 4096 intervals (r_max <= 20 with
 h >= 20/4096, or a spacing fine enough to be refused before allocation),
-256 nodes, 16 snapshots and t_final <= 0.05.
+256 nodes, 16 snapshots and t_final <= 0.05.  Every float flag also draws,
+one time in six, a value at an end of the float range (1e300 or 1e-300).
 """
 import contextlib
 import io
@@ -23,6 +24,8 @@ NON_FINITE = ("nan", "inf", "-inf")
 BAD = NON_FINITE + ("0", "-1", "-0.5")
 #: integer flags also see text argparse refuses
 BAD_INT = NON_FINITE + ("0", "-1", "2.5", "x")
+#: finite and in the domain of every float flag, but at the ends of the float range
+EXTREME = ("1e300", "1e-300")
 
 
 def _values(bad, finite):
@@ -31,13 +34,13 @@ def _values(bad, finite):
     return st.sampled_from(finite * len(bad) + bad)
 
 
-def floats(*finite):
-    return _values(BAD, finite)
-
-
 def rarely(values, other=st.none()):
     """``values`` one draw in six, else ``other``, so that argvs which run stay common."""
     return st.sampled_from(range(6)).flatmap(lambda i: values if i == 0 else other)
+
+
+def floats(*finite):
+    return rarely(st.sampled_from(EXTREME), _values(BAD, finite))
 
 
 def ints(*finite):
@@ -129,14 +132,14 @@ def unread_simulate_flags(argv):
     return ("--length",) if "--geometry=radial" in argv else ("--radius", "--n")
 
 
-def number_lists(bad, *tokens):
+def number_lists(values):
     # the empty list is drawn too; it sweeps nothing, so it is refused
-    return rarely(st.just(""), st.lists(_values(bad, tokens), min_size=1, max_size=3).map(",".join))
+    return rarely(st.just(""), st.lists(values, min_size=1, max_size=3).map(",".join))
 
 
 SWEEP_REGION = command("sweep", (st.just(["--module=region"]),),
-                       n=number_lists(BAD_INT, "3", "4"), q=number_lists(BAD, "1", "2.5", "7"),
-                       alpha=number_lists(BAD, "0.25", "0.5"), h=rarely(floats("0.5")))
+                       n=number_lists(ints("3", "4")), q=number_lists(floats("1", "2.5", "7")),
+                       alpha=number_lists(floats("0.25", "0.5")), h=rarely(floats("0.5")))
 
 
 def run_main(argv):
