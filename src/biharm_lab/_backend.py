@@ -181,20 +181,14 @@ def fill(shot: Shot, h: float, num_intervals: int):
     """
     N = int(num_intervals)
     outs = u, du, v, dv = tuple(np.zeros(N + 1) for _ in range(4))
-    r_start, u0, au, bu, v0, av, bv = shot.series
-    u[0], v[0] = u0, v0
+    r_start, u[0], v[0] = shot.series[0], shot.series[1], shot.series[4]
     r_end = N * h
     status = STATUS_OK if shot.r_covered >= r_end else STOPS[shot.stop]
     i_stop = _last_node(shot.r_covered, h, N)
     i_series = min(i_stop, _last_node(r_start, h, N))
     if i_series:
-        r = np.arange(1, i_series + 1) * h
-        r2 = r * r
-        k = slice(1, i_series + 1)
-        u[k] = u0 + au * r2 + bu * r2 * r2
-        du[k] = 2.0 * au * r + 4.0 * bu * r2 * r
-        v[k] = v0 + av * r2 + bv * r2 * r2
-        dv[k] = 2.0 * av * r + 4.0 * bv * r2 * r
+        for out, vals in zip(outs, _series_values(shot.series, np.arange(1, i_series + 1) * h)):
+            out[1:i_series + 1] = vals
     m = np.searchsorted(shot.steps[:, 0], r_end)   # the steps that start on the grid
     _dense_fill(shot.steps[:m], shot.poly[:m], h, i_series + 1, i_stop, outs)
     return u, du, v, dv, status, i_stop
@@ -228,6 +222,14 @@ def series_start(n, q, rexp, u0, v0):
     bu = -rexp * v0 ** (rexp - 1.0) * uq0 / denom4 if v0 > 0.0 else 0.0
     bv = q * u0 ** (-q - 1.0) * vr0 / denom4
     return vr0 / (2.0 * n), bu, -uq0 / (2.0 * n), bv
+
+
+def _series_values(series, r):
+    """(u, du, v, dv) of the even-series start at r, a float or an array."""
+    _, u0, au, bu, v0, av, bv = series
+    r2 = r * r
+    return (u0 + au * r2 + bu * r2 * r2, 2.0 * au * r + 4.0 * bu * r2 * r,
+            v0 + av * r2 + bv * r2 * r2, 2.0 * av * r + 4.0 * bv * r2 * r)
 
 
 def integrate(n, q, rexp, u0, v0, h, r_end, rtol=RTOL, clamp=True) -> Shot:
@@ -265,11 +267,7 @@ def integrate(n, q, rexp, u0, v0, h, r_end, rtol=RTOL, clamp=True) -> Shot:
     series = (r_start, u0, au, bu, v0, av, bv)
 
     r = r_start
-    r2 = r * r
-    u = u0 + au * r2 + bu * r2 * r2
-    du = 2.0 * au * r + 4.0 * bu * r2 * r
-    v = v0 + av * r2 + bv * r2 * r2
-    dv = 2.0 * av * r + 4.0 * bv * r2 * r
+    u, du, v, dv = _series_values(series, r)
 
     if u <= fl_u or v <= fl_v:
         return finish("touched", 0.0, r)

@@ -10,7 +10,7 @@ z') sampled on a uniform grid together with a window classification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,11 +134,19 @@ def shoot(n: int, q: float, u0: float, z0: float, r_max: float,
     """
     require_above("u0", u0)
     require_in("z0", z0, 0.0)
+    return _shot_profile(n, q, 1.0, u0, z0, r_max, num_intervals, rtol,
+                        {"n": n, "q": float(q), "source": "shooting",
+                         "u0": float(u0), "z0": float(z0), "rtol": rtol})
+
+
+def _shot_profile(n, q, rexp, u0, v0, r_max, num_intervals, rtol, meta) -> SolutionProfile:
+    """The profile of one shot of the radial kernel from (u0, v0), classified.
+
+    Checks the shooting guards first; v and v' are stored as z and z'.
+    """
     h = shooting_grid(n, q, r_max, num_intervals, rtol).h
     *arrays, status, i_stop, r_event, stats = radial_ivp(
-        n, q, 1.0, u0, z0, h, num_intervals, rtol=rtol)
-    meta = {"n": n, "q": float(q), "source": "shooting",
-            "u0": float(u0), "z0": float(z0), "rtol": rtol}
+        n, q, rexp, u0, v0, h, num_intervals, rtol=rtol)
     return _profile_from_arrays(n, h, *arrays, status, i_stop, r_event, meta, stats)
 
 
@@ -188,28 +196,22 @@ def rescale_factors(lam: float, a: float, b: float) -> tuple[float, float, float
 def rescale(profile: SolutionProfile, lam: float) -> SolutionProfile:
     """Scaling-symmetry image u_lam(x) = lam^(4/(q+1)) u(x/lam).
 
-    The r = 1 case of rescale_factors.  Node values map exactly onto the
-    rescaled window [0, lam * r_max]; the classification kind is preserved
-    and the breakdown location scales.
+    The r = 1 case of rescale_factors, on a positive profile.  Node values
+    map exactly onto the rescaled window [0, lam * r_max].
     """
     require_above("lam", lam)
     profile.require_positive()
-    fu, fdu, fz, fdz = rescale_factors(lam, *scaling_exponents(profile.q))
-    grid = RadialGrid(n=profile.grid.n, h=profile.grid.h * lam,
-                      num_intervals=profile.grid.num_intervals)
-    cls = profile.classification
-    if cls.r_stop is not None:
-        cls = replace(cls, r_stop=cls.r_stop * lam)
+    factors = rescale_factors(lam, *scaling_exponents(profile.q))
     meta = dict(profile.meta)
     meta.update(source="rescaled", scale=lam * meta.get("scale", 1.0),
-                u0=fu * profile.meta["u0"], z0=fz * profile.meta["z0"])
-    return SolutionProfile(
-        grid,
-        Field(grid, fu * profile.u.values, positive=True),
-        Field(grid, fdu * profile.du.values),
-        Field(grid, fz * profile.z.values),
-        Field(grid, fdz * profile.dz.values),
-        meta, cls)
+                u0=factors[0] * profile.meta["u0"], z0=factors[2] * profile.meta["z0"])
+    fields = (profile.u, profile.du, profile.z, profile.dz)
+    out = _profile_from_arrays(profile.n, profile.grid.h * lam,
+                               *(f * x.values for f, x in zip(factors, fields)),
+                               STATUS_OK, profile.grid.num_intervals, None, meta, {})
+    if not out.u.positive:
+        raise DomainError(f"the rescaled u underflows to 0 at lam = {lam:g}")
+    return out
 
 
 def residual(profile: SolutionProfile) -> Field:

@@ -96,6 +96,12 @@ def _build_parser() -> _Parser:
         sp.add_argument("--tol", type=float, default=None,
                         help="override the pass tolerance of the verification reports")
 
+    def radial_options(sp, h_help="grid spacing (default 20/4096)"):
+        sp.add_argument("--n", type=int, default=argparse.SUPPRESS, help="dimension (default 3)")
+        sp.add_argument("--q", type=float, default=argparse.SUPPRESS, help="singular exponent (default 7)")
+        sp.add_argument("--r-max", type=float, default=argparse.SUPPRESS, help="window end (default 20)")
+        sp.add_argument("--h", type=float, default=argparse.SUPPRESS, help=h_help)
+
     sp = sub.add_parser("region", help="admissibility and derived coefficients")
     sp.add_argument("--n", type=int, default=argparse.SUPPRESS, help="dimension (default 3)")
     sp.add_argument("--q", type=float, default=argparse.SUPPRESS)
@@ -105,12 +111,9 @@ def _build_parser() -> _Parser:
     common(sp)
 
     sp = sub.add_parser("solve-biharmonic", help="shoot the fourth-order problem")
-    sp.add_argument("--n", type=int, default=argparse.SUPPRESS, help="dimension (default 3)")
-    sp.add_argument("--q", type=float, default=argparse.SUPPRESS, help="singular exponent (default 7)")
+    radial_options(sp)
     sp.add_argument("--u0", type=float, required=True)
     sp.add_argument("--z0", type=float, required=True)
-    sp.add_argument("--r-max", type=float, default=argparse.SUPPRESS, help="window end (default 20)")
-    sp.add_argument("--h", type=float, default=argparse.SUPPRESS, help="grid spacing (default 20/4096)")
     sp.add_argument("--rtol", type=float, default=argparse.SUPPRESS, help=RTOL_HELP)
     common(sp)
 
@@ -119,28 +122,21 @@ def _build_parser() -> _Parser:
                     help="use the closed-form n=3, q=7 reference solution")
     sp.add_argument("--u0", type=float, help="shooting start when not --exact")
     sp.add_argument("--z0", type=float)
-    sp.add_argument("--n", type=int, default=argparse.SUPPRESS, help="dimension (default 3)")
-    sp.add_argument("--q", type=float, default=argparse.SUPPRESS, help="singular exponent (default 7)")
+    radial_options(sp, "grid spacing; default 20/4096 for first-order checks, "
+                       "20/32768 for checks differencing derived fields")
     sp.add_argument("--check", choices=CHECKS, default=argparse.SUPPRESS,
                     help="which inequality to verify (default all)")
     sp.add_argument("--alpha", type=float, default=argparse.SUPPRESS, help="gradient coefficient (default 0.5)")
     sp.add_argument("--beta", type=float, default=argparse.SUPPRESS)
     sp.add_argument("--gamma", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--r-max", type=float, default=argparse.SUPPRESS, help="window end (default 20)")
-    sp.add_argument("--h", type=float, default=argparse.SUPPRESS,
-                    help="grid spacing; default 20/4096 for first-order checks, "
-                         "20/32768 for checks differencing derived fields")
     common(sp)
     tol_option(sp)
 
     sp = sub.add_parser("solve-system", help="shoot the coupled radial system")
-    sp.add_argument("--n", type=int, default=argparse.SUPPRESS, help="dimension (default 3)")
-    sp.add_argument("--q", type=float, default=argparse.SUPPRESS, help="singular exponent (default 7)")
+    radial_options(sp)
     sp.add_argument("--r-exp", type=float, default=argparse.SUPPRESS, help="coupling exponent (default 1)")
     sp.add_argument("--u0", type=float, required=True)
     sp.add_argument("--v0", type=float, required=True)
-    sp.add_argument("--r-max", type=float, default=argparse.SUPPRESS, help="window end (default 20)")
-    sp.add_argument("--h", type=float, default=argparse.SUPPRESS, help="grid spacing (default 20/4096)")
     sp.add_argument("--rtol", type=float, default=argparse.SUPPRESS, help=RTOL_HELP)
     common(sp)
     tol_option(sp)
@@ -314,13 +310,17 @@ def _window(p, default_h) -> tuple[float, int]:
     return r_max, max(16, round(r_max / h))
 
 
+def _shoot(p, default_h: float) -> biharmonic.SolutionProfile:
+    """The shot of solve-biharmonic and verify from --u0 and --z0."""
+    r_max, intervals = _window(p, default_h)
+    return biharmonic.shoot(p.get("n", 3), float(p.get("q", 7.0)),
+                            float(p["u0"]), float(p["z0"]), r_max,
+                            num_intervals=intervals, rtol=float(p.get("rtol", RTOL)))
+
+
 def _cmd_solve_biharmonic(cfg: RunConfig) -> int:
     p = cfg.parameters
-    r_max, intervals = _window(p, 20.0 / 4096)
-    prof = biharmonic.shoot(p.get("n", 3), float(p.get("q", 7.0)),
-                            float(p["u0"]), float(p["z0"]), r_max,
-                            num_intervals=intervals,
-                            rtol=float(p.get("rtol", RTOL)))
+    prof = _shoot(p, 20.0 / 4096)
     out = prof.to_dict()
     out["residual_max"] = float(np.abs(
         biharmonic.residual(prof).values[prof.grid.trim_slice()]).max()) \
@@ -336,10 +336,7 @@ def _profile_for_verify(p) -> biharmonic.SolutionProfile:
     default_h = 20.0 / 32768 if aux_checks else 20.0 / 4096
     if p.get("exact"):
         return biharmonic.exact_solution(RadialGrid.uniform(3, *_window(p, default_h)))
-    r_max, intervals = _window(p, default_h)
-    return biharmonic.shoot(p.get("n", 3), float(p.get("q", 7.0)),
-                            float(p["u0"]), float(p["z0"]), r_max,
-                            num_intervals=intervals)
+    return _shoot(p, default_h)
 
 
 def _aux_report(prof, alpha: float, beta: float, exact: bool):

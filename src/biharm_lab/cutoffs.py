@@ -33,7 +33,6 @@ def bump(x: np.ndarray) -> np.ndarray:
     x = np.abs(np.asarray(x, dtype=float))
     s = np.clip(2.0 * x - 1.0, 0.0, 1.0)
     out = np.zeros_like(s)
-    out[s >= 1.0] = 0.0
     inner = s <= 0.0
     out[inner] = 1.0
     mid = (s > 0.0) & (s < 1.0)

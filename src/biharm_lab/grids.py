@@ -9,7 +9,7 @@ stencils degrade accuracy there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,17 +154,15 @@ def laplacian_with_derivative(f: np.ndarray, df: np.ndarray, h: float, n: int) -
     return out
 
 
-def radial_laplacian(f: Field, grid: RadialGrid | None = None) -> Field:
+def radial_laplacian(f: Field) -> Field:
     """Second-order finite-difference Laplacian of a radial field."""
-    grid = grid or f.grid
-    return Field(grid, laplacian_values(f.values, grid.h, grid.n))
+    return Field(f.grid, laplacian_values(f.values, f.grid.h, f.grid.n))
 
 
-def radial_gradient_sq(f: Field, grid: RadialGrid | None = None) -> Field:
+def radial_gradient_sq(f: Field) -> Field:
     """|grad f|^2 = (f')^2 for radial f; exactly 0 at r = 0 by smoothness."""
-    grid = grid or f.grid
-    df = derivative_values(f.values, grid.h)
-    return Field(grid, df * df)
+    df = derivative_values(f.values, f.grid.h)
+    return Field(f.grid, df * df)
 
 
 def convergence_order(coarse_err: float, fine_err: float) -> float:

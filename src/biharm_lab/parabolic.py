@@ -25,15 +25,13 @@ from numpy.linalg import LinAlgError   # the class scipy.linalg raises
 from .errors import (DomainError, PreconditionError, require_above, require_count,
                      require_spacing)
 from .grids import TRIM_NODES, laplacian_rows, transport_denominators
-from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
-                      worst_node)
+from .reports import (RESIDUAL_THRESHOLD, TOL_FIRST_ORDER, TOL_SECOND_ORDER,
+                      VerificationReport, worst_node)
 
 #: per-step relative reaction increment allowed by the controller
 REL_INCREMENT = 1e-3
 #: default blow-up factor over the initial scale
 BLOWUP_FACTOR = 1e6
-#: discrete residual (relative) above which snapshot-based checks refuse to run
-RESIDUAL_THRESHOLD = 1e-3
 
 ETERNALITY_CAVEAT = "comparison proved for eternal solutions; finite window shown as-is"
 

@@ -11,17 +11,17 @@ L1, L2) are all elementary algebra in (n, q, alpha, beta, gamma); on the
 admissible set the I's are nonnegative and the K's positive, and for gamma
 inside the feasible interval L1, L2 are strictly positive.
 
-The region formulas take Python floats or NumPy arrays alike, so that a grid
-block runs through the same expressions as a single checked tuple; the
-helpers below are the only operations spelt differently for the two, and an
-array element gets the float's value bitwise.  The private formulas do not
-validate their inputs: ParamSet does.
+The region formulas are written once, in NumPy: a single checked tuple runs
+through them as scalars and a grid block of the region sweep as arrays, and
+an array element gets the scalar's value bitwise.  The public functions
+return Python floats, with NumPy's overflow and invalid-value warnings off
+where Python's float arithmetic turns out inf or NaN silently.  The private
+formulas do not validate their inputs: ParamSet does.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -31,46 +31,14 @@ from .errors import DomainError, PreconditionError, require_above, require_count
 BOUNDARY_TOL = 1e-12
 
 
-def _any_array(xs) -> bool:
-    return any(isinstance(x, np.ndarray) for x in xs)
-
-
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
 def _square(x):
     # libm pow, as Python's x ** 2 calls it; an ndarray's ** 2 multiplies
-    # instead, which rounds differently about once in a thousand.  A float
-    # raises past the range, where an array element overflows to inf
-    if isinstance(x, np.ndarray):
-        return np.float_power(x, 2.0)
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _max(*xs):
-    return reduce(np.maximum, xs) if _any_array(xs) else max(xs)
-
-
-def _min(*xs):
-    return reduce(np.minimum, xs) if _any_array(xs) else min(xs)
-
-
-def _where_positive(x, f):
-    """f(x) where x > 0, else 0.0; f sees only the positive elements of an array."""
-    if isinstance(x, np.ndarray):
-        out = np.zeros(x.shape)
-        pos = x > 0
-        out[pos] = f(x[pos])
-        return out
-    return f(x) if x > 0 else 0.0
+    # instead, which rounds differently about once in a thousand
+    return np.float_power(x, 2.0)
 
 
 def _leq(a, b):
-    return a <= b + BOUNDARY_TOL * _max(1.0, abs(a), abs(b))
+    return a <= b + BOUNDARY_TOL * np.maximum(np.maximum(1.0, abs(a)), abs(b))
 
 
 def _half_p(q):
@@ -124,10 +92,12 @@ class Coefficients:
                 ("I1", "I2", "I3", "K1", "K2", "J1", "J2", "L1", "L2", "p_half")}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def coefficients(params: ParamSet) -> Coefficients:
     """All nine derived coefficients; gamma defaults to 0 when unset."""
     g = params.gamma if params.gamma is not None else 0.0
-    return _coefficients(params.n, params.q, params.alpha, params.beta, g)
+    c = _coefficients(params.n, params.q, params.alpha, params.beta, g)
+    return Coefficients(*map(float, c.to_dict().values()))
 
 
 def _coefficients(n, q, a, b, g=0.0) -> Coefficients:
@@ -149,8 +119,8 @@ def _coefficients(n, q, a, b, g=0.0) -> Coefficients:
 
 
 def _q_floor(alpha, n):
-    return 3.0 * alpha + _sqrt(9.0 * alpha * alpha
-                               + (1.0 - 2.0 * alpha) * (1.0 + 16.0 * alpha / n))
+    return 3.0 * alpha + np.sqrt(9.0 * alpha * alpha
+                                 + (1.0 - 2.0 * alpha) * (1.0 + 16.0 * alpha / n))
 
 
 def q_min(alpha: float, n: int) -> float:
@@ -158,12 +128,20 @@ def q_min(alpha: float, n: int) -> float:
     if not (0.0 < alpha <= 0.5):
         raise DomainError(f"alpha must lie in (0, 1/2], got {alpha}")
     require_count("dimension n", n, 3, DomainError)
-    return _q_floor(alpha, n)
+    return float(_q_floor(alpha, n))
 
 
 def beta_max_or_zero(alpha: float, q: float, n: int) -> float:
     """beta_max(alpha, q, n) where it is defined, else 0 (the default beta)."""
-    return _where_positive(q - 1.0 - 4.0 * alpha / n, lambda den: _sqrt(2.0 / den))
+    return float(_beta_max_or_zero(alpha, q, n))
+
+
+def _beta_max_or_zero(alpha, q, n):
+    den = np.asarray(q - 1.0 - 4.0 * alpha / n)
+    out = np.zeros(den.shape)
+    pos = den > 0
+    out[pos] = np.sqrt(2.0 / den[pos])
+    return out[()]   # a NumPy scalar for scalar inputs
 
 
 def beta_max(alpha: float, q: float, n: int) -> float:
@@ -188,12 +166,8 @@ class AdmissibilityResult:
     coefficient_signs: dict[str, int]
     coefficients: Coefficients
 
-    def to_dict(self) -> dict:
-        return {"admissible": self.admissible, "reasons": list(self.reasons),
-                "coefficient_signs": dict(self.coefficient_signs),
-                "coefficients": self.coefficients.to_dict()}
 
-
+@np.errstate(over="ignore", invalid="ignore")
 def check_admissible(params: ParamSet) -> AdmissibilityResult:
     """Evaluate the three region inequalities and report coefficient signs.
 
@@ -227,15 +201,15 @@ def check_admissible(params: ParamSet) -> AdmissibilityResult:
 
 
 def _region_tests(n, q, a, b):
-    """The three region inequalities and their conjunction, on floats or arrays.
+    """The three region inequalities and their conjunction, on scalars or arrays.
 
     Returns (alpha_ok, bmax, beta_ok, qf, q_ok, admissible): bmax is 0 where
     beta_max is undefined, and qf is q_min at min(alpha, 1/2).
     """
     alpha_ok = _leq(a, 0.5)
-    bmax = beta_max_or_zero(a, q, n)
+    bmax = _beta_max_or_zero(a, q, n)
     beta_ok = (bmax != 0.0) & _leq(b, bmax)
-    qf = _q_floor(_min(a, 0.5), n)
+    qf = _q_floor(np.minimum(a, 0.5), n)
     q_ok = _leq(qf, q)
     return alpha_ok, bmax, beta_ok, qf, q_ok, alpha_ok & beta_ok & q_ok
 
@@ -264,15 +238,15 @@ def gamma_interval(alpha: float, q: float, n: int) -> GammaInterval:
     res = check_admissible(ParamSet(n=n, q=q, alpha=alpha, beta=0.0))
     if not res.admissible:
         raise PreconditionError("; ".join(res.reasons))
-    return GammaInterval(gamma_star=_gamma_star(alpha, q, n))
+    return GammaInterval(gamma_star=float(_gamma_star(alpha, q, n)))
 
 
 def _gamma_star(alpha, q, n):
     b_lin = 3.0 * alpha - 1.0
     c_const = -(alpha + 4.0 * alpha * (1.0 - 2.0 * alpha) / n)
-    root = (-b_lin + _sqrt(b_lin * b_lin - 4.0 * c_const)) / 2.0
+    root = (-b_lin + np.sqrt(b_lin * b_lin - 4.0 * c_const)) / 2.0
     cap = (q - 1.0 - 8.0 * alpha / n) / 2.0
-    return _min(root, cap, 1.0)
+    return np.minimum(np.minimum(root, cap), 1.0)
 
 
 def growth_exponent(gamma: float) -> float:

@@ -21,6 +21,8 @@ from .grids import TRIM_NODES, Field
 TOL_FIRST_ORDER = 1e-8
 #: margins involving a Laplacian of a derived field (two extra derivative orders)
 TOL_SECOND_ORDER = 1e-6
+#: discrete residual (relative) above which the checks that need solutions refuse to run
+RESIDUAL_THRESHOLD = 1e-3
 
 
 def refusing_overflow(verifier):

@@ -20,7 +20,7 @@ from . import biharmonic, system, verify
 from ._backend import RTOL, fill, integrate, series_start
 from .biharmonic import _profile_from_arrays, shooting_grid
 from .errors import DomainError, IntegratorError, require_above, require_power
-from .params import (ParamSet, _coefficients, _gamma_star, _region_tests, beta_max_or_zero,
+from .params import (ParamSet, _beta_max_or_zero, _coefficients, _gamma_star, _region_tests,
                      weak_coefficient)
 
 #: initial-amplitude grid shared by both shooting sweeps
@@ -233,7 +233,7 @@ def region_sweep(n_values=(3, 4, 5, 6, 7, 8),
     # some inadmissible cells; those values are never read or stay inadmissible
     with np.errstate(over="ignore", invalid="ignore"):
         for n in map(int, ns):
-            beta = beta_max_or_zero(a_row, q_col, n)
+            beta = _beta_max_or_zero(a_row, q_col, n)
             admissible = _region_tests(n, q_col, a_row, beta)[-1]
             c = _coefficients(n, q_col, a_row, beta)
             gamma = _gamma_star(a_row, q_col, n)

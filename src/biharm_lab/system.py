@@ -13,16 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import RTOL, radial_ivp
-from .biharmonic import (POSITIVE, Classification, SolutionProfile, _profile_from_arrays,
-                         shooting_grid)
+from ._backend import RTOL
+from .biharmonic import POSITIVE, Classification, SolutionProfile, _shot_profile
 from .errors import PreconditionError, require_above
 from .grids import Field, RadialGrid, laplacian_values, laplacian_with_derivative
-from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
-                      refusing_overflow, report_from_margin, worst_node)
-
-#: discrete residual (relative) above which w-based checks refuse to run
-RESIDUAL_THRESHOLD = 1e-3
+from .reports import (RESIDUAL_THRESHOLD, TOL_FIRST_ORDER, TOL_SECOND_ORDER,
+                      VerificationReport, refusing_overflow, report_from_margin, worst_node)
 
 
 def sigma_exponent(q: float, rexp: float) -> float:
@@ -124,13 +120,10 @@ def solve_radial_system(n: int, q: float, rexp: float, u0: float, v0: float,
     require_above("u0", u0)
     require_above("v0", v0)
     require_above("rexp", rexp)
-    h = shooting_grid(n, q, r_max, num_intervals, rtol).h
-    *arrays, status, i_stop, r_event, stats = radial_ivp(
-        n, q, rexp, u0, v0, h, num_intervals, rtol=rtol)
     meta = {"n": n, "q": float(q), "rexp": float(rexp), "source": "shooting",
             "u0": float(u0), "v0": float(v0), "rtol": rtol}
     return as_system_profile(
-        _profile_from_arrays(n, h, *arrays, status, i_stop, r_event, meta, stats), q, rexp)
+        _shot_profile(n, q, rexp, u0, v0, r_max, num_intervals, rtol, meta), q, rexp)
 
 
 def as_system_profile(base: SolutionProfile, q: float, rexp: float) -> SystemProfile:
@@ -140,10 +133,15 @@ def as_system_profile(base: SolutionProfile, q: float, rexp: float) -> SystemPro
                          base.meta, base.classification, base.counters)
 
 
-def comparison_margin(profile: SystemProfile) -> np.ndarray:
+def _comparison_terms(profile: SystemProfile) -> tuple[np.ndarray, np.ndarray]:
     q, rexp = profile.q, profile.rexp
-    return (profile.v.values ** (rexp + 1.0) / (rexp + 1.0)
-            - profile.u.values ** (1.0 - q) / (q - 1.0))
+    return (profile.v.values ** (rexp + 1.0) / (rexp + 1.0),
+            profile.u.values ** (1.0 - q) / (q - 1.0))
+
+
+def comparison_margin(profile: SystemProfile) -> np.ndarray:
+    v_term, u_term = _comparison_terms(profile)
+    return v_term - u_term
 
 
 @refusing_overflow
@@ -153,15 +151,12 @@ def verify_component_comparison(profile: SystemProfile) -> VerificationReport:
     Purely algebraic in the fields; no growth hypothesis is imposed.
     """
     profile.require_positive()
-    margin = comparison_margin(profile)
-    q, rexp = profile.q, profile.rexp
-    scale = max(1.0,
-                float((profile.v.values ** (rexp + 1.0)).max() / (rexp + 1.0)),
-                float((profile.u.values ** (1.0 - q)).max() / (q - 1.0)))
+    v_term, u_term = _comparison_terms(profile)
+    scale = max(1.0, float(v_term.max()), float(u_term.max()))
     return report_from_margin(
-        "mixed-power-comparison", Field(profile.grid, margin),
+        "mixed-power-comparison", Field(profile.grid, v_term - u_term),
         TOL_FIRST_ORDER, scale,
-        {"n": profile.n, "q": q, "rexp": rexp}, trim=0)
+        {"n": profile.n, "q": profile.q, "rexp": profile.rexp}, trim=0)
 
 
 def _require_solution(profile: SystemProfile):

@@ -52,6 +52,10 @@ def aux_fields(profile: SolutionProfile, alpha: float, beta: float,
     du = profile.du.values
     A = du * du / u
     B = u ** (-(profile.q - 1.0) / 2.0)
+    if not B.all():
+        i = int(np.argmin(B))   # the first zero
+        raise DomainError(f"u^(-(q-1)/2) underflows to 0 at r = {g.r[i]:.6g} (u = {u[i]:.6g}, "
+                          f"q = {profile.q:g}): the bounds cannot be evaluated in floats")
     w = -profile.z.values + alpha * A + beta * B
     w_gamma = u ** (-gamma) * w
     return AuxFields(A=Field(g, A), B=Field(g, B, positive=True),
@@ -70,56 +74,60 @@ def _growth_guard_ok(profile: SolutionProfile, exponent: float = 2.0) -> bool:
 
 
 @refusing_overflow
-def verify_pointwise_bound(profile: SolutionProfile, alpha: float, beta: float,
-                           check_region: bool = True) -> VerificationReport:
-    """Margin lap u - alpha u^(-1)|grad u|^2 - beta u^(-(q-1)/2) >= 0."""
-    profile.require_positive()
-    params = ParamSet(n=profile.n, q=profile.q, alpha=alpha, beta=beta)
-    caveats = [GROWTH_CAVEAT]
-    if check_region:
-        res = check_admissible(params)
-        if not res.admissible:
-            raise PreconditionError("; ".join(res.reasons))
-        if not _growth_guard_ok(profile):
-            caveats.append("growth guard: tail ratio still rising at window end")
+def _lower_bound(profile: SolutionProfile, inequality: str, alpha: float, beta: float,
+                 params: dict, caveats: list[str]) -> VerificationReport:
+    """Report on the margin lap u - alpha u^(-1)|grad u|^2 - beta u^(-(q-1)/2) >= 0."""
     aux = aux_fields(profile, alpha, beta)
     margin = profile.z.values - alpha * aux.A.values - beta * aux.B.values
     scale = max(1.0, float(profile.z.values.max()))
-    return report_from_margin("laplacian-lower-bound", Field(profile.grid, margin),
-                              TOL_FIRST_ORDER, scale, params.to_dict(), caveats)
+    return report_from_margin(inequality, Field(profile.grid, margin),
+                              TOL_FIRST_ORDER, scale, params, caveats)
+
+
+@refusing_overflow
+def _region_bound(profile: SolutionProfile, inequality: str, alpha: float,
+                  beta: float) -> VerificationReport:
+    """The lower bound at an admissible (alpha, beta), with the growth caveats."""
+    profile.require_positive()
+    params = ParamSet(n=profile.n, q=profile.q, alpha=alpha, beta=beta)
+    res = check_admissible(params)
+    if not res.admissible:
+        raise PreconditionError("; ".join(res.reasons))
+    caveats = [GROWTH_CAVEAT]
+    if not _growth_guard_ok(profile):
+        caveats.append("growth guard: tail ratio still rising at window end")
+    return _lower_bound(profile, inequality, alpha, beta, params.to_dict(), caveats)
+
+
+def verify_pointwise_bound(profile: SolutionProfile, alpha: float,
+                           beta: float) -> VerificationReport:
+    """Margin lap u - alpha u^(-1)|grad u|^2 - beta u^(-(q-1)/2) >= 0; needs an admissible pair."""
+    return _region_bound(profile, "laplacian-lower-bound", alpha, beta)
 
 
 def verify_sharp_bound(profile: SolutionProfile) -> VerificationReport:
     """The alpha = 1/2 bound with coefficient sqrt(2/(q-1-2/n)); needs q >= 3."""
     if profile.q < 3:
         raise PreconditionError(f"the alpha = 1/2 bound needs q >= 3, got q = {profile.q}")
-    beta = beta_max(0.5, profile.q, profile.n)
-    rep = verify_pointwise_bound(profile, 0.5, beta)
-    rep.inequality = "laplacian-lower-bound-max-alpha"
-    return rep
+    return _region_bound(profile, "laplacian-lower-bound-max-alpha",
+                         0.5, beta_max(0.5, profile.q, profile.n))
 
 
 def verify_weak_bound(profile: SolutionProfile) -> VerificationReport:
-    """Baseline gradient-free bound lap u >= sqrt(2/(q-1)) u^(-(q-1)/2)."""
-    rep = verify_pointwise_bound(profile, 0.0, weak_coefficient(profile.q),
-                                 check_region=False)
-    rep.inequality = "laplacian-lower-bound-weak"
-    rep.caveats = []  # holds for every positive solution, no growth hypothesis
-    return rep
+    """Baseline gradient-free bound lap u >= sqrt(2/(q-1)) u^(-(q-1)/2).
+
+    It holds for every positive solution: no region, no growth hypothesis.
+    """
+    beta = weak_coefficient(profile.q)
+    params = ParamSet(n=profile.n, q=profile.q, alpha=0.0, beta=beta)
+    return _lower_bound(profile, "laplacian-lower-bound-weak", 0.0, beta, params.to_dict(), [])
 
 
-@refusing_overflow
 def verify_gradient_bound(profile: SolutionProfile) -> VerificationReport:
     """Gradient-only bound lap u >= |grad u|^2 / (2u), valid for every q > 1."""
-    profile.require_positive()
-    aux = aux_fields(profile, 0.5, 0.0)
-    margin = profile.z.values - 0.5 * aux.A.values
-    scale = max(1.0, float(profile.z.values.max()))
-    return report_from_margin(
-        "laplacian-gradient-bound", Field(profile.grid, margin),
-        TOL_FIRST_ORDER, scale,
-        {"n": profile.n, "q": profile.q, "alpha": 0.5, "beta": 0.0},
-        [GROWTH_CAVEAT])
+    return _lower_bound(profile, "laplacian-gradient-bound", 0.5, 0.0,
+                        {"n": profile.n, "q": profile.q, "alpha": 0.5, "beta": 0.0},
+                        [GROWTH_CAVEAT])
 
 
 def _aux_rhs(profile, aux, coefs, alpha, beta):

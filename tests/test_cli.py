@@ -601,6 +601,9 @@ class TestFloatRange:
          "precondition error: u0**(-(q-1)/2) at q = 1e+300 must be finite and positive"),
         (["sweep", "--module", "lane-emden", "--n", "3", "--q", "1e300"],
          "precondition error: u0**sigma at q = 1e+300 must be finite and positive"),
+        # members at u0 = 0.6 reach u of about 4e6, where u^(-99/2) underflows
+        (["sweep", "--module", "biharmonic", "--n", "3", "--q", "100"],
+         "precondition error: u^(-(q-1)/2) underflows to 0 at r = "),
     ])
     def test_refused_exits_2(self, argv, message, capsys):
         assert run_cli(argv) == 2

@@ -52,7 +52,7 @@ class TestPointwiseBound:
         assert rep.min_margin > 0
 
     def test_degenerate_zero_coefficients(self, exact_coarse):
-        rep = vf.verify_pointwise_bound(exact_coarse, 0.0, 0.0, check_region=False)
+        rep = vf.verify_pointwise_bound(exact_coarse, 0.0, 0.0)
         assert rep.passed
         assert np.array_equal(rep.margin.values, exact_coarse.z.values)
 
