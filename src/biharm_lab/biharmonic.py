@@ -4,9 +4,9 @@ The equation lap^2 u = -u^(-q) is integrated as the first-order system
 
     u' = p,  p' = z - (n-1) p / r,  z' = s,  s' = -u^(-q) - (n-1) s / r
 
-with p(0) = s(0) = 0, which is the rexp = 1 case of the coupled radial
-system handled by the radial kernel.  Profiles carry (u, u', z = lap u,
-z') sampled on a uniform grid together with a window classification.
+with p(0) = s(0) = 0: the rexp = 1 case of the coupled system of the radial
+kernel, whose shots store v as z (system.SystemProfile reads them as (u, v)).
+Profiles carry (u, u', z = lap u, z') on a uniform grid with a window classification.
 """
 from __future__ import annotations
 
@@ -215,7 +215,7 @@ def rescale(profile: SolutionProfile, lam: float) -> SolutionProfile:
 
 
 def residual(profile: SolutionProfile) -> Field:
-    """Defect lap(lap u) + u^(-q) of the profile data.
+    """Defect lap(lap u) + u^(-q) of the profile data; lap v + u^(-q) for a system's.
 
     The outer Laplacian differences the stored field z = lap u and uses the
     stored slope z' for the (n-1)/r transport term, so the truncation error

@@ -210,7 +210,7 @@ def _merge_config(args, flags: dict) -> RunConfig:
     if getattr(args, "config", None):
         try:
             base = RunConfig.from_json(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise UsageError(f"malformed config {args.config}: {exc}")
         if base.command != args.command:
             raise UsageError(
@@ -221,14 +221,16 @@ def _merge_config(args, flags: dict) -> RunConfig:
         merged.update(params)
         params = merged
         out = args.out or base.out
-        formats = (args.format or ",".join(base.formats)).split(",")
+        text = ",".join(map(str, base.formats)) if args.format is None else args.format
         if tol is None:
             tol = base.tol
     else:
         out = args.out
-        formats = (args.format or "json").split(",")
-    return RunConfig(command=args.command, parameters=params, out=out,
-                     formats=[f.strip() for f in formats if f.strip()], tol=tol)
+        text = "json" if args.format is None else args.format
+    formats = [f.strip() for f in text.split(",") if f.strip()]
+    if not formats or not set(formats) <= {"json", "csv"}:
+        raise UsageError(f"formats must be a comma list of json and csv, got {text!r}")
+    return RunConfig(command=args.command, parameters=params, out=out, formats=formats, tol=tol)
 
 
 def _refuse_unread(p: dict, keys, run: str):

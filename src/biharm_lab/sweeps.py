@@ -157,6 +157,7 @@ def weak_bound_sweep(n_values=(3, 4, 5), q_values=(2.0, 3.0, 5.0, 7.0),
 
 def _system_row(key, prof):
     n, q, rexp, u0, v0, kappa = key
+    prof = system.SystemProfile(**vars(prof))
     row = {"n": n, "q": q, "rexp": rexp, "u0": u0, "v0": v0, "kappa": kappa,
            "classification": prof.classification.kind,
            "r_stop": prof.classification.r_stop,
@@ -188,8 +189,7 @@ def system_sweep(n_values=(3, 4, 5), q_values=(2.0, 3.0, 5.0, 7.0),
                 for u0, v0, kappa in system_targets(q, rexp):
                     keys.append(key := (n, q, rexp, u0, v0, kappa))
                     families.setdefault((n, q, rexp, kappa * ell), {})[key] = (u0, v0)
-    return _family_sweep(keys, families, r_max, intervals, lambda key, prof: _system_row(
-        key, system.as_system_profile(prof, key[1], key[2])))
+    return _family_sweep(keys, families, r_max, intervals, _system_row)
 
 
 def _by_q(x, shape) -> list:

@@ -2,21 +2,19 @@
 
 Positive solutions obey the component comparison
 v^(rexp+1)/(rexp+1) >= u^(1-q)/(q-1), equivalently w = l u^sigma - v <= 0
-with sigma = (1-q)/(rexp+1) < 0 and l = (-sigma)^(-1/(rexp+1)).  The module
-solves the system by the shared shooting kernel and verifies the comparison,
-the differential inequality satisfied by w, and the scalar concavity step
-used where w would be positive.
+with sigma = (1-q)/(rexp+1) < 0 and l = (-sigma)^(-1/(rexp+1)).  A solution
+is a shot of the shared kernel, whose profile SystemProfile reads as (u, v).
+The module verifies the comparison, the differential inequality satisfied
+by w, and the scalar concavity step used where w would be positive.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._backend import RTOL
-from .biharmonic import POSITIVE, Classification, SolutionProfile, _shot_profile
+from .biharmonic import POSITIVE, Classification, SolutionProfile, _shot_profile, residual
 from .errors import PreconditionError, require_above
-from .grids import Field, RadialGrid, laplacian_values, laplacian_with_derivative
+from .grids import Field, RadialGrid, derivative_values, laplacian_values, laplacian_with_derivative
 from .reports import (RESIDUAL_THRESHOLD, TOL_FIRST_ORDER, TOL_SECOND_ORDER,
                       VerificationReport, refusing_overflow, report_from_margin, worst_node)
 
@@ -30,25 +28,24 @@ def comparison_factor(q: float, rexp: float) -> float:
     return (-sigma_exponent(q, rexp)) ** (-1.0 / (rexp + 1.0))
 
 
-@dataclass
-class SystemProfile:
-    """Positive radial pair (u, v) with exponents (q, rexp) on a window."""
+class SystemProfile(SolutionProfile):
+    """A profile read as the system's pair (u, v): v and v' are its z and z'.
 
-    grid: RadialGrid
-    u: Field
-    v: Field
-    du: Field
-    dv: Field
-    q: float
-    rexp: float
-    meta: dict
-    classification: Classification
-    #: the kernel's step counts for a shot, {} otherwise; kept out of the artifacts
-    counters: dict = field(default_factory=dict)
+    The exponents are meta["q"] and meta["rexp"].  A shot's profile becomes
+    one by SystemProfile(**vars(profile)).
+    """
 
     @property
-    def n(self) -> int:
-        return self.grid.n
+    def v(self) -> Field:
+        return self.z
+
+    @property
+    def dv(self) -> Field:
+        return self.dz
+
+    @property
+    def rexp(self) -> float:
+        return self.meta["rexp"]
 
     @property
     def sigma(self) -> float:
@@ -57,15 +54,6 @@ class SystemProfile:
     @property
     def ell(self) -> float:
         return comparison_factor(self.q, self.rexp)
-
-    @property
-    def conforming(self) -> bool:
-        return self.classification.kind == POSITIVE
-
-    def require_positive(self):
-        if not self.conforming:
-            raise PreconditionError(
-                f"system profile is {self.classification.kind}, not positive-on-window")
 
     def gap_field(self) -> Field:
         """w = l u^sigma - v; the comparison holds iff w <= 0."""
@@ -77,20 +65,12 @@ class SystemProfile:
         g = self.grid
         res_u = laplacian_with_derivative(self.u.values, self.du.values, g.h, g.n) \
             - self.v.values**self.rexp
-        res_v = laplacian_with_derivative(self.v.values, self.dv.values, g.h, g.n) \
-            + self.u.values**-self.q
-        return Field(g, res_u), Field(g, res_v)
+        return Field(g, res_u), residual(self)
 
     def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.to_dict(),
-            "q": self.q, "rexp": self.rexp,
-            "sigma": self.sigma, "ell": self.ell,
-            "meta": dict(self.meta),
-            "classification": self.classification.to_dict(),
-            "u": self.u.values, "v": self.v.values,
-            "du": self.du.values, "dv": self.dv.values,
-        }
+        out = super().to_dict()
+        out["v"], out["dv"] = out.pop("z"), out.pop("dz")
+        return dict(out, q=self.q, rexp=self.rexp, sigma=self.sigma, ell=self.ell)
 
     def columns(self) -> dict:
         """Named CSV columns: r, u, v, the gap w, the comparison margin and residuals."""
@@ -103,13 +83,11 @@ class SystemProfile:
     def from_fields(cls, grid: RadialGrid, u: np.ndarray, v: np.ndarray,
                     q: float, rexp: float) -> "SystemProfile":
         """Wrap raw positive fields (wiring tests; not a solution)."""
-        from .grids import derivative_values
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        return cls(grid, Field(grid, u, positive=True), Field(grid, v, positive=True),
-                   Field(grid, derivative_values(u, grid.h)),
-                   Field(grid, derivative_values(v, grid.h)),
-                   float(q), float(rexp), {"source": "fields"},
+        return cls(grid, Field(grid, u, positive=True), Field(grid, derivative_values(u, grid.h)),
+                   Field(grid, v, positive=True), Field(grid, derivative_values(v, grid.h)),
+                   {"source": "fields", "q": float(q), "rexp": float(rexp)},
                    Classification(POSITIVE))
 
 
@@ -122,15 +100,8 @@ def solve_radial_system(n: int, q: float, rexp: float, u0: float, v0: float,
     require_above("rexp", rexp)
     meta = {"n": n, "q": float(q), "rexp": float(rexp), "source": "shooting",
             "u0": float(u0), "v0": float(v0), "rtol": rtol}
-    return as_system_profile(
-        _shot_profile(n, q, rexp, u0, v0, r_max, num_intervals, rtol, meta), q, rexp)
-
-
-def as_system_profile(base: SolutionProfile, q: float, rexp: float) -> SystemProfile:
-    """The system reading of a shot's profile: its z and z' are v and v'."""
-    v = Field(base.grid, base.z.values, positive=bool(np.all(base.z.values > 0)))
-    return SystemProfile(base.grid, base.u, v, base.du, base.dz, float(q), float(rexp),
-                         base.meta, base.classification, base.counters)
+    return SystemProfile(**vars(
+        _shot_profile(n, q, rexp, u0, v0, r_max, num_intervals, rtol, meta)))
 
 
 def _comparison_terms(profile: SystemProfile) -> tuple[np.ndarray, np.ndarray]:

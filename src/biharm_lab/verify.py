@@ -39,25 +39,36 @@ class AuxFields:
     w_gamma: Field    # u^(-gamma) w
 
 
+def _gradient_term(profile: SolutionProfile, alpha: float, beta: float,
+                   gamma: float = 0.0) -> np.ndarray:
+    """A = u^(-1) |grad u|^2 of a positive profile, once the inputs are checked."""
+    profile.require_positive()
+    ParamSet(n=profile.n, q=profile.q, alpha=alpha, beta=beta, gamma=gamma)   # input domains
+    u, du = profile.u.values, profile.du.values
+    if np.any(u <= 0):
+        raise DomainError("profile has non-positive u values")
+    return du * du / u
+
+
+def _power_term(profile: SolutionProfile) -> np.ndarray:
+    """B = u^(-(q-1)/2), refused where it underflows to 0."""
+    u, r = profile.u.values, profile.grid.r
+    B = u ** (-(profile.q - 1.0) / 2.0)
+    if not B.all():
+        i = int(np.argmin(B))   # the first zero
+        raise DomainError(f"u^(-(q-1)/2) underflows to 0 at r = {r[i]:.6g} (u = {u[i]:.6g}, "
+                          f"q = {profile.q:g}): the bounds cannot be evaluated in floats")
+    return B
+
+
 @refusing_overflow
 def aux_fields(profile: SolutionProfile, alpha: float, beta: float,
                gamma: float = 0.0) -> AuxFields:
     """A, B, w and the u^(-gamma)-weighted w for a positive profile."""
-    profile.require_positive()
-    ParamSet(n=profile.n, q=profile.q, alpha=alpha, beta=beta, gamma=gamma)   # input domains
     g = profile.grid
-    u = profile.u.values
-    if np.any(u <= 0):
-        raise DomainError("profile has non-positive u values")
-    du = profile.du.values
-    A = du * du / u
-    B = u ** (-(profile.q - 1.0) / 2.0)
-    if not B.all():
-        i = int(np.argmin(B))   # the first zero
-        raise DomainError(f"u^(-(q-1)/2) underflows to 0 at r = {g.r[i]:.6g} (u = {u[i]:.6g}, "
-                          f"q = {profile.q:g}): the bounds cannot be evaluated in floats")
+    A, B = _gradient_term(profile, alpha, beta, gamma), _power_term(profile)
     w = -profile.z.values + alpha * A + beta * B
-    w_gamma = u ** (-gamma) * w
+    w_gamma = profile.u.values ** (-gamma) * w
     return AuxFields(A=Field(g, A), B=Field(g, B, positive=True),
                      w=Field(g, w), w_gamma=Field(g, w_gamma))
 
@@ -77,8 +88,9 @@ def _growth_guard_ok(profile: SolutionProfile, exponent: float = 2.0) -> bool:
 def _lower_bound(profile: SolutionProfile, inequality: str, alpha: float, beta: float,
                  params: dict, caveats: list[str]) -> VerificationReport:
     """Report on the margin lap u - alpha u^(-1)|grad u|^2 - beta u^(-(q-1)/2) >= 0."""
-    aux = aux_fields(profile, alpha, beta)
-    margin = profile.z.values - alpha * aux.A.values - beta * aux.B.values
+    margin = profile.z.values - alpha * _gradient_term(profile, alpha, beta)
+    if beta:   # else B is not read, so an underflowing B refuses no gradient-only bound
+        margin = margin - beta * _power_term(profile)
     scale = max(1.0, float(profile.z.values.max()))
     return report_from_margin(inequality, Field(profile.grid, margin),
                               TOL_FIRST_ORDER, scale, params, caveats)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from biharm_lab import cli
+from biharm_lab import biharmonic, cli, verify
 
 
 def run_cli(argv):
@@ -274,6 +274,24 @@ class TestConfigParameters:
         assert captured.out == ""
         assert message in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("formats,message", [
+        (["xml"], "formats must be a comma list of json and csv, got 'xml'"),
+        (["json", "JSON"], "got 'json,JSON'"),
+        ([], "formats must be a comma list of json and csv, got ''"),
+        ([None], "got 'None'"),
+        ("json", "formats must be a comma list of json and csv"),
+        (5, "malformed config"),
+    ])
+    def test_formats_refused_exit_1(self, formats, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "region", "parameters": {"q": 7.0},
+                                    "formats": formats, "out": str(tmp_path / "out")}))
+        assert run_cli(["region", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_null_is_not_given(self, tmp_path, capsys):
         assert self.run_config(["region"], {"q": 7.0, "alpha": None, "beta": None},
                                tmp_path) == 0
@@ -320,6 +338,14 @@ class TestUnreadFlags:
          "verify --check aux-ineq does not read --gamma"),
         (VERIFY + ["--check", "identity", "--gamma", "0.1"],
          "verify --check identity does not read --gamma"),
+        (["region", "--q", "7", "--format", "xml"],
+         "formats must be a comma list of json and csv, got 'xml'"),
+        (["solve-biharmonic", "--u0", "1", "--z0", "2", "--format", "JSON"],
+         "formats must be a comma list of json and csv, got 'JSON'"),
+        (["region", "--q", "7", "--format", ",,"],
+         "formats must be a comma list of json and csv, got ',,'"),
+        (["region", "--q", "7", "--format="],
+         "formats must be a comma list of json and csv, got ''"),
     ])
     def test_exits_1(self, argv, message, capsys):
         assert run_cli(argv) == 1
@@ -569,6 +595,8 @@ class TestParabolicInputGuards:
 class TestFloatRange:
     """Domain-valid inputs at the ends of the float range run or are refused, without a traceback."""
 
+    STEEP = ["verify", "--q", "100", "--u0", "1", "--z0", "1e6", "--h", "0.01953125"]
+
     def test_huge_alpha_region_is_inadmissible(self, capsys):
         # (1 - 2 alpha)^2 overflows: the cell is reported as the region sweep reports it
         assert run_cli(["region", "--n", "3", "--q", "7", "--alpha", "1e200"]) == 0
@@ -604,11 +632,25 @@ class TestFloatRange:
         # members at u0 = 0.6 reach u of about 4e6, where u^(-99/2) underflows
         (["sweep", "--module", "biharmonic", "--n", "3", "--q", "100"],
          "precondition error: u^(-(q-1)/2) underflows to 0 at r = "),
+        (STEEP + ["--check", "weak"], "precondition error: u^(-(q-1)/2) underflows to 0 at r = "),
     ])
     def test_refused_exits_2(self, argv, message, capsys):
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+
+    def test_gradient_bound_reads_no_power_field(self, capsys):
+        # from r = 4.55 on, u is past 3.4e6, where u^(-99/2) underflows; the
+        # gradient-only margin lap u - |grad u|^2/(2u) never reads it
+        assert run_cli(self.STEEP + ["--check", "gradient"]) == 0
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)[0]
+        assert rep["pass"] is True and captured.err == ""
+        prof = biharmonic.shoot(3, 100.0, 1.0, 1e6, 20.0, 1024)
+        direct = verify.verify_gradient_bound(prof)
+        u, du, z = prof.u.values, prof.du.values, prof.z.values
+        assert direct.margin.values.tobytes() == (z - 0.5 * (du * du / u)).tobytes()
+        assert rep["min_margin"] == direct.min_margin
 
     def test_cli_starts_without_scipy(self):
         # SciPy is imported by the radial parabolic stepper alone

@@ -30,12 +30,16 @@ class TestBiharmonicVsCoupledSystem:
 
     def test_shared_kernel_consistency(self):
         # shooting the fourth-order problem and the rexp = 1 system from the
-        # same data must give the same trajectory
+        # same data must give the same profile, read as (u, z) or as (u, v)
         c = bh.EXACT_AMPLITUDE
         a = bh.shoot(3, 7.0, c, 3 * c, 10.0, num_intervals=512)
         b = st.solve_radial_system(3, 7.0, 1.0, c, 3 * c, 10.0, num_intervals=512)
-        assert np.array_equal(a.u.values, b.u.values)
-        assert np.array_equal(a.z.values, b.v.values)
+        assert isinstance(b, bh.SolutionProfile)
+        for x, y in ((a.u, b.u), (a.du, b.du), (a.z, b.v), (a.dz, b.dv), (a.z, b.z)):
+            assert x.values.tobytes() == y.values.tobytes()
+        assert a.classification == b.classification
+        assert a.counters == b.counters
+        assert b.residuals()[1].values.tobytes() == bh.residual(a).values.tobytes()
 
 
 class TestParabolicEqualityManifold:
