@@ -57,10 +57,24 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
+        """Parse a config; a top-level field of the wrong type raises TypeError."""
         data = json.loads(text)
-        return cls(command=data["command"], parameters=dict(data.get("parameters", {})),
-                   out=data.get("out"), formats=list(data.get("formats", ["json"])),
-                   tol=data.get("tol"))
+        cfg = cls(command=data["command"], parameters=dict(data.get("parameters", {})),
+                  out=data.get("out"), formats=data.get("formats", ["json"]),
+                  tol=data.get("tol"))
+        if cfg.out is not None and not isinstance(cfg.out, str):
+            raise TypeError(f"out must be a string, got {cfg.out!r}")
+        if cfg.tol is not None and not _is_number(cfg.tol):
+            raise TypeError(f"tol must be a number, got {cfg.tol!r}")
+        if not isinstance(cfg.formats, list):
+            raise TypeError("formats must be a comma list of json and csv, given as a list, "
+                            f"got {cfg.formats!r}")
+        return cfg
+
+
+def _is_number(value) -> bool:
+    """A JSON value a float flag takes: no bool, text or integer beyond the float range."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
 
 
 #: dests that are RunConfig fields (or help), not command parameters
@@ -192,9 +206,8 @@ def _config_parameters(parameters: dict, flags: dict, path: str) -> dict:
             raise UsageError(f"config {path}: unknown parameter {key!r}")
         if value is None:
             continue
-        # no bool, text or integer beyond the float range; domains are checked as for a flag
-        number = type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
-        if action.type in (int, float) and not number:
+        # domains are checked as for a flag
+        if action.type in (int, float) and not _is_number(value):
             raise UsageError(f"config {path}: {key} must be a number, got {value!r}")
         if action.choices and value not in action.choices:
             raise UsageError(f"config {path}: {key} must be one of "
@@ -246,16 +259,18 @@ class UsageError(BiharmLabError):
 def _emit(cfg: RunConfig, name: str, json_obj=None, write_csv=None):
     """Write the run config and the requested formats of one artifact.
 
-    ``write_csv(path)`` writes the CSV form; it is called only when asked for.
+    ``write_csv(path, texts)`` writes the CSV form; it is called only when
+    asked for, after the JSON, whose float columns it finds in ``texts``.
     """
     if cfg.out is None:
         return
     outdir = Path(cfg.out)
     serialize.atomic_write_text(outdir / "run-config.json", cfg.to_json() + "\n")
+    texts = serialize.FloatTexts()
     if "json" in cfg.formats and json_obj is not None:
-        serialize.write_json(outdir / f"{name}.json", json_obj)
+        serialize.write_json(outdir / f"{name}.json", json_obj, texts)
     if "csv" in cfg.formats and write_csv is not None:
-        write_csv(outdir / f"{name}.csv")
+        write_csv(outdir / f"{name}.csv", texts)
 
 
 def _print(obj):
@@ -329,7 +344,8 @@ def _cmd_solve_biharmonic(cfg: RunConfig) -> int:
         if prof.grid.num_intervals > 8 else None
     _print({"classification": out["classification"], "meta": out["meta"],
             "residual_max": out["residual_max"]})
-    _emit(cfg, "profile", out, lambda path: serialize.write_columns(path, prof.columns()))
+    _emit(cfg, "profile", out,
+          lambda path, texts: serialize.write_columns(path, prof.columns(), texts))
     return EXIT_OK
 
 
@@ -395,15 +411,28 @@ def _cmd_verify(cfg: RunConfig) -> int:
     _print(payload)
     _emit(cfg, "reports", payload)
     if cfg.out and "csv" in cfg.formats:
-        r_text = {}   # r formatted once per grid, shared by the margin CSVs
+        tables = []   # (margin, names): equal margins share one table, formatted once
         for rep in reports:
-            if rep.margin is not None:
-                g = rep.margin.grid
-                if g not in r_text:
-                    r_text[g] = serialize.format_floats(g.r)
-                cols = rep.margin.columns("margin")
-                cols["r"] = r_text[g]
-                serialize.write_columns(Path(cfg.out) / f"margin-{rep.inequality}.csv", cols)
+            m = rep.margin
+            if m is None:
+                continue
+            # bit for bit, so -0.0 and 0.0 differ; in place, as a held copy raises peak RSS
+            equal = [names for margin, names in tables if margin.grid == m.grid and
+                     np.array_equal(margin.values.view(np.uint64), m.values.view(np.uint64))]
+            if equal:
+                equal[0].append(rep.inequality)
+            else:
+                tables.append((m, [rep.inequality]))
+        r_text = {}   # r formatted once per grid, shared by the tables
+        for margin, names in tables:
+            g = margin.grid
+            if g not in r_text:
+                r_text[g] = serialize.format_floats(g.r)
+            cols = margin.columns("margin")
+            cols["r"] = r_text[g]
+            text = serialize.columns_text(cols)
+            for name in names:
+                serialize.atomic_write_text(Path(cfg.out) / f"margin-{name}.csv", text)
     return code
 
 
@@ -425,7 +454,7 @@ def _cmd_solve_system(cfg: RunConfig) -> int:
            "reports": [rep.to_dict() for rep in reports]}
     _print(out)
     _emit(cfg, "system-profile", prof.to_dict(),
-          lambda path: serialize.write_columns(path, prof.columns()))
+          lambda path, texts: serialize.write_columns(path, prof.columns(), texts))
     if cfg.out:
         serialize.write_json(Path(cfg.out) / "system-reports.json", out)
     return code
@@ -455,7 +484,8 @@ def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
         blowup_factor=float(p.get("blowup_factor", parabolic.BLOWUP_FACTOR)))
     manifest = fld.manifest()
     _print(manifest)
-    _emit(cfg, "run-manifest", manifest, lambda path: serialize.write_columns(path, fld.columns()))
+    _emit(cfg, "run-manifest", manifest,
+          lambda path, texts: serialize.write_columns(path, fld.columns(), texts))
     return EXIT_OK
 
 
@@ -481,7 +511,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     verdicts = [r for r in rows if r.get("weak_pass") is False
                 or r.get("comparison_pass") is False or r.get("concavity_pass") is False]
     print(f"sweep {module}: {len(rows)} cases, {len(verdicts)} failures")
-    _emit(cfg, f"sweep-{module}", rows, lambda path: serialize.write_csv(
+    _emit(cfg, f"sweep-{module}", rows, lambda path, _: serialize.write_csv(
         path, header, ([row.get(k) for k in header] for row in rows)))
     return EXIT_VERIFICATION if verdicts else EXIT_OK
 

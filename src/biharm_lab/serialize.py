@@ -9,6 +9,9 @@ produce byte-identical files.
 Float arrays are formatted by column, one ``float.__repr__`` per value with no
 per-cell dispatch: CSV in row blocks, so one block's strings are alive at a
 time, and JSON by splicing each 1-D float array into the text around it.
+Given a ``FloatTexts``, each distinct column is formatted once per run: the
+JSON stores the text of every array it writes, and a CSV column equal to a
+stored one is read from it instead of being formatted again.
 """
 from __future__ import annotations
 
@@ -23,6 +26,9 @@ import numpy as np
 
 #: CSV rows formatted and joined at a time
 CSV_BLOCK_ROWS = 4096
+#: characters of a file's text encoded at a time; slices of 1 Mi characters
+#: raised the CLI's peak RSS by 1-2 MB over these
+WRITE_CHUNK_CHARS = 1 << 16
 
 # stands for the i-th spliced array in the JSON text of the structure
 _SPLICE = re.compile(r'"\\u0000(\d+)"')
@@ -45,13 +51,47 @@ def format_floats(a) -> list[str]:
     return list(map(float.__repr__, np.asarray(a, dtype=float).tolist()))
 
 
+def _text_blocks(a: np.ndarray) -> list[str]:
+    """The reprs of ``a`` in blocks of CSV_BLOCK_ROWS, each joined by newlines."""
+    return ["\n".join(format_floats(a[i:i + CSV_BLOCK_ROWS]))
+            for i in range(0, a.size, CSV_BLOCK_ROWS)]
+
+
+class FloatTexts:
+    """The formatted float columns of one run, each formatted once.
+
+    A column is keyed by its values' bytes, so equal arrays held in different
+    objects share one text while ``-0.0`` and ``0.0`` do not.  It is stored as
+    blocks of ``CSV_BLOCK_ROWS`` reprs joined by newlines, non-finite values
+    spelled ``nan``/``inf``/``-inf`` as in a CSV; the JSON writer turns them
+    into ``null`` in its own copy.
+    """
+
+    def __init__(self):
+        self._blocks = {}
+
+    def get(self, a) -> list[str] | None:
+        """The stored blocks of the 1-D float array ``a``, or None."""
+        return self._blocks.get(np.asarray(a, dtype=float).tobytes())
+
+    def blocks(self, a) -> list[str]:
+        """The blocks of the 1-D float array ``a``, formatted and stored on first use."""
+        a = np.asarray(a, dtype=float)
+        key = a.tobytes()
+        if key not in self._blocks:
+            self._blocks[key] = _text_blocks(a)
+        return self._blocks[key]
+
+
 def atomic_write_text(path: str | Path, text: str):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            # in slices: the encoded copy of a whole artifact is never alive
+            for i in range(0, len(text), WRITE_CHUNK_CHARS):
+                fh.write(text[i:i + WRITE_CHUNK_CHARS])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -78,21 +118,23 @@ def sanitize_nan(obj, arrays: list | None = None):
     return obj
 
 
-def _json_array(a: np.ndarray, indent: int) -> str:
+def _json_array(a: np.ndarray, indent: int, texts: FloatTexts | None) -> str:
     if a.size == 0:
         return "[]"
-    items = format_floats(a)
-    for i in np.flatnonzero(~np.isfinite(a)).tolist():
-        items[i] = "null"
+    body = "\n".join(_text_blocks(a) if texts is None else texts.blocks(a))
+    if not np.isfinite(a).all():
+        # a finite repr holds no letter but e, so only the non-finite cells match
+        body = body.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
     pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+    return "[" + pad + body.replace("\n", "," + pad) + "\n" + " " * indent + "]"
 
 
-def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` with NaN/inf as null.
+def json_text(obj, texts: FloatTexts | None = None, end: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` with NaN/inf as null, then ``end``.
 
     NumPy scalars and arrays are accepted; 1-D float arrays are formatted by
-    column and spliced in, one array's strings alive at a time.
+    column and spliced in, one array's strings alive at a time.  With
+    ``texts``, every such array's text is read from it or stored in it.
     """
     arrays = []
     text = json.dumps(sanitize_nan(obj, arrays), indent=2, sort_keys=True,
@@ -101,14 +143,14 @@ def json_text(obj) -> str:
     for m in _SPLICE.finditer(text):
         line = text[text.rfind("\n", 0, m.start()) + 1:m.start()]
         parts += [text[pos:m.start()],
-                  _json_array(arrays[int(m.group(1))], len(line) - len(line.lstrip(" ")))]
+                  _json_array(arrays[int(m.group(1))], len(line) - len(line.lstrip(" ")), texts)]
         pos = m.end()
-    parts.append(text[pos:])
+    parts += [text[pos:], end]
     return "".join(parts)
 
 
-def write_json(path: str | Path, obj) -> Path:
-    atomic_write_text(path, json_text(obj) + "\n")
+def write_json(path: str | Path, obj, texts: FloatTexts | None = None) -> Path:
+    atomic_write_text(path, json_text(obj, texts, end="\n"))
     return Path(path)
 
 
@@ -120,22 +162,32 @@ def _json_default(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
-def write_columns(path: str | Path, columns: dict) -> Path:
-    """CSV of named columns of equal length, header first.
+def columns_text(columns: dict, texts: FloatTexts | None = None) -> str:
+    """CSV text of named columns of equal length, header first.
 
     A column is a float array, written as the repr of each value, or a list
-    of strings already formatted (``format_floats``, ``write_csv``).
+    of strings already formatted (``write_csv``).  A float array stored in
+    ``texts`` is split from its stored blocks; any other is formatted here
+    and not stored, as a column that does not repeat would gain nothing.
     """
     cols = list(columns.values())
     rows = len(cols[0]) if cols else 0
     if any(len(c) != rows for c in cols):
         raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
+    stored = [None if texts is None or isinstance(c, list) else texts.get(c) for c in cols]
     blocks = [",".join(columns)]
-    for i in range(0, rows, CSV_BLOCK_ROWS):
+    for b, i in enumerate(range(0, rows, CSV_BLOCK_ROWS)):
         cells = [c[i:i + CSV_BLOCK_ROWS] if isinstance(c, list)
-                 else format_floats(c[i:i + CSV_BLOCK_ROWS]) for c in cols]
+                 else format_floats(c[i:i + CSV_BLOCK_ROWS]) if s is None
+                 else s[b].split("\n") for c, s in zip(cols, stored)]
         blocks.append("\n".join(map(",".join, zip(*cells))))
-    atomic_write_text(path, "\n".join(blocks) + "\n")
+    blocks.append("")   # the trailing newline, joined in place of a copy
+    return "\n".join(blocks)
+
+
+def write_columns(path: str | Path, columns: dict, texts: FloatTexts | None = None) -> Path:
+    """Write ``columns_text(columns, texts)`` to ``path``."""
+    atomic_write_text(path, columns_text(columns, texts))
     return Path(path)
 
 

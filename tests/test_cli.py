@@ -292,6 +292,30 @@ class TestConfigParameters:
         assert captured.err.startswith("error: ") and message in captured.err
         assert not (tmp_path / "out").exists()
 
+    VERIFY = {"command": "verify",
+              "parameters": {"exact": True, "check": "sharp", "h": 0.05, "r_max": 5.0}}
+
+    @pytest.mark.parametrize("config,message", [
+        ({"command": "region", "parameters": {"q": 7.0}, "out": 5}, "out must be a string, got 5"),
+        ({"command": "region", "parameters": {"q": 7.0}, "out": ["a"]},
+         "out must be a string, got ['a']"),
+        (dict(VERIFY, tol="x"), "tol must be a number, got 'x'"),
+        (dict(VERIFY, tol=True), "tol must be a number, got True"),
+        (dict(VERIFY, tol=10**400), "tol must be a number, got 1000"),
+        ({"command": "region", "parameters": {"q": 7.0}, "formats": "json"},
+         "formats must be a comma list of json and csv, given as a list, got 'json'"),
+        ({"command": "region", "parameters": {"q": 7.0}, "formats": "json,csv"},
+         "given as a list, got 'json,csv'"),
+    ])
+    def test_top_level_field_refused_exit_1(self, config, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli([config["command"], "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_null_is_not_given(self, tmp_path, capsys):
         assert self.run_config(["region"], {"q": 7.0, "alpha": None, "beta": None},
                                tmp_path) == 0

@@ -200,9 +200,73 @@ class TestAgainstRowWiseReference:
         assert_same(serialize.json_text([a, {"b": a}]) + "\n", ref_json([a, {"b": a}]))
 
 
+class TestFloatTexts:
+    """A shared FloatTexts changes no byte of what the writers write."""
+
+    def write_both(self, tmp_path, obj, columns, texts):
+        """write_json then write_columns, as the CLI writes an artifact; their texts."""
+        js = serialize.write_json(tmp_path / "a.json", obj, texts).read_text()
+        return js, serialize.write_columns(tmp_path / "a.csv", columns, texts).read_text()
+
+    def test_non_finite_spelled_per_format(self, tmp_path):
+        a = np.array([float("nan"), 1.5, float("inf"), -float("inf"), -0.0, 1e-05])
+        js, csv = self.write_both(tmp_path, {"a": a}, {"a": a}, serialize.FloatTexts())
+        assert_same(js, ref_json({"a": a}))
+        assert_same(csv, ref_columns_csv({"a": a}))
+        assert json.loads(js)["a"] == [None, 1.5, None, None, -0.0, 1e-05]
+        assert csv.splitlines()[1:] == ["nan", "1.5", "inf", "-inf", "-0.0", "1e-05"]
+
+    def test_keyed_by_bytes(self):
+        texts = serialize.FloatTexts()
+        a = sample(B + 1, 12)
+        assert texts.get(a) is None
+        first = texts.blocks(a)
+        assert texts.blocks(a.copy()) is first and texts.get(list(a)) is first
+        assert texts.blocks(a[::-1]) is not first
+        assert texts.blocks(np.array([0.0, 1.0])) == ["0.0\n1.0"]
+        assert texts.blocks(np.array([-0.0, 1.0])) == ["-0.0\n1.0"]
+        assert texts.blocks(np.zeros(0)) == []
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_shared_equals_unshared(self, n, tmp_path):
+        u = sample(n, 13)
+        strided = sample(3 * n, 14)[::-3]   # a reversed, strided view
+        obj = {"u": u, "w": strided, "nested": [{"u2": u.copy()}], "empty": np.zeros(0)}
+        columns = {"r": np.arange(n) * 0.5, "u": u, "w": strided, "u_again": u[::1],
+                   "z": -u, "cells": [ref_fmt(float(k)) for k in range(n)]}
+        texts = serialize.FloatTexts()
+        shared = self.write_both(tmp_path, obj, columns, texts)
+        assert shared == self.write_both(tmp_path, obj, columns, None)
+        assert_same(shared[0], ref_json(obj))
+        assert_same(shared[1], ref_columns_csv(columns))
+        # the JSON stored u and w; the CSV formats its other columns without storing them
+        if n:
+            assert texts.get(u) is not None and texts.get(strided) is not None
+            assert texts.get(-u) is None
+
+
+def test_write_columns_peak_memory(tmp_path):
+    """The writer holds at most about two copies of the file's text at a time."""
+    import tracemalloc
+    columns = {f"c{k}": sample(32769, 20 + k) for k in range(7)}
+    tracemalloc.start()
+    try:
+        path = serialize.write_columns(tmp_path / "big.csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak <= 2.2 * size, f"peak {peak} B for a {size} B file ({peak / size:.2f}x)"
+
+
 def _spy_writers(monkeypatch):
-    """Record the in-memory object handed to each artifact writer, by path."""
+    """Record, by path, the in-memory object each artifact file was written from.
+
+    A file written from a ``columns_text`` result outside ``write_columns``
+    (an equal margin table, formatted once) stands for that call's columns.
+    """
     seen = {}
+    tables = []   # (text, columns) of each columns_text call
 
     def spy(name, prepare=lambda *args: args):
         original = getattr(serialize, name)
@@ -216,6 +280,21 @@ def _spy_writers(monkeypatch):
     spy("write_json")
     spy("write_columns")
     spy("write_csv", lambda header, rows: (header, list(rows)))
+    columns_text, atomic_write_text = serialize.columns_text, serialize.atomic_write_text
+
+    def text_spy(columns, *args):
+        text = columns_text(columns, *args)
+        tables.append((text, columns))
+        return text
+
+    def write_spy(path, text):
+        table = next((cols for t, cols in tables if t is text), None)
+        if table is not None:
+            seen.setdefault(str(path), ("write_columns", (table,)))
+        return atomic_write_text(path, text)
+
+    monkeypatch.setattr(serialize, "columns_text", text_spy)
+    monkeypatch.setattr(serialize, "atomic_write_text", write_spy)
     return seen
 
 
@@ -254,6 +333,24 @@ def test_cli_artifacts_match_reference(name, tmp_path, monkeypatch, capsys):
                     assert col == [ref_fmt(float(s)) for s in col]
     if name == "verify":
         r = RadialGrid.uniform(3, 10.0, 100).r
-        for path, (_, (columns,)) in seen.items():
+        for path, (_, args) in seen.items():
             if path.endswith(".csv"):
-                assert [float(s) for s in columns["r"]] == r.tolist()
+                assert [float(s) for s in args[0]["r"]] == r.tolist()
+        # with the default coefficients the pointwise bound is the sharp one
+        assert (tmp_path / "margin-laplacian-lower-bound.csv").read_bytes() \
+            == (tmp_path / "margin-laplacian-lower-bound-max-alpha.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name,columns,nodes", [
+    ("solve-biharmonic", 6, 41),   # JSON u, du, z, dz; CSV r, residual
+    ("solve-system", 9, 41),       # JSON u, du, v, dv; CSV r, w, margin, two residuals
+    ("verify", 8, 101),            # r and seven distinct margins of eight
+])
+def test_each_column_formatted_once(name, columns, nodes, tmp_path, monkeypatch, capsys):
+    formatted = []
+    format_floats = serialize.format_floats
+    monkeypatch.setattr(serialize, "format_floats",
+                        lambda a: formatted.append(len(a)) or format_floats(a))
+    cli.main(COMMANDS[name] + ["--format", "json,csv", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert sum(formatted) == columns * nodes
