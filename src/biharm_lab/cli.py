@@ -5,9 +5,9 @@ simulate-parabolic, sweep.  Exit codes: 0 success (all requested
 verifications pass), 1 usage error, 2 precondition violation,
 3 verification failure, 4 integrator failure.
 
-A JSON config can be supplied with --config; explicit flags override config
-values.  Every run echoes its resolved configuration into the output
-directory, and the config round-trips losslessly through JSON.
+A --config file stands for the flags it holds, parsed before the command
+line's, which override them.  Every run echoes its resolved configuration to
+run-config.json, which round-trips losslessly through JSON and replays the run.
 """
 from __future__ import annotations
 
@@ -59,11 +59,13 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         """Parse a config; a top-level field of the wrong type raises TypeError."""
         data = json.loads(text)
-        cfg = cls(command=data["command"], parameters=dict(data.get("parameters", {})),
+        cfg = cls(command=data["command"], parameters=data.get("parameters", {}),
                   out=data.get("out"), formats=data.get("formats", ["json"]),
                   tol=data.get("tol"))
         if cfg.out is not None and not isinstance(cfg.out, str):
             raise TypeError(f"out must be a string, got {cfg.out!r}")
+        if not isinstance(cfg.parameters, dict):
+            raise TypeError(f"parameters must be an object, got {cfg.parameters!r}")
         if cfg.tol is not None and not _is_number(cfg.tol):
             raise TypeError(f"tol must be a number, got {cfg.tol!r}")
         if not isinstance(cfg.formats, list):
@@ -86,9 +88,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-    def parameters(self) -> dict:   # dest -> action of each parameter flag
-        return {a.dest: a for a in self._actions if a.dest not in _NOT_PARAMETERS}
 
 
 def _build_parser() -> _Parser:
@@ -118,7 +117,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("region", help="admissibility and derived coefficients")
     sp.add_argument("--n", type=int, default=argparse.SUPPRESS, help="dimension (default 3)")
-    sp.add_argument("--q", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--alpha", type=float, default=argparse.SUPPRESS, help="gradient coefficient (default 0.5)")
     sp.add_argument("--beta", type=float, default=argparse.SUPPRESS,
                     help="defaults to beta_max(alpha, q, n)")
@@ -197,53 +196,39 @@ def _numbers(kind: type, text: str) -> list:
         raise UsageError(f"not a comma list of {kind.__name__}s: {text!r}") from None
 
 
-def _config_parameters(parameters: dict, flags: dict, path: str) -> dict:
-    """Config parameters, checked as argparse checks a flag's text; a null is not given."""
-    out = {}
-    for key, value in parameters.items():
+def _with_config(parser: _Parser, argv: list[str]) -> list[str]:
+    """``argv`` with the --flag=value tokens its --config file stands for after the subcommand."""
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return argv
+    finder = _Parser(prog=sub.prog, add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv[1:])[0].config
+    if not path:   # an empty --config= names no file
+        return argv
+    try:
+        base = RunConfig.from_json(Path(path).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"malformed config {path}: {exc}")
+    if base.command != argv[0]:
+        raise UsageError(f"config command {base.command!r} does not match {argv[0]!r}")
+    flags = {a.dest: a for a in sub._actions if a.dest not in _NOT_PARAMETERS}
+    tokens = []
+    for key, value in base.parameters.items():
         action = flags.get(key)
         if action is None:
             raise UsageError(f"config {path}: unknown parameter {key!r}")
-        if value is None:
-            continue
-        # domains are checked as for a flag
-        if action.type in (int, float) and not _is_number(value):
-            raise UsageError(f"config {path}: {key} must be a number, got {value!r}")
-        if action.choices and value not in action.choices:
-            raise UsageError(f"config {path}: {key} must be one of "
-                             f"{', '.join(action.choices)}, got {value!r}")
-        out[key] = value
-    return out
-
-
-def _merge_config(args, flags: dict) -> RunConfig:
-    params = {k: v for k, v in vars(args).items()
-              if k not in _NOT_PARAMETERS and v is not None}
-    tol = getattr(args, "tol", None)
-    if getattr(args, "config", None):
-        try:
-            base = RunConfig.from_json(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise UsageError(f"malformed config {args.config}: {exc}")
-        if base.command != args.command:
-            raise UsageError(
-                f"config command {base.command!r} does not match {args.command!r}")
-        if base.tol is not None and "tol" not in args:
-            raise UsageError(f"{args.command} takes no tol, config {args.config} sets one")
-        merged = _config_parameters(base.parameters, flags, args.config)
-        merged.update(params)
-        params = merged
-        out = args.out or base.out
-        text = ",".join(map(str, base.formats)) if args.format is None else args.format
-        if tol is None:
-            tol = base.tol
-    else:
-        out = args.out
-        text = "json" if args.format is None else args.format
-    formats = [f.strip() for f in text.split(",") if f.strip()]
-    if not formats or not set(formats) <= {"json", "csv"}:
-        raise UsageError(f"formats must be a comma list of json and csv, got {text!r}")
-    return RunConfig(command=args.command, parameters=params, out=out, formats=formats, tol=tol)
+        if action.nargs == 0:   # a flag without a value, such as --exact
+            if value is not None and type(value) is not bool:
+                raise UsageError(f"config {path}: {key} must be true, false or null, got {value!r}")
+            tokens += [action.option_strings[0]] if value else []
+        elif value is not None:
+            # text and booleans would parse as a flag's text does; the JSON must hold a number
+            if action.type in (int, float) and not _is_number(value):
+                raise UsageError(f"config {path}: {key} must be a number, got {value!r}")
+            tokens.append(f"{action.option_strings[0]}={value}")
+    top = {"--out": base.out, "--tol": base.tol, "--format": ",".join(map(str, base.formats))}
+    return argv[:1] + tokens + [f"{k}={v}" for k, v in top.items() if v is not None] + argv[1:]
 
 
 def _refuse_unread(p: dict, keys, run: str):
@@ -279,13 +264,11 @@ def _print(obj):
 
 def _cmd_region(cfg: RunConfig) -> int:
     p = cfg.parameters
-    if "q" not in p:
-        raise UsageError("region needs --q")
     # the default beta is a formula in (n, q, alpha): validate them first
-    params = ParamSet(n=p.get("n", 3), q=float(p["q"]), alpha=float(p.get("alpha", 0.5)))
+    params = ParamSet(n=p.get("n", 3), q=p["q"], alpha=p.get("alpha", 0.5))
     n, q, alpha = params.n, params.q, params.alpha
     beta = p.get("beta", beta_max_or_zero(alpha, q, n))
-    params = replace(params, beta=float(beta))
+    params = replace(params, beta=beta)
     res = check_admissible(params)
     gamma_star = None
     gexp = None
@@ -320,8 +303,8 @@ def _verdict(cfg: RunConfig, reports) -> int:
 
 def _window(p, default_h) -> tuple[float, int]:
     """(r_max, interval count) of the radial grid from --r-max and --h."""
-    r_max = require_above("r_max", float(p.get("r_max", 20.0)))
-    h = require_above("h", default_h if p.get("h") is None else float(p["h"]))
+    r_max = require_above("r_max", p.get("r_max", 20.0))
+    h = require_above("h", p.get("h", default_h))
     if not r_max / h <= MAX_COUNT:   # refused before round() or any allocation
         raise SizeError(f"r_max/h = {r_max / h:g} exceeds {MAX_COUNT} intervals")
     return r_max, max(16, round(r_max / h))
@@ -330,9 +313,8 @@ def _window(p, default_h) -> tuple[float, int]:
 def _shoot(p, default_h: float) -> biharmonic.SolutionProfile:
     """The shot of solve-biharmonic and verify from --u0 and --z0."""
     r_max, intervals = _window(p, default_h)
-    return biharmonic.shoot(p.get("n", 3), float(p.get("q", 7.0)),
-                            float(p["u0"]), float(p["z0"]), r_max,
-                            num_intervals=intervals, rtol=float(p.get("rtol", RTOL)))
+    return biharmonic.shoot(p.get("n", 3), p.get("q", 7.0), p["u0"], p["z0"], r_max,
+                            num_intervals=intervals, rtol=p.get("rtol", RTOL))
 
 
 def _cmd_solve_biharmonic(cfg: RunConfig) -> int:
@@ -385,13 +367,13 @@ def _cmd_verify(cfg: RunConfig) -> int:
     elif p.get("u0") is None or p.get("z0") is None:
         raise UsageError("verify needs --exact or both --u0 and --z0")
     _require_tol(cfg)
-    alpha = float(p.get("alpha", 0.5))
+    alpha = p.get("alpha", 0.5)
     gamma = p.get("gamma")
     # the run's parameter domains, refused before the shot as --tol is
-    ParamSet(n=p.get("n", 3), q=float(p.get("q", 7.0)), alpha=alpha,
-             beta=float(p.get("beta", 0.0)), gamma=None if gamma is None else float(gamma))
+    ParamSet(n=p.get("n", 3), q=p.get("q", 7.0), alpha=alpha, beta=p.get("beta", 0.0),
+             gamma=gamma)
     prof = _profile_for_verify(p)
-    beta = float(p.get("beta", beta_max_or_zero(alpha, prof.q, prof.n)))
+    beta = p.get("beta", beta_max_or_zero(alpha, prof.q, prof.n))
     checks = {   # in report order; built lazily, as some refuse inputs the others take
         "pointwise": lambda: verify.verify_pointwise_bound(prof, alpha, beta),
         "sharp": lambda: verify.verify_sharp_bound(prof),
@@ -400,7 +382,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "aux-ineq": lambda: _aux_report(prof, alpha, beta, bool(p.get("exact"))),
         "identity": lambda: verify.laplacian_identity_defect(prof, alpha, beta),
         "weighted": lambda: verify.verify_weighted_aux_inequality(
-            prof, alpha, beta, float(gamma) if gamma is not None
+            prof, alpha, beta, gamma if gamma is not None
             else 0.5 * gamma_interval(alpha, prof.q, prof.n).gamma_star),
         "curvature": lambda: verify.scalar_curvature(prof)[1],
     }
@@ -441,9 +423,8 @@ def _cmd_solve_system(cfg: RunConfig) -> int:
     p = cfg.parameters
     r_max, intervals = _window(p, 20.0 / 4096)
     prof = system.solve_radial_system(
-        p.get("n", 3), float(p.get("q", 7.0)), float(p.get("r_exp", 1.0)),
-        float(p["u0"]), float(p["v0"]), r_max,
-        num_intervals=intervals, rtol=float(p.get("rtol", RTOL)))
+        p.get("n", 3), p.get("q", 7.0), p.get("r_exp", 1.0), p["u0"], p["v0"], r_max,
+        num_intervals=intervals, rtol=p.get("rtol", RTOL))
     reports = []
     if prof.conforming:
         reports = [system.verify_component_comparison(prof),
@@ -466,22 +447,21 @@ def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
     _refuse_unread(p, ("length",) if geometry == "radial" else ("radius", "n"),
                    f"the {geometry} geometry")
     if geometry == "radial":
-        geom = parabolic.RadialBall(n=p.get("n", 3),
-                                    radius=float(p.get("radius", np.pi)),
+        geom = parabolic.RadialBall(n=p.get("n", 3), radius=p.get("radius", np.pi),
                                     num_intervals=p.get("nodes", 512))
     else:
-        geom = parabolic.PeriodicBox(length=float(p.get("length", 2.0 * np.pi)),
+        geom = parabolic.PeriodicBox(length=p.get("length", 2.0 * np.pi),
                                      num_nodes=p.get("nodes", 512))
-    eps = float(p.get("perturb", 0.0))
+    eps = p.get("perturb", 0.0)
     x = geom.x
     scale_x = 2.0 * np.pi / (x[-1] + geom.h)
     with np.errstate(invalid="ignore"):   # -inf + inf: simulate refuses the NaN start
-        u_init = float(p.get("u0", 1.0)) + eps * np.cos(scale_x * x)
-        v_init = float(p.get("v0", 1.2)) + eps * np.cos(2.0 * scale_x * x)
+        u_init = p.get("u0", 1.0) + eps * np.cos(scale_x * x)
+        v_init = p.get("v0", 1.2) + eps * np.cos(2.0 * scale_x * x)
     fld = parabolic.simulate(
-        geom, float(p["p_exp"]), float(p["r_exp"]), u_init, v_init,
-        float(p.get("t_final", 1.0)), num_snapshots=p.get("snapshots", 64),
-        blowup_factor=float(p.get("blowup_factor", parabolic.BLOWUP_FACTOR)))
+        geom, p["p_exp"], p["r_exp"], u_init, v_init, p.get("t_final", 1.0),
+        num_snapshots=p.get("snapshots", 64),
+        blowup_factor=p.get("blowup_factor", parabolic.BLOWUP_FACTOR))
     manifest = fld.manifest()
     _print(manifest)
     _emit(cfg, "run-manifest", manifest,
@@ -502,7 +482,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     elif module == "biharmonic":
         r_max, intervals = _window(p, 20.0 / 1024)
         rows = sweeps.weak_bound_sweep(**lists, r_max=r_max, intervals=intervals)
-    else:   # lane-emden; argparse and the config check restrict the choices
+    else:   # lane-emden; argparse restricts the choices
         r_max, intervals = _window(p, 20.0 / 1024)
         rows = sweeps.system_sweep(**lists, rexp_values=_numbers(float, p.get("r_exp", "0.5,1,2")),
                                    r_max=r_max, intervals=intervals)
@@ -526,9 +506,20 @@ _COMMANDS = {
 }
 
 
+def _require_directory(out: str):
+    """Refuse an --out that cannot be a directory before the run prints or writes anything."""
+    path = Path(out).absolute()
+    while not (path.exists() or path.is_symlink()):   # the nearest existing ancestor
+        path = path.parent
+    if not path.is_dir():
+        raise UsageError(f"--out {out}: {path} is not a directory")
+
+
 def run(cfg: RunConfig) -> int:
     """Execute a resolved configuration; returns the process exit code."""
     try:
+        if cfg.out is not None:
+            _require_directory(cfg.out)
         return _COMMANDS[cfg.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -543,13 +534,18 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args, parser.commands[args.command].parameters())
+        args = parser.parse_args(_with_config(parser, list(sys.argv[1:] if argv is None else argv)))
+        text = "json" if args.format is None else args.format
+        formats = [f.strip() for f in text.split(",") if f.strip()]
+        if not formats or not set(formats) <= {"json", "csv"}:
+            raise UsageError(f"formats must be a comma list of json and csv, got {text!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return run(cfg)
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS and v is not None}
+    return run(RunConfig(command=args.command, parameters=params, out=args.out, formats=formats,
+                         tol=getattr(args, "tol", None)))
 
 
 if __name__ == "__main__":

@@ -206,12 +206,15 @@ class TestShootingDomain:
         (["region"], {"n": 3.7, "q": 7.0}),
     ])
     def test_non_integer_dimension_in_config_exits_2(self, argv, params, tmp_path, capsys):
+        """A config count is parsed as its flag's text: 3.7 is refused (exit 1), never truncated."""
         path = tmp_path / "cfg.json"
         path.write_text(cli.RunConfig(command=argv[0], parameters=params).to_json())
-        assert run_cli(argv + ["--config", str(path)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--config", str(path)])
+        assert exc.value.code == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "dimension n must be an integer in [3, 4194304], got 3.7" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "argument --n: invalid int value: '3.7'" in captured.err
 
 
 class TestConfigRoundTrip:
@@ -247,6 +250,48 @@ class TestConfigRoundTrip:
         path.write_text("{not json")
         assert run_cli(["region", "--q", "7", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("argv,params,tol", [
+        (["region", "--q", "7", "--beta", "0"], {"q": 7, "beta": 0}, None),
+        (["verify", "--exact", "--check", "sharp", "--h", "0.05", "--tol", "1"],
+         {"exact": True, "check": "sharp", "h": 0.05}, 1),
+    ])
+    def test_config_reads_as_its_flags(self, argv, params, tol, tmp_path, capsys):
+        """An integer in a float field is typed as its flag's text is: 0 is printed 0.0."""
+        assert run_cli(argv + ["--out", str(tmp_path / "flags")]) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": argv[0], "parameters": params, "tol": tol}))
+        assert run_cli([argv[0], "--config", str(path), "--out", str(tmp_path / "config")]) == 0
+        assert capsys.readouterr().out == printed
+        for flags in (tmp_path / "flags").iterdir():
+            if flags.name != "run-config.json":
+                assert (tmp_path / "config" / flags.name).read_bytes() == flags.read_bytes()
+
+    @pytest.mark.parametrize("argv,code", [
+        (["region", "--q", "7"], 0),
+        (["solve-biharmonic", "--u0", "1", "--z0", "2", "--h", "0.5"], 0),
+        (["verify", "--u0", "1", "--z0", "2", "--check", "weak", "--h", "0.5"], 0),
+        (["solve-system", "--n", "3", "--q", "3", "--r-exp", "2", "--u0", "1", "--v0", "0.7",
+          "--r-max", "2", "--h", "0.01"], 3),
+        (["simulate-parabolic", "--p-exp", "2", "--r-exp", "1", "--geometry", "radial",
+          "--nodes", "16", "--t-final", "0.01", "--snapshots", "2"], 0),
+        (["sweep", "--module", "lane-emden", "--n", "3", "--q", "3", "--r-exp", "1",
+          "--h", "0.5"], 0),
+    ])
+    def test_saved_config_replays(self, argv, code, tmp_path, capsys):
+        """run-config.json stands for the run's flags, required ones included."""
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli(argv + ["--format", "json,csv", "--out", str(first)]) == code
+        printed = capsys.readouterr().out
+        assert run_cli([argv[0], "--config", str(first / "run-config.json"),
+                        "--out", str(again)]) == code
+        assert capsys.readouterr().out == printed
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in again.iterdir())
+        for name in names:
+            if name != "run-config.json":
+                assert (again / name).read_bytes() == (first / name).read_bytes()
+
 
 class TestConfigParameters:
     """A config value gets the checks of its flag; a null is not given."""
@@ -254,7 +299,10 @@ class TestConfigParameters:
     def run_config(self, argv, params, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"command": argv[0], "parameters": params}))
-        return run_cli(argv + ["--config", str(path)])
+        try:
+            return run_cli(argv + ["--config", str(path)])
+        except SystemExit as exc:   # argparse's refusal of a value
+            return exc.code
 
     @pytest.mark.parametrize("argv,params,message", [
         (["region"], {"q": "abc"}, "q must be a number, got 'abc'"),
@@ -263,10 +311,13 @@ class TestConfigParameters:
         (["region"], {"q": 7.0, "alpah": 0.3}, "unknown parameter 'alpah'"),
         (["region"], {"q": 7.0, "tol": 0.1}, "unknown parameter 'tol'"),
         (["region"], {"q": 10**400}, "q must be a number, got 1000"),
-        (["region"], {"q": None}, "region needs --q"),
-        (["verify"], {"exact": True, "check": "bogus"}, "check must be one of"),
+        (["region"], {"q": None}, "the following arguments are required: --q"),
+        (["verify"], {"exact": True, "check": "bogus"}, "argument --check: invalid choice: 'bogus'"),
         (["simulate-parabolic", "--p-exp", "2", "--r-exp", "1"],
-         {"geometry": "sphere"}, "geometry must be one of periodic, radial"),
+         {"geometry": "sphere"}, "argument --geometry: invalid choice: 'sphere'"),
+        (["verify"], {"exact": "yes", "check": "sharp"},
+         "exact must be true, false or null, got 'yes'"),
+        (["verify"], {"exact": 1, "check": "sharp"}, "exact must be true, false or null, got 1"),
     ])
     def test_refused_exit_1(self, argv, params, message, tmp_path, capsys):
         assert self.run_config(argv, params, tmp_path) == 1
@@ -306,6 +357,8 @@ class TestConfigParameters:
          "formats must be a comma list of json and csv, given as a list, got 'json'"),
         ({"command": "region", "parameters": {"q": 7.0}, "formats": "json,csv"},
          "given as a list, got 'json,csv'"),
+        ({"command": "region", "parameters": "x"}, "parameters must be an object, got 'x'"),
+        ({"command": "region", "parameters": ["qq"]}, "parameters must be an object, got ['qq']"),
     ])
     def test_top_level_field_refused_exit_1(self, config, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -316,12 +369,41 @@ class TestConfigParameters:
         assert captured.err.startswith("error: ") and message in captured.err
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_undecodable_config_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"command": "region", "parameters": {"q": "\xff"}}')
+        assert run_cli(["region", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: malformed config {path}: ")
+
     def test_null_is_not_given(self, tmp_path, capsys):
         assert self.run_config(["region"], {"q": 7.0, "alpha": None, "beta": None},
                                tmp_path) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["params"]["alpha"] == 0.5
         assert out["beta_max_used"] == pytest.approx(math.sqrt(3 / 8), rel=1e-12)
+
+
+class TestOutDirectory:
+    """An --out that cannot be a directory is refused before the run prints or writes anything."""
+
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("in_config", [False, True])
+    def test_file_in_the_way_exits_1(self, below, in_config, tmp_path, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_text("x")
+        out = str(blocker / "sub" if below else blocker)
+        argv = ["region", "--q", "7", "--format", "json,csv"]
+        if in_config:
+            path = tmp_path / "cfg.json"
+            path.write_text(cli.RunConfig(command="region", parameters={"q": 7.0}, out=out).to_json())
+            argv += ["--config", str(path)]
+        assert run_cli(argv if in_config else argv + ["--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "x" and len(list(tmp_path.iterdir())) == 1 + in_config
 
 
 class TestUnreadFlags:
@@ -522,8 +604,10 @@ class TestTolScope:
         cfg = cli.RunConfig(command="region", parameters={"q": 7.0}, tol=0.1)
         path = tmp_path / "cfg.json"
         path.write_text(cfg.to_json())
-        assert run_cli(["region", "--config", str(path)]) == 1
-        assert "takes no tol" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["region", "--config", str(path)])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --tol=0.1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tol_exits_2(self, tol, capsys):
@@ -578,32 +662,31 @@ class TestParabolicInputGuards:
         assert run_cli(self.BASE + ["--geometry", "radial", "--n", n]) == 2
         assert "dimension n must be an integer in [1, 4194304]" in capsys.readouterr().err
 
-    def test_non_integer_dimension_in_config_exits_2(self, tmp_path, capsys):
-        cfg = cli.RunConfig(command="simulate-parabolic", parameters={
-            "geometry": "radial", "n": 2.5, "nodes": 64, "t_final": 0.01})
+    def run_config(self, params, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
-        assert run_cli(["simulate-parabolic", "--p-exp", "2", "--r-exp", "1",
-                        "--config", str(path)]) == 2
-        assert "dimension n must be an integer in [1, 4194304]" in capsys.readouterr().err
+        path.write_text(cli.RunConfig(command="simulate-parabolic", parameters=params).to_json())
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate-parabolic", "--p-exp", "2", "--r-exp", "1", "--config", str(path)])
+        return exc.value.code
+
+    def test_non_integer_dimension_in_config_exits_2(self, tmp_path, capsys):
+        """A config count is parsed as its flag's text: 2.5 is refused (exit 1), never truncated."""
+        assert self.run_config({"geometry": "radial", "n": 2.5, "nodes": 64, "t_final": 0.01},
+                               tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "argument --n: invalid int value: '2.5'" in err and "Traceback" not in err
 
     def test_non_finite_exponent_exits_2(self, capsys):
         assert run_cli(self.BASE + ["--p-exp", "inf"]) == 2
         assert "p_exp must be finite and positive, got inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("params,message", [
-        ({"nodes": 64.9}, "num_nodes must be an integer in [3, 4194304], got 64.9"),
-        ({"geometry": "radial", "nodes": 64.5},
-         "num_intervals must be an integer in [3, 4194304], got 64.5"),
-        ({"nodes": 64, "snapshots": 4.5},
-         "num_snapshots must be an integer in [1, 4194304], got 4.5"),
+        ({"nodes": 64.9}, "argument --nodes: invalid int value: '64.9'"),
+        ({"geometry": "radial", "nodes": 64.5}, "argument --nodes: invalid int value: '64.5'"),
+        ({"nodes": 64, "snapshots": 4.5}, "argument --snapshots: invalid int value: '4.5'"),
     ])
-    def test_non_integer_size_in_config_exits_2(self, params, message, tmp_path, capsys):
-        cfg = cli.RunConfig(command="simulate-parabolic", parameters=dict(params, t_final=0.01))
-        path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
-        assert run_cli(["simulate-parabolic", "--p-exp", "2", "--r-exp", "1",
-                        "--config", str(path)]) == 2
+    def test_non_integer_size_in_config_exits_1(self, params, message, tmp_path, capsys):
+        assert self.run_config(dict(params, t_final=0.01), tmp_path) == 1
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 

@@ -4,7 +4,9 @@ Every argv either runs or is refused with its documented code: 0 success,
 1 usage, 2 precondition, 3 verification failure, 4 integrator failure.
 Nothing but argparse's SystemExit leaves ``cli.main``, no traceback reaches
 stderr, a non-finite number is always refused (1 or 2), and a flag the run
-does not read, or an empty sweep list, is always a usage error (1).
+does not read, or an empty sweep list, is always a usage error (1).  A
+config holding an argv's flags runs as the argv does, and the run-config.json
+of a run replays it.
 
 Finite draws keep the work small: at most 4096 intervals (r_max <= 20 with
 h >= 20/4096, or a spacing fine enough to be refused before allocation),
@@ -13,8 +15,11 @@ one time in six, a value at an end of the float range (1e300 or 1e-300).
 """
 import contextlib
 import io
+import json
+import tempfile
+from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from biharm_lab import cli
@@ -143,18 +148,19 @@ SWEEP_REGION = command("sweep", (st.just(["--module=region"]),),
 
 
 def run_main(argv):
+    """(exit code, stdout, stderr) of one run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:   # argparse's refusal is the one allowed exit
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def check_contract(argv, unread=()):
     """``unread`` names the drawn flags the run does not read."""
-    code, err = run_main(argv)
+    code, _, err = run_main(argv)
     assert code in (0, 1, 2, 3, 4), (argv, code)
     assert "Traceback" not in err, (argv, err)
     if any(tok.split("=", 1)[-1].split(",").count(bad) for tok in argv for bad in NON_FINITE):
@@ -201,3 +207,62 @@ def test_simulate_parabolic_contract(argv):
 @given(SWEEP_REGION)
 def test_sweep_region_contract(argv):
     check_contract(argv, ("--h",))
+
+
+ANY_COMMAND = st.one_of(REGION, SOLVE_BIHARMONIC, SOLVE_SYSTEM, VERIFY, SIMULATE, SWEEP_REGION)
+#: option string -> action of each flag, per subcommand
+ACTIONS = {name: {a.option_strings[0]: a for a in sub._actions if a.option_strings}
+           for name, sub in cli._build_parser().commands.items()}
+#: each property runs every example twice; this keeps both to a few seconds
+TWO_RUNS = settings(CONTRACT, max_examples=100)
+
+
+def as_config(argv, out):
+    """The config standing for a drawn argv's flags, writing to ``out``.
+
+    A typed flag's text is written as the number it parses to; an example
+    whose text does not parse has no config form and is rejected.
+    """
+    config = {"command": argv[0], "parameters": {}, "out": out, "formats": ["json", "csv"]}
+    for tok in argv[1:]:
+        flag, _, text = tok.partition("=")
+        action = ACTIONS[argv[0]][flag]
+        try:
+            value = True if action.nargs == 0 else (action.type or str)(text)
+        except ValueError:
+            reject()
+        if action.dest == "tol":
+            config["tol"] = value
+        else:
+            config["parameters"][action.dest] = value
+    return config
+
+
+def artifacts(outdir):
+    """name -> bytes of each artifact a run wrote, run-config.json aside."""
+    return {path.name: path.read_bytes() for path in Path(outdir).glob("*")
+            if path.name != "run-config.json"}
+
+
+@TWO_RUNS
+@given(ANY_COMMAND)
+def test_config_runs_as_its_flags(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cfg.json")
+        path.write_text(json.dumps(as_config(argv, str(Path(tmp, "config")))))
+        flags = run_main(argv + ["--format=json,csv", f"--out={Path(tmp, 'flags')}"])
+        assert run_main([argv[0], "--config", str(path)])[:2] == flags[:2], argv
+        assert artifacts(Path(tmp, "config")) == artifacts(Path(tmp, "flags")), argv
+
+
+@TWO_RUNS
+@given(ANY_COMMAND)
+def test_saved_config_replays(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = Path(tmp, "first"), Path(tmp, "again")
+        code, out, _ = run_main(argv + ["--format=json,csv", f"--out={first}"])
+        if code in (0, 3):
+            replayed = run_main([argv[0], "--config", str(first / "run-config.json"),
+                                 f"--out={again}"])
+            assert replayed[:2] == (code, out), argv
+            assert artifacts(again) == artifacts(first), argv
