@@ -6,7 +6,9 @@ verifications pass), 1 usage error, 2 precondition violation,
 3 verification failure, 4 integrator failure.
 
 A --config file stands for the flags it holds, parsed before the command
-line's, which override them.  Every run echoes its resolved configuration to
+line's, which override them.  Each subcommand prints its results and returns
+its exit code and artifacts; with --out, ``run`` writes them in one
+``serialize.write_artifacts`` call, after its resolved configuration in
 run-config.json, which round-trips losslessly through JSON and replays the run.
 """
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (MAX_COUNT, BiharmLabError, DomainError, IntegratorError,
 from .grids import RadialGrid, self_convergence_order
 from .params import (ParamSet, beta_max_or_zero, check_admissible, gamma_interval,
                      growth_exponent, tau)
+from .serialize import Artifact
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,7 +65,7 @@ class RunConfig:
         cfg = cls(command=data["command"], parameters=data.get("parameters", {}),
                   out=data.get("out"), formats=data.get("formats", ["json"]),
                   tol=data.get("tol"))
-        if cfg.out is not None and not isinstance(cfg.out, str):
+        if not isinstance(cfg.out, str | None):
             raise TypeError(f"out must be a string, got {cfg.out!r}")
         if not isinstance(cfg.parameters, dict):
             raise TypeError(f"parameters must be an object, got {cfg.parameters!r}")
@@ -241,28 +244,7 @@ class UsageError(BiharmLabError):
     pass
 
 
-def _emit(cfg: RunConfig, name: str, json_obj=None, write_csv=None):
-    """Write the run config and the requested formats of one artifact.
-
-    ``write_csv(path, texts)`` writes the CSV form; it is called only when
-    asked for, after the JSON, whose float columns it finds in ``texts``.
-    """
-    if cfg.out is None:
-        return
-    outdir = Path(cfg.out)
-    serialize.atomic_write_text(outdir / "run-config.json", cfg.to_json() + "\n")
-    texts = serialize.FloatTexts()
-    if "json" in cfg.formats and json_obj is not None:
-        serialize.write_json(outdir / f"{name}.json", json_obj, texts)
-    if "csv" in cfg.formats and write_csv is not None:
-        write_csv(outdir / f"{name}.csv", texts)
-
-
-def _print(obj):
-    print(serialize.json_text(obj))
-
-
-def _cmd_region(cfg: RunConfig) -> int:
+def _cmd_region(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     p = cfg.parameters
     # the default beta is a formula in (n, q, alpha): validate them first
     params = ParamSet(n=p.get("n", 3), q=p["q"], alpha=p.get("alpha", 0.5))
@@ -282,9 +264,8 @@ def _cmd_region(cfg: RunConfig) -> int:
            "beta_max_used": beta, "gamma_star": gamma_star,
            "growth_exponent": gexp,
            "tau": tau(q, n) if q >= 3 else None}
-    _print(out)
-    _emit(cfg, "region", out)
-    return EXIT_OK
+    print(serialize.json_text(out))
+    return EXIT_OK, [Artifact("region", out)]
 
 
 def _require_tol(cfg: RunConfig):
@@ -317,18 +298,16 @@ def _shoot(p, default_h: float) -> biharmonic.SolutionProfile:
                             num_intervals=intervals, rtol=p.get("rtol", RTOL))
 
 
-def _cmd_solve_biharmonic(cfg: RunConfig) -> int:
+def _cmd_solve_biharmonic(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     p = cfg.parameters
     prof = _shoot(p, 20.0 / 4096)
     out = prof.to_dict()
     out["residual_max"] = float(np.abs(
         biharmonic.residual(prof).values[prof.grid.trim_slice()]).max()) \
         if prof.grid.num_intervals > 8 else None
-    _print({"classification": out["classification"], "meta": out["meta"],
-            "residual_max": out["residual_max"]})
-    _emit(cfg, "profile", out,
-          lambda path, texts: serialize.write_columns(path, prof.columns(), texts))
-    return EXIT_OK
+    print(serialize.json_text({"classification": out["classification"], "meta": out["meta"],
+                               "residual_max": out["residual_max"]}))
+    return EXIT_OK, [Artifact("profile", out, prof.columns)]
 
 
 def _profile_for_verify(p) -> biharmonic.SolutionProfile:
@@ -353,7 +332,7 @@ def _aux_report(prof, alpha: float, beta: float, exact: bool):
     return rep
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     p = cfg.parameters
     check = p.get("check", "all")
     if check in ("sharp", "weak", "gradient", "curvature"):
@@ -390,35 +369,13 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
     code = _verdict(cfg, reports)
     payload = [rep.to_dict() for rep in reports]
-    _print(payload)
-    _emit(cfg, "reports", payload)
-    if cfg.out and "csv" in cfg.formats:
-        tables = []   # (margin, names): equal margins share one table, formatted once
-        for rep in reports:
-            m = rep.margin
-            if m is None:
-                continue
-            # bit for bit, so -0.0 and 0.0 differ; in place, as a held copy raises peak RSS
-            equal = [names for margin, names in tables if margin.grid == m.grid and
-                     np.array_equal(margin.values.view(np.uint64), m.values.view(np.uint64))]
-            if equal:
-                equal[0].append(rep.inequality)
-            else:
-                tables.append((m, [rep.inequality]))
-        r_text = {}   # r formatted once per grid, shared by the tables
-        for margin, names in tables:
-            g = margin.grid
-            if g not in r_text:
-                r_text[g] = serialize.format_floats(g.r)
-            cols = margin.columns("margin")
-            cols["r"] = r_text[g]
-            text = serialize.columns_text(cols)
-            for name in names:
-                serialize.atomic_write_text(Path(cfg.out) / f"margin-{name}.csv", text)
-    return code
+    print(serialize.json_text(payload))
+    return code, [Artifact("reports", payload)] + [
+        Artifact(f"margin-{rep.inequality}", columns=lambda m=rep.margin: m.columns("margin"))
+        for rep in reports if rep.margin is not None]
 
 
-def _cmd_solve_system(cfg: RunConfig) -> int:
+def _cmd_solve_system(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     _require_tol(cfg)
     p = cfg.parameters
     r_max, intervals = _window(p, 20.0 / 4096)
@@ -433,15 +390,12 @@ def _cmd_solve_system(cfg: RunConfig) -> int:
     out = {"classification": prof.classification.to_dict(),
            "sigma": prof.sigma, "ell": prof.ell,
            "reports": [rep.to_dict() for rep in reports]}
-    _print(out)
-    _emit(cfg, "system-profile", prof.to_dict(),
-          lambda path, texts: serialize.write_columns(path, prof.columns(), texts))
-    if cfg.out:
-        serialize.write_json(Path(cfg.out) / "system-reports.json", out)
-    return code
+    print(serialize.json_text(out))
+    return code, [Artifact("system-profile", prof.to_dict(), prof.columns),
+                  Artifact("system-reports", out)]
 
 
-def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
+def _cmd_simulate_parabolic(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     p = cfg.parameters
     geometry = p.get("geometry", "periodic")
     _refuse_unread(p, ("length",) if geometry == "radial" else ("radius", "n"),
@@ -463,13 +417,11 @@ def _cmd_simulate_parabolic(cfg: RunConfig) -> int:
         num_snapshots=p.get("snapshots", 64),
         blowup_factor=p.get("blowup_factor", parabolic.BLOWUP_FACTOR))
     manifest = fld.manifest()
-    _print(manifest)
-    _emit(cfg, "run-manifest", manifest,
-          lambda path, texts: serialize.write_columns(path, fld.columns(), texts))
-    return EXIT_OK
+    print(serialize.json_text(manifest))
+    return EXIT_OK, [Artifact("run-manifest", manifest, fld.columns)]
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
+def _cmd_sweep(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     p = cfg.parameters
     module = p["module"]
     _refuse_unread(p, {"region": ("r_exp", "r_max", "h"), "biharmonic": ("r_exp", "alpha"),
@@ -491,9 +443,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     verdicts = [r for r in rows if r.get("weak_pass") is False
                 or r.get("comparison_pass") is False or r.get("concavity_pass") is False]
     print(f"sweep {module}: {len(rows)} cases, {len(verdicts)} failures")
-    _emit(cfg, f"sweep-{module}", rows, lambda path, _: serialize.write_csv(
-        path, header, ([row.get(k) for k in header] for row in rows)))
-    return EXIT_VERIFICATION if verdicts else EXIT_OK
+    return EXIT_VERIFICATION if verdicts else EXIT_OK, [Artifact(
+        f"sweep-{module}", rows,
+        lambda: serialize.table_columns(header, ([row.get(k) for k in header] for row in rows)))]
 
 
 _COMMANDS = {
@@ -506,21 +458,32 @@ _COMMANDS = {
 }
 
 
-def _require_directory(out: str):
-    """Refuse an --out that cannot be a directory before the run prints or writes anything."""
+def _require_directory(out: str) -> str:
+    """Return ``out``; refused if it cannot be a directory, before the run prints or writes."""
+    if not out or "\0" in out:
+        raise UsageError(f"--out {out!r} is not a directory name")
     path = Path(out).absolute()
-    while not (path.exists() or path.is_symlink()):   # the nearest existing ancestor
-        path = path.parent
+    try:
+        while not (path.exists() or path.is_symlink()):   # the nearest existing ancestor
+            path = path.parent
+    except OSError as exc:   # such as a component longer than the file system takes
+        raise UsageError(f"--out {out}: {exc.strerror}") from None
     if not path.is_dir():
         raise UsageError(f"--out {out}: {path} is not a directory")
+    return out
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a resolved configuration; returns the process exit code."""
+    """Execute a resolved configuration and write its artifacts; returns the exit code."""
     try:
-        if cfg.out is not None:
-            _require_directory(cfg.out)
-        return _COMMANDS[cfg.command](cfg)
+        outdir = cfg.out is not None and _require_directory(cfg.out)
+        code, artifacts = _COMMANDS[cfg.command](cfg)
+        if outdir:
+            try:
+                serialize.write_artifacts(outdir, cfg.formats, cfg.to_json() + "\n", artifacts)
+            except OSError as exc:
+                raise UsageError(f"--out {cfg.out}: {exc}") from None
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,9 +9,12 @@ produce byte-identical files.
 Float arrays are formatted by column, one ``float.__repr__`` per value with no
 per-cell dispatch: CSV in row blocks, so one block's strings are alive at a
 time, and JSON by splicing each 1-D float array into the text around it.
-Given a ``FloatTexts``, each distinct column is formatted once per run: the
-JSON stores the text of every array it writes, and a CSV column equal to a
-stored one is read from it instead of being formatted again.
+
+A run's artifacts are data (``Artifact``), and ``write_artifacts`` puts them
+on disk through one ``FloatTexts``, so each float column that recurs in the
+run is formatted once: the JSON stores the text of every array it writes, a
+CSV column that occurs in more than one of the run's tables is stored on
+first use, and a CSV column equal to a stored one is read from it.
 """
 from __future__ import annotations
 
@@ -20,7 +23,10 @@ import math
 import os
 import re
 import tempfile
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +41,7 @@ _SPLICE = re.compile(r'"\\u0000(\d+)"')
 
 
 def _fmt(x) -> str:
-    """One cell of an object column (sweep tables)."""
+    """One cell of an object column: a float as its repr, None empty, a bool true/false."""
     if isinstance(x, float):
         # float.__repr__ also for NumPy scalars, whose own repr wraps the value
         return float.__repr__(x)
@@ -64,21 +70,24 @@ class FloatTexts:
     objects share one text while ``-0.0`` and ``0.0`` do not.  It is stored as
     blocks of ``CSV_BLOCK_ROWS`` reprs joined by newlines, non-finite values
     spelled ``nan``/``inf``/``-inf`` as in a CSV; the JSON writer turns them
-    into ``null`` in its own copy.
+    into ``null`` in its own copy.  ``recurring`` holds the hashes of the keys
+    of the CSV columns to store (``write_artifacts``).
     """
 
-    def __init__(self):
+    def __init__(self, recurring=frozenset()):
         self._blocks = {}
+        self.recurring = recurring
 
-    def get(self, a) -> list[str] | None:
-        """The stored blocks of the 1-D float array ``a``, or None."""
-        return self._blocks.get(np.asarray(a, dtype=float).tobytes())
+    def blocks(self, a, csv: bool = False) -> list[str] | None:
+        """The blocks of the 1-D float array ``a``, formatted and stored on first use.
 
-    def blocks(self, a) -> list[str]:
-        """The blocks of the 1-D float array ``a``, formatted and stored on first use."""
+        A CSV column (``csv``) not stored yet is stored only if it recurs, else None.
+        """
         a = np.asarray(a, dtype=float)
         key = a.tobytes()
         if key not in self._blocks:
+            if csv and hash(key) not in self.recurring:
+                return None
             self._blocks[key] = _text_blocks(a)
         return self._blocks[key]
 
@@ -166,15 +175,17 @@ def columns_text(columns: dict, texts: FloatTexts | None = None) -> str:
     """CSV text of named columns of equal length, header first.
 
     A column is a float array, written as the repr of each value, or a list
-    of strings already formatted (``write_csv``).  A float array stored in
-    ``texts`` is split from its stored blocks; any other is formatted here
-    and not stored, as a column that does not repeat would gain nothing.
+    of strings already formatted (``table_columns``).  A float array stored
+    in ``texts``, or recurring there, is split from its stored blocks; any
+    other is formatted here and not stored, as a column that does not repeat
+    would gain nothing.
     """
     cols = list(columns.values())
     rows = len(cols[0]) if cols else 0
     if any(len(c) != rows for c in cols):
         raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
-    stored = [None if texts is None or isinstance(c, list) else texts.get(c) for c in cols]
+    stored = [None if texts is None or isinstance(c, list) else texts.blocks(c, csv=True)
+              for c in cols]
     blocks = [",".join(columns)]
     for b, i in enumerate(range(0, rows, CSV_BLOCK_ROWS)):
         cells = [c[i:i + CSV_BLOCK_ROWS] if isinstance(c, list)
@@ -191,11 +202,36 @@ def write_columns(path: str | Path, columns: dict, texts: FloatTexts | None = No
     return Path(path)
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> Path:
-    """CSV of rows of mixed objects (sweep tables).
-
-    Floats are written as their repr, None as an empty cell, bools as
-    true/false and anything else by ``str``.
-    """
+def table_columns(header: list[str], rows) -> dict:
+    """CSV columns of rows of mixed objects (sweep tables), each cell formatted by ``_fmt``."""
     cols = list(zip(*rows)) or [()] * len(header)
-    return write_columns(path, {name: list(map(_fmt, col)) for name, col in zip(header, cols)})
+    return {name: list(map(_fmt, col)) for name, col in zip(header, cols)}
+
+
+@dataclass
+class Artifact:
+    """``name.json`` from ``json`` and ``name.csv`` from ``columns()``, called only for CSV."""
+
+    name: str
+    json: object = None
+    columns: Callable[[], dict] | None = None
+
+
+def write_artifacts(outdir: str | Path, formats, config_text: str, artifacts: list[Artifact]):
+    """Write ``run-config.json``, then each artifact's forms that ``formats`` holds, JSON first.
+
+    One ``FloatTexts`` serves the run.  It stores the CSV float columns that
+    occur in more than one table, found by their keys' hashes (a chance match
+    stores one column more: the store itself is keyed by the bytes).
+    """
+    outdir = Path(outdir)
+    atomic_write_text(outdir / "run-config.json", config_text)
+    tables = [a.columns() if "csv" in formats and a.columns else None for a in artifacts]
+    counts = Counter(key for cols in tables if cols for key in {
+        hash(np.asarray(c, dtype=float).tobytes()) for c in cols.values() if not isinstance(c, list)})
+    texts = FloatTexts({key for key, count in counts.items() if count > 1})
+    for art, table in zip(artifacts, tables):
+        if "json" in formats and art.json is not None:
+            write_json(outdir / f"{art.name}.json", art.json, texts)
+        if table is not None:
+            write_columns(outdir / f"{art.name}.csv", table, texts)

@@ -405,6 +405,53 @@ class TestOutDirectory:
         assert captured.err == f"error: --out {out}: {blocker} is not a directory\n"
         assert blocker.read_text() == "x" and len(list(tmp_path.iterdir())) == 1 + in_config
 
+    @pytest.mark.parametrize("out,message", [
+        ("", "--out '' is not a directory name"),
+        ("a\0b", "--out 'a\\x00b' is not a directory name"),
+        ("a" * 300, f"--out {'a' * 300}: File name too long"),
+    ], ids=["empty", "nul", "name-too-long"])
+    @pytest.mark.parametrize("in_config", [False, True])
+    def test_bad_name_exits_1(self, out, message, in_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)   # an empty --out would be the working directory
+        argv = ["region", "--q", "7", "--format", "json,csv"]
+        if in_config:
+            (tmp_path / "cfg.json").write_text(
+                cli.RunConfig(command="region", parameters={"q": 7.0}, out=out).to_json())
+            argv += ["--config", "cfg.json"]
+        assert run_cli(argv if in_config else argv + [f"--out={out}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert len(list(tmp_path.iterdir())) == in_config
+
+    def test_write_error_exits_1(self, tmp_path, capsys):
+        """A path the ancestor check passes but the writer cannot make: one line, no traceback."""
+        out = str(tmp_path / "x" / ("a" * 300) / "y")
+        assert run_cli(["region", "--q", "7", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["admissible"] is True   # the results came first
+        assert captured.err.startswith(f"error: --out {out}: [Errno 36] File name too long")
+        assert captured.err.count("\n") == 1
+
+
+class TestArtifactFormats:
+    """Each artifact's JSON and CSV forms are written only when --format asks for them."""
+
+    SYSTEM = ["solve-system", "--u0", "0.71", "--v0", "2.14", "--r-max", "2", "--h", "0.05"]
+    SHARP = ["verify", "--exact", "--check", "sharp", "--h", "0.05", "--r-max", "5"]
+
+    @pytest.mark.parametrize("argv,formats,files", [
+        (SYSTEM, "json", ["system-profile.json", "system-reports.json"]),
+        (SYSTEM, "csv", ["system-profile.csv"]),
+        (SYSTEM, "json,csv", ["system-profile.csv", "system-profile.json", "system-reports.json"]),
+        (SHARP, "json", ["reports.json"]),
+        (SHARP, "csv", ["margin-laplacian-lower-bound-max-alpha.csv"]),
+    ])
+    def test_only_the_asked_forms(self, argv, formats, files, tmp_path, capsys):
+        assert run_cli(argv + ["--format", formats, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files + ["run-config.json"])
+
 
 class TestUnreadFlags:
     """A flag the run does not read is a usage error (exit 1)."""

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,9 +121,9 @@ class TestWriters:
 
     def test_csv_formatting(self, tmp_path):
         path = tmp_path / "t.csv"
-        serialize.write_csv(path, ["a", "b", "c"],
-                            [(1.0, None, True), (0.1, "x", False),
-                             (np.float64(0.25), np.int64(3), None)])
+        serialize.write_columns(path, serialize.table_columns(
+            ["a", "b", "c"], [(1.0, None, True), (0.1, "x", False),
+                              (np.float64(0.25), np.int64(3), None)]))
         lines = path.read_text().splitlines()
         assert lines == ["a,b,c", "1.0,,true", "0.1,x,false", "0.25,3,"]
 
@@ -182,7 +183,7 @@ class TestAgainstRowWiseReference:
                  float("nan"), -0.0, 5e-324, 1e16, 1e-05]
         rows = [tuple(kinds[(i + j) % len(kinds)] for j in range(4)) for i in range(n)]
         header = ["n", "kind", "pass", "margin"]
-        path = serialize.write_csv(tmp_path / "o.csv", header, rows)
+        path = serialize.write_columns(tmp_path / "o.csv", serialize.table_columns(header, rows))
         assert_same(path.read_text(), ref_csv(header, rows))
 
     @pytest.mark.parametrize("n", LENGTHS)
@@ -219,9 +220,9 @@ class TestFloatTexts:
     def test_keyed_by_bytes(self):
         texts = serialize.FloatTexts()
         a = sample(B + 1, 12)
-        assert texts.get(a) is None
+        assert texts.blocks(a, csv=True) is None
         first = texts.blocks(a)
-        assert texts.blocks(a.copy()) is first and texts.get(list(a)) is first
+        assert texts.blocks(a.copy()) is first and texts.blocks(list(a), csv=True) is first
         assert texts.blocks(a[::-1]) is not first
         assert texts.blocks(np.array([0.0, 1.0])) == ["0.0\n1.0"]
         assert texts.blocks(np.array([-0.0, 1.0])) == ["-0.0\n1.0"]
@@ -241,8 +242,9 @@ class TestFloatTexts:
         assert_same(shared[1], ref_columns_csv(columns))
         # the JSON stored u and w; the CSV formats its other columns without storing them
         if n:
-            assert texts.get(u) is not None and texts.get(strided) is not None
-            assert texts.get(-u) is None
+            assert texts.blocks(u, csv=True) is not None
+            assert texts.blocks(strided, csv=True) is not None
+            assert texts.blocks(-u, csv=True) is None
 
 
 def test_write_columns_peak_memory(tmp_path):
@@ -259,42 +261,59 @@ def test_write_columns_peak_memory(tmp_path):
     assert peak <= 2.2 * size, f"peak {peak} B for a {size} B file ({peak / size:.2f}x)"
 
 
-def _spy_writers(monkeypatch):
-    """Record, by path, the in-memory object each artifact file was written from.
+@pytest.mark.parametrize("formats,names", [
+    (["json"], ["a.json", "c.json"]),
+    (["csv"], ["a.csv", "b.csv"]),
+    (["json", "csv"], ["a.json", "a.csv", "b.csv", "c.json"]),
+])
+def test_write_artifacts_order_and_formats(formats, names, tmp_path, monkeypatch):
+    """run-config.json first, then each artifact in order, JSON before CSV, as asked."""
+    called, written = [], []
+    a, r = sample(9, 15), sample(9, 16)
 
-    A file written from a ``columns_text`` result outside ``write_columns``
-    (an equal margin table, formatted once) stands for that call's columns.
+    def columns(name, cols):
+        return lambda: called.append(name) or cols
+
+    artifacts = [serialize.Artifact("a", {"a": a}, columns("a", {"r": r, "a": a})),
+                 serialize.Artifact("b", columns=columns("b", {"r": r, "b": -r})),
+                 serialize.Artifact("c", [1.5, None])]
+    atomic_write_text = serialize.atomic_write_text
+    monkeypatch.setattr(serialize, "atomic_write_text",
+                        lambda path, text: written.append(path.name) or atomic_write_text(path, text))
+    serialize.write_artifacts(tmp_path, formats, "{}\n", artifacts)
+    assert written == ["run-config.json"] + names
+    assert called == (["a", "b"] if "csv" in formats else [])
+    assert (tmp_path / "run-config.json").read_text() == "{}\n"
+    for art in artifacts:
+        if f"{art.name}.json" in names:
+            assert_same((tmp_path / f"{art.name}.json").read_text(), ref_json(art.json))
+        if f"{art.name}.csv" in names:
+            assert_same((tmp_path / f"{art.name}.csv").read_text(), ref_columns_csv(art.columns()))
+
+
+def _spy_writers(monkeypatch):
+    """Record, by file name, the artifact each file was written from.
+
+    The one writer is hooked: a JSON file maps to its artifact, and a CSV
+    file to its artifact and the columns its ``columns`` call gave the writer.
     """
     seen = {}
-    tables = []   # (text, columns) of each columns_text call
+    write_artifacts = serialize.write_artifacts
 
-    def spy(name, prepare=lambda *args: args):
-        original = getattr(serialize, name)
+    def recording(art):
+        def columns():
+            cols = art.columns()
+            seen[f"{art.name}.csv"] = (art, cols)
+            return cols
+        return columns
 
-        def wrapper(path, *args):
-            args = prepare(*args)
-            seen.setdefault(str(path), (name, args))
-            return original(path, *args)
-        monkeypatch.setattr(serialize, name, wrapper)
+    def spy(outdir, formats, config_text, artifacts):
+        seen.update((f"{art.name}.json", (art, None)) for art in artifacts
+                    if "json" in formats and art.json is not None)
+        return write_artifacts(outdir, formats, config_text, [
+            replace(art, columns=art.columns and recording(art)) for art in artifacts])
 
-    spy("write_json")
-    spy("write_columns")
-    spy("write_csv", lambda header, rows: (header, list(rows)))
-    columns_text, atomic_write_text = serialize.columns_text, serialize.atomic_write_text
-
-    def text_spy(columns, *args):
-        text = columns_text(columns, *args)
-        tables.append((text, columns))
-        return text
-
-    def write_spy(path, text):
-        table = next((cols for t, cols in tables if t is text), None)
-        if table is not None:
-            seen.setdefault(str(path), ("write_columns", (table,)))
-        return atomic_write_text(path, text)
-
-    monkeypatch.setattr(serialize, "columns_text", text_spy)
-    monkeypatch.setattr(serialize, "atomic_write_text", write_spy)
+    monkeypatch.setattr(serialize, "write_artifacts", spy)
     return seen
 
 
@@ -318,24 +337,23 @@ def test_cli_artifacts_match_reference(name, tmp_path, monkeypatch, capsys):
     cli.main(COMMANDS[name] + ["--format", "json,csv", "--out", str(tmp_path)])
     capsys.readouterr()
     files = sorted(p.name for p in tmp_path.iterdir() if p.name != "run-config.json")
-    assert files and files == sorted(p.rsplit("/", 1)[-1] for p in seen)
-    for path, (writer, args) in seen.items():
-        text = (tmp_path / path.rsplit("/", 1)[-1]).read_text()
-        if writer == "write_json":
-            assert_same(text, ref_json(args[0]), path)
-        elif writer == "write_csv":
-            assert_same(text, ref_csv(*args), path)
+    assert files and files == sorted(seen)
+    for path, (art, columns) in seen.items():
+        text = (tmp_path / path).read_text()
+        if columns is None:
+            assert_same(text, ref_json(art.json), path)
+        elif all(isinstance(col, list) for col in columns.values()):
+            # a table of formatted cells (sweep): the row-wise CSV of its JSON rows
+            header = list(art.json[0])
+            assert_same(text, ref_csv(header, ([row.get(k) for k in header] for row in art.json)),
+                        path)
         else:
-            columns = args[0]
             assert_same(text, ref_columns_csv(columns), path)
-            for col in columns.values():
-                if isinstance(col, list):   # formatted once, shared: canonical reprs
-                    assert col == [ref_fmt(float(s)) for s in col]
     if name == "verify":
         r = RadialGrid.uniform(3, 10.0, 100).r
-        for path, (_, args) in seen.items():
+        for path, (_, columns) in seen.items():
             if path.endswith(".csv"):
-                assert [float(s) for s in args[0]["r"]] == r.tolist()
+                assert [float(s) for s in columns["r"]] == r.tolist()
         # with the default coefficients the pointwise bound is the sharp one
         assert (tmp_path / "margin-laplacian-lower-bound.csv").read_bytes() \
             == (tmp_path / "margin-laplacian-lower-bound-max-alpha.csv").read_bytes()
