@@ -10,9 +10,10 @@ error control alone.  integrate returns the accepted steps and why the shot
 stopped (a Shot); fill samples a Shot on any uniform grid, with NumPy, from
 the quartic continuous extension of the steps (Shampine 1986, Math. Comp.
 46; Hairer-Norsett-Wanner, Solving ODEs I, II.6), so the step count does not
-grow with N.  radial_ivp is the two on one grid, with the last step clamped
-onto the window end r_N = N*h; the sweeps fill one unclamped shot onto the
-rescaled grids of a whole scale-invariant family.
+grow with N.  Every shot starts inside the even series' range and stops
+after the first accepted step that reaches its window end: radial_ivp samples
+it on one grid, a sweep on the rescaled grids of a scale-invariant family, of
+which a direct shot is the lam = 1 member.
 
 The verifiers difference the stored fields twice, which amplifies step noise
 by 1/h^2, so the kernel tightens the requested rtol to at most
@@ -66,6 +67,8 @@ TOL_PER_H2 = 2.5e-6
 POSITIVITY_FLOOR = 1e-8
 #: attempted steps after which a shot counts as an integrator failure
 MAX_STEPS = 20_000_000
+#: a term of the start series falls to this fraction of the one before it at s
+START_FRACTION = 1e-3
 
 # Dormand-Prince 5(4) tableau (FSAL)
 _A21 = 1.0 / 5.0
@@ -201,10 +204,11 @@ def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=RTOL):
     valid through index i_stop: N when the shot reached the window end,
     else the last node at or before the start of the step that ended it.
     r_event is the end of the accepted step that crossed the positivity
-    floor (touched), the window end (ok) or the last accepted point
-    (failed).  stats counts the accepted and rejected steps and the
-    right-hand-side evaluations, gives the smallest and largest accepted
-    step (None before the first) and names why the shot stopped (STOPS).
+    floor (touched) or reached the window end (ok, at or past r_N), or the
+    last accepted point (failed).  stats counts the accepted and rejected
+    steps and the right-hand-side evaluations, gives the smallest and
+    largest accepted step (None before the first) and names why the shot
+    stopped (STOPS).
     """
     N = int(num_intervals)
     shot = integrate(n, q, rexp, u0, v0, h, N * h, rtol)
@@ -213,15 +217,23 @@ def radial_ivp(n, q, rexp, u0, v0, h, num_intervals, rtol=RTOL):
 
 
 def series_start(n, q, rexp, u0, v0):
-    """(au, bu, av, bv) of the even-series start u = u0 + au r^2 + bu r^4,
-    v = v0 + av r^2 + bv r^4; raises ArithmeticError when a power of the
-    initial values overflows, where a shot stops as "undefined-start"."""
+    """(s, au, bu, av, bv) of the even-series start u = u0 + au r^2 + bu r^4,
+    v = v0 + av r^2 + bv r^4, s the radius where each nonzero term has fallen
+    to START_FRACTION of the nonzero term before it (a ratio, so s scales
+    with lam).  Raises ArithmeticError when a power of the initial values
+    overflows or s underflows to 0, where a shot stops as "undefined-start"."""
     denom4 = 8.0 * n * (n + 2.0)
     uq0 = u0**-q
     vr0 = v0**rexp if v0 > 0.0 else 0.0
     bu = -rexp * v0 ** (rexp - 1.0) * uq0 / denom4 if v0 > 0.0 else 0.0
     bv = q * u0 ** (-q - 1.0) * vr0 / denom4
-    return vr0 / (2.0 * n), bu, -uq0 / (2.0 * n), bv
+    au, av = vr0 / (2.0 * n), -uq0 / (2.0 * n)
+    s = min((math.sqrt(START_FRACTION * abs(c0 / c1))
+             for c0, c1 in ((u0, au), (au, bu), (v0, av), (av, bv)) if c0 and c1),
+            default=math.inf)
+    if s == 0.0:
+        raise ArithmeticError("the even series has no range in floats")
+    return s, au, bu, av, bv
 
 
 def _series_values(series, r):
@@ -232,17 +244,15 @@ def _series_values(series, r):
             v0 + av * r2 + bv * r2 * r2, 2.0 * av * r + 4.0 * bv * r2 * r)
 
 
-def integrate(n, q, rexp, u0, v0, h, r_end, rtol=RTOL, clamp=True) -> Shot:
+def integrate(n, q, rexp, u0, v0, h, r_end, rtol=RTOL) -> Shot:
     """Integrate outward from r = 0 until r_end, a touch or a failure.
 
-    h sets the start radius, the first step and the tolerance cap, as for a
-    shot on the grid of spacing h.  With clamp, the last step is clamped
-    onto r_end; without, the shot stops after the first accepted step that
-    reaches r_end, so its steps do not depend on r_end.
+    h sets the first step and the tolerance cap, as for a shot on the grid of
+    spacing h.  The shot starts from the even series at
+    r_start = min(h, 1e-2, s), s the series' own scale (series_start), and
+    stops after the first accepted step that reaches r_end, so its steps do
+    not depend on r_end.
     """
-    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0,
-             "dt_min": None, "dt_max": None, "stop": None}
-    r_start = min(h, 1e-2)
     # one packed record per accepted step, read back as one float array;
     # packing keeps the store compact next to tuples of Python floats
     steps = []
@@ -250,23 +260,22 @@ def integrate(n, q, rexp, u0, v0, h, r_end, rtol=RTOL, clamp=True) -> Shot:
 
     def finish(stop, r_covered, r_event, accepted=0, rejected=0, nfev=0, dt_lo=0.0, dt_hi=0.0):
         data = np.frombuffer(b"".join(steps), dtype=float).reshape(-1, _STEP_WIDTH)
-        stats.update(accepted=accepted, rejected=rejected, rhs_evals=nfev, stop=stop)
-        if accepted:
-            stats.update(dt_min=dt_lo, dt_max=dt_hi)
+        stats = {"accepted": accepted, "rejected": rejected, "rhs_evals": nfev,
+                 "dt_min": dt_lo if accepted else None, "dt_max": dt_hi if accepted else None,
+                 "stop": stop}
         return Shot(data, _extension(data), series, stop, r_covered, r_event, stats)
 
     fl_u = POSITIVITY_FLOOR * u0
     fl_v = POSITIVITY_FLOOR * v0
 
     try:
-        au, bu, av, bv = series_start(n, q, rexp, u0, v0)
+        s, au, bu, av, bv = series_start(n, q, rexp, u0, v0)
     except ArithmeticError:
-        # the coefficients are never read: the shot covers no node past r = 0
-        series = (r_start, u0, 0.0, 0.0, v0, 0.0, 0.0)
+        # the start is never read: the shot covers no node past r = 0
+        series = (0.0, u0, 0.0, 0.0, v0, 0.0, 0.0)
         return finish("undefined-start", 0.0, 0.0)
+    r = r_start = min(h, 1e-2, s)
     series = (r_start, u0, au, bu, v0, av, bv)
-
-    r = r_start
     u, du, v, dv = _series_values(series, r)
 
     if u <= fl_u or v <= fl_v:
@@ -278,7 +287,7 @@ def integrate(n, q, rexp, u0, v0, h, r_end, rtol=RTOL, clamp=True) -> Shot:
     rtol *= fac_tol
     atol = ATOL * fac_tol
 
-    dt_nat = 0.5 * min(h, 1e-3)
+    dt = 0.5 * min(h, 1e-3)
     dt_floor = 1e-13 * max(h, 1.0)
     dt_lo, dt_hi = math.inf, 0.0
     nfev = 1
@@ -293,16 +302,12 @@ def integrate(n, q, rexp, u0, v0, h, r_end, rtol=RTOL, clamp=True) -> Shot:
     nm1 = n - 1.0
     mq = -q
     while accepted + rejected < MAX_STEPS:
-        last = r + dt_nat >= r_end   # the step reaches r_end
-        clamped = last and clamp
-        dtc = r_end - r if clamped else dt_nat
-
         # stages 2-7, each the stage state followed by the right-hand side at
         # it, as _rhs computes it: k = (du, v^rexp - c du, dv, -u^-q - c dv)
         # with c = (n - 1)/r; _Undefined stands for _rhs's ok = False
         try:
             nfev += 1
-            d = dtc * _A21
+            d = dt * _A21
             s0 = u + d * k1_0
             k2_0 = du + d * k1_1
             s2 = v + d * k1_2
@@ -313,74 +318,74 @@ def integrate(n, q, rexp, u0, v0, h, r_end, rtol=RTOL, clamp=True) -> Shot:
             uq = s0**mq
             if not (vr < inf and uq < inf):
                 raise _Undefined
-            c = nm1 / (r + _A21 * dtc)
+            c = nm1 / (r + _A21 * dt)
             k2_1 = vr - c * k2_0
             k2_3 = -uq - c * k2_2
 
             nfev += 1
-            s0 = u + dtc * (_A31 * k1_0 + _A32 * k2_0)
-            k3_0 = du + dtc * (_A31 * k1_1 + _A32 * k2_1)
-            s2 = v + dtc * (_A31 * k1_2 + _A32 * k2_2)
-            k3_2 = dv + dtc * (_A31 * k1_3 + _A32 * k2_3)
+            s0 = u + dt * (_A31 * k1_0 + _A32 * k2_0)
+            k3_0 = du + dt * (_A31 * k1_1 + _A32 * k2_1)
+            s2 = v + dt * (_A31 * k1_2 + _A32 * k2_2)
+            k3_2 = dv + dt * (_A31 * k1_3 + _A32 * k2_3)
             if s0 <= 0.0 or s2 < 0.0:
                 raise _Undefined
             vr = s2**rexp
             uq = s0**mq
             if not (vr < inf and uq < inf):
                 raise _Undefined
-            c = nm1 / (r + 0.3 * dtc)
+            c = nm1 / (r + 0.3 * dt)
             k3_1 = vr - c * k3_0
             k3_3 = -uq - c * k3_2
 
             nfev += 1
-            s0 = u + dtc * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0)
-            k4_0 = du + dtc * (_A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1)
-            s2 = v + dtc * (_A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2)
-            k4_2 = dv + dtc * (_A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3)
+            s0 = u + dt * (_A41 * k1_0 + _A42 * k2_0 + _A43 * k3_0)
+            k4_0 = du + dt * (_A41 * k1_1 + _A42 * k2_1 + _A43 * k3_1)
+            s2 = v + dt * (_A41 * k1_2 + _A42 * k2_2 + _A43 * k3_2)
+            k4_2 = dv + dt * (_A41 * k1_3 + _A42 * k2_3 + _A43 * k3_3)
             if s0 <= 0.0 or s2 < 0.0:
                 raise _Undefined
             vr = s2**rexp
             uq = s0**mq
             if not (vr < inf and uq < inf):
                 raise _Undefined
-            c = nm1 / (r + 0.8 * dtc)
+            c = nm1 / (r + 0.8 * dt)
             k4_1 = vr - c * k4_0
             k4_3 = -uq - c * k4_2
 
             nfev += 1
-            s0 = u + dtc * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0)
-            k5_0 = du + dtc * (_A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1 + _A54 * k4_1)
-            s2 = v + dtc * (_A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2 + _A54 * k4_2)
-            k5_2 = dv + dtc * (_A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3 + _A54 * k4_3)
+            s0 = u + dt * (_A51 * k1_0 + _A52 * k2_0 + _A53 * k3_0 + _A54 * k4_0)
+            k5_0 = du + dt * (_A51 * k1_1 + _A52 * k2_1 + _A53 * k3_1 + _A54 * k4_1)
+            s2 = v + dt * (_A51 * k1_2 + _A52 * k2_2 + _A53 * k3_2 + _A54 * k4_2)
+            k5_2 = dv + dt * (_A51 * k1_3 + _A52 * k2_3 + _A53 * k3_3 + _A54 * k4_3)
             if s0 <= 0.0 or s2 < 0.0:
                 raise _Undefined
             vr = s2**rexp
             uq = s0**mq
             if not (vr < inf and uq < inf):
                 raise _Undefined
-            c = nm1 / (r + (8.0 / 9.0) * dtc)
+            c = nm1 / (r + (8.0 / 9.0) * dt)
             k5_1 = vr - c * k5_0
             k5_3 = -uq - c * k5_2
 
             nfev += 1
-            s0 = u + dtc * (_A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0 + _A64 * k4_0 + _A65 * k5_0)
-            k6_0 = du + dtc * (_A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1 + _A64 * k4_1 + _A65 * k5_1)
-            s2 = v + dtc * (_A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2 + _A64 * k4_2 + _A65 * k5_2)
-            k6_2 = dv + dtc * (_A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3 + _A64 * k4_3 + _A65 * k5_3)
+            s0 = u + dt * (_A61 * k1_0 + _A62 * k2_0 + _A63 * k3_0 + _A64 * k4_0 + _A65 * k5_0)
+            k6_0 = du + dt * (_A61 * k1_1 + _A62 * k2_1 + _A63 * k3_1 + _A64 * k4_1 + _A65 * k5_1)
+            s2 = v + dt * (_A61 * k1_2 + _A62 * k2_2 + _A63 * k3_2 + _A64 * k4_2 + _A65 * k5_2)
+            k6_2 = dv + dt * (_A61 * k1_3 + _A62 * k2_3 + _A63 * k3_3 + _A64 * k4_3 + _A65 * k5_3)
             if s0 <= 0.0 or s2 < 0.0:
                 raise _Undefined
             vr = s2**rexp
             uq = s0**mq
             if not (vr < inf and uq < inf):
                 raise _Undefined
-            c = nm1 / (r + dtc)   # stage 7 sits at the same radius
+            c = nm1 / (r + dt)   # stage 7 sits at the same radius
             k6_1 = vr - c * k6_0
             k6_3 = -uq - c * k6_2
 
-            z0 = u + dtc * (_B1 * k1_0 + _B3 * k3_0 + _B4 * k4_0 + _B5 * k5_0 + _B6 * k6_0)
-            z1 = du + dtc * (_B1 * k1_1 + _B3 * k3_1 + _B4 * k4_1 + _B5 * k5_1 + _B6 * k6_1)
-            z2 = v + dtc * (_B1 * k1_2 + _B3 * k3_2 + _B4 * k4_2 + _B5 * k5_2 + _B6 * k6_2)
-            z3 = dv + dtc * (_B1 * k1_3 + _B3 * k3_3 + _B4 * k4_3 + _B5 * k5_3 + _B6 * k6_3)
+            z0 = u + dt * (_B1 * k1_0 + _B3 * k3_0 + _B4 * k4_0 + _B5 * k5_0 + _B6 * k6_0)
+            z1 = du + dt * (_B1 * k1_1 + _B3 * k3_1 + _B4 * k4_1 + _B5 * k5_1 + _B6 * k6_1)
+            z2 = v + dt * (_B1 * k1_2 + _B3 * k3_2 + _B4 * k4_2 + _B5 * k5_2 + _B6 * k6_2)
+            z3 = dv + dt * (_B1 * k1_3 + _B3 * k3_3 + _B4 * k4_3 + _B5 * k5_3 + _B6 * k6_3)
             nfev += 1
             if z0 <= 0.0 or z2 < 0.0:
                 raise _Undefined
@@ -394,22 +399,22 @@ def integrate(n, q, rexp, u0, v0, h, r_end, rtol=RTOL, clamp=True) -> Shot:
             k7_3 = -uq - c * z3
 
             # max(abs(a), abs(b)) as conditionals: the same value, without calls
-            e = dtc * (_E1 * k1_0 + _E3 * k3_0 + _E4 * k4_0 + _E5 * k5_0 + _E6 * k6_0 + _E7 * k7_0)
+            e = dt * (_E1 * k1_0 + _E3 * k3_0 + _E4 * k4_0 + _E5 * k5_0 + _E6 * k6_0 + _E7 * k7_0)
             a = u if u >= 0.0 else -u
             b = z0 if z0 >= 0.0 else -z0
             sc = atol + rtol * (b if b > a else a)
             err = (e / sc) ** 2
-            e = dtc * (_E1 * k1_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1 + _E6 * k6_1 + _E7 * k7_1)
+            e = dt * (_E1 * k1_1 + _E3 * k3_1 + _E4 * k4_1 + _E5 * k5_1 + _E6 * k6_1 + _E7 * k7_1)
             a = du if du >= 0.0 else -du
             b = z1 if z1 >= 0.0 else -z1
             sc = atol + rtol * (b if b > a else a)
             err += (e / sc) ** 2
-            e = dtc * (_E1 * k1_2 + _E3 * k3_2 + _E4 * k4_2 + _E5 * k5_2 + _E6 * k6_2 + _E7 * k7_2)
+            e = dt * (_E1 * k1_2 + _E3 * k3_2 + _E4 * k4_2 + _E5 * k5_2 + _E6 * k6_2 + _E7 * k7_2)
             a = v if v >= 0.0 else -v
             b = z2 if z2 >= 0.0 else -z2
             sc = atol + rtol * (b if b > a else a)
             err += (e / sc) ** 2
-            e = dtc * (_E1 * k1_3 + _E3 * k3_3 + _E4 * k4_3 + _E5 * k5_3 + _E6 * k6_3 + _E7 * k7_3)
+            e = dt * (_E1 * k1_3 + _E3 * k3_3 + _E4 * k4_3 + _E5 * k5_3 + _E6 * k6_3 + _E7 * k7_3)
             a = dv if dv >= 0.0 else -dv
             b = z3 if z3 >= 0.0 else -z3
             sc = atol + rtol * (b if b > a else a)
@@ -420,32 +425,31 @@ def integrate(n, q, rexp, u0, v0, h, r_end, rtol=RTOL, clamp=True) -> Shot:
 
         if err <= 1.0:
             accepted += 1
-            if dtc < dt_lo:
-                dt_lo = dtc
-            if dtc > dt_hi:
-                dt_hi = dtc
-            r_next = r_end if clamped else r + dtc
+            if dt < dt_lo:
+                dt_lo = dt
+            if dt > dt_hi:
+                dt_hi = dt
             if z0 <= fl_u or z2 <= fl_v:
-                return finish("touched", r, r_next, accepted, rejected, nfev, dt_lo, dt_hi)
+                return finish("touched", r, r + dt, accepted, rejected, nfev, dt_lo, dt_hi)
             push(_pack_step(
-                r, dtc, u, du, v, dv,
+                r, dt, u, du, v, dv,
                 k1_0, k1_1, k1_2, k1_3, k2_0, k2_1, k2_2, k2_3,
                 k3_0, k3_1, k3_2, k3_3, k4_0, k4_1, k4_2, k4_3,
                 k5_0, k5_1, k5_2, k5_3, k6_0, k6_1, k6_2, k6_3,
                 k7_0, k7_1, k7_2, k7_3))
-            r = r_next
+            r += dt
             u, du, v, dv = z0, z1, z2, z3
             k1_0, k1_1, k1_2, k1_3 = k7_0, k7_1, k7_2, k7_3
-            if last:
+            if r >= r_end:
                 return finish("window-end", r, r, accepted, rejected, nfev, dt_lo, dt_hi)
             # min(5, max(0.2, fac)) without calls: err <= 1 here, so fac >= 0.9
             fac = 5.0 if err == 0.0 else 0.9 * err**-0.2
-            dt_nat = dtc * (fac if fac < 5.0 else 5.0)
+            dt *= fac if fac < 5.0 else 5.0
         else:
             rejected += 1
             fac = 0.2 if err == inf else min(0.9, max(0.2, 0.9 * err**-0.2))
-            dt_nat = dtc * fac
-            if dt_nat < dt_floor:
+            dt *= fac
+            if dt < dt_floor:
                 near_u = u <= max(2.0 * fl_u, 1e-5 * u0)
                 near_v = v <= max(2.0 * fl_v, 1e-5 * v0)
                 stop = "touched" if (near_u or near_v) else "step-underflow"

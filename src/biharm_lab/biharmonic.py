@@ -17,7 +17,7 @@ import numpy as np
 from ._backend import RTOL, STATUS_FAILED, STATUS_OK, radial_ivp
 from .errors import (DomainError, IntegratorError, PreconditionError, require_above,
                      require_count, require_in, require_power)
-from .grids import Field, RadialGrid, laplacian_with_derivative
+from .grids import Field, RadialGrid, laplacian_values
 
 POSITIVE = "positive-on-window"
 TOUCHED_ZERO = "touched-zero"
@@ -223,5 +223,5 @@ def residual(profile: SolutionProfile) -> Field:
     a 4h margin at each window end.
     """
     g = profile.grid
-    lap_z = laplacian_with_derivative(profile.z.values, profile.dz.values, g.h, g.n)
+    lap_z = laplacian_values(profile.z.values, g.h, g.n, profile.dz.values)
     return Field(g, lap_z + profile.u.values ** (-profile.q))

@@ -98,27 +98,41 @@ def transport_denominators(num_nodes: int, h: float) -> np.ndarray:
     return 2.0 * h * (np.arange(1, num_nodes - 1) * h)
 
 
-def laplacian_rows(f: np.ndarray, h: float, n: int, two_h_r: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
+def laplacian_rows(f: np.ndarray, h: float, n: int, den: np.ndarray,
+                   out: np.ndarray, df: np.ndarray | None = None) -> np.ndarray:
     """Write lap f into ``out`` at the axis and the interior nodes (r: last axis).
 
-    ``two_h_r`` holds ``transport_denominators``; the wall row is the caller's.
+    The transport term (n-1) f'/r is (n-1) slope/den: f[i+1] - f[i-1] over
+    ``transport_denominators``, or df[i] over r_i given samples ``df`` of f'.
+    The wall row is the caller's.
     """
     out[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h**2 \
-        + (n - 1) * (f[..., 2:] - f[..., :-2]) / two_h_r
+        + (n - 1) * (f[..., 2:] - f[..., :-2] if df is None else df[..., 1:-1]) / den
     # r = 0: even extension makes f'(0) = 0 and lap f(0) = n f''(0)
     out[..., 0] = n * 2.0 * (f[..., 1] - f[..., 0]) / h**2
     return out
 
 
-def laplacian_values(f: np.ndarray, h: float, n: int) -> np.ndarray:
-    """lap f = f'' + (n-1) f'/r on raw samples of an even radial function (r: last axis)."""
+def laplacian_values(f: np.ndarray, h: float, n: int, df: np.ndarray | None = None) -> np.ndarray:
+    """lap f = f'' + (n-1) f'/r on raw samples of an even radial function (r: last axis).
+
+    f'' is differenced from f.  f' in the singular transport term is too,
+    unless samples ``df`` of f' are given: profiles that carry their
+    derivative as data use them, which keeps the truncation error uniformly
+    O(h^2) down to r = 0.
+    """
     f = np.asarray(f, dtype=float)
     _check_size(f)
-    out = laplacian_rows(f, h, n, transport_denominators(f.shape[-1], h), np.empty_like(f))
     r_end = (f.shape[-1] - 1) * h
+    if df is None:
+        den = transport_denominators(f.shape[-1], h)
+        wall_slope, wall_den = 3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3], 2.0 * h * r_end
+    else:
+        den = np.arange(1, f.shape[-1] - 1) * h
+        wall_slope, wall_den = df[..., -1], r_end
+    out = laplacian_rows(f, h, n, den, np.empty_like(f), df)
     out[..., -1] = (2.0 * f[..., -1] - 5.0 * f[..., -2] + 4.0 * f[..., -3] - f[..., -4]) / h**2 \
-        + (n - 1) * (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h * r_end)
+        + (n - 1) * wall_slope / wall_den
     return out
 
 
@@ -130,27 +144,6 @@ def derivative_values(f: np.ndarray, h: float) -> np.ndarray:
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
     out[0] = 0.0
     out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return out
-
-
-def laplacian_with_derivative(f: np.ndarray, df: np.ndarray, h: float, n: int) -> np.ndarray:
-    """lap f from samples of f and of its radial derivative df.
-
-    The curvature part f'' is differenced from f; the singular transport part
-    (n-1) f'/r uses the supplied derivative samples, which keeps the truncation
-    error uniformly O(h^2) down to r = 0.  Used for residuals of profiles that
-    carry their derivative fields as data.
-    """
-    f = np.asarray(f, dtype=float)
-    df = np.asarray(df, dtype=float)
-    _check_size(f)
-    out = np.empty_like(f)
-    r_int = np.arange(1, f.shape[0] - 1) * h
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2 + (n - 1) * df[1:-1] / r_int
-    out[0] = n * 2.0 * (f[1] - f[0]) / h**2
-    r_end = (f.shape[0] - 1) * h
-    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h**2 \
-        + (n - 1) * df[-1] / r_end
     return out
 
 

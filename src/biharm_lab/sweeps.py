@@ -81,15 +81,15 @@ def _family_plan(n, q, rexp, starts, r_max, intervals):
 def _family_profiles(n, q, rexp, v0, plan, intervals):
     """The members' profiles, in plan order, from one base shot at (1, v0).
 
-    The base runs on the sweep's own h, free of any window end, to the first
-    accepted step past the widest member window.  Member k samples it on the
-    spacing h/lam_k, which the rescale maps onto the sweep grid; its window
-    is positive when the base covers it, else it takes the base's stop at
-    lam_k r_event.  A member reads only the steps that start on its window,
-    so its profile is the one its family of one would give.
+    The base runs on the sweep's own h to the first accepted step past the
+    widest member window.  Member k samples it on the spacing h/lam_k, which
+    the rescale maps onto the sweep grid; its window is positive when the
+    base covers it, else it takes the base's stop at lam_k r_event.  A
+    member reads only the steps that start on its window, so its profile is
+    its family of one's: the u0 = 1 member is the direct shot.
     """
     h, members = plan
-    shot = integrate(n, q, rexp, 1.0, v0, h, max(end for *_, end in members), clamp=False)
+    shot = integrate(n, q, rexp, 1.0, v0, h, max(end for *_, end in members))
     for u0, lam, factors, _ in members:
         meta = {"n": n, "q": float(q), "rexp": float(rexp), "source": "family",
                 "u0": u0, "scale": lam, "rtol": RTOL}

@@ -14,7 +14,7 @@ import numpy as np
 from ._backend import RTOL
 from .biharmonic import POSITIVE, Classification, SolutionProfile, _shot_profile, residual
 from .errors import PreconditionError, require_above
-from .grids import Field, RadialGrid, derivative_values, laplacian_values, laplacian_with_derivative
+from .grids import Field, RadialGrid, derivative_values, laplacian_values
 from .reports import (RESIDUAL_THRESHOLD, TOL_FIRST_ORDER, TOL_SECOND_ORDER,
                       VerificationReport, refusing_overflow, report_from_margin, worst_node)
 
@@ -63,7 +63,7 @@ class SystemProfile(SolutionProfile):
     def residuals(self) -> tuple[Field, Field]:
         """Discrete defects (lap u - v^rexp, lap v + u^(-q))."""
         g = self.grid
-        res_u = laplacian_with_derivative(self.u.values, self.du.values, g.h, g.n) \
+        res_u = laplacian_values(self.u.values, g.h, g.n, self.du.values) \
             - self.v.values**self.rexp
         return Field(g, res_u), residual(self)
 

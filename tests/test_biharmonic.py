@@ -295,7 +295,11 @@ def plain_ivp(n, q, rexp, u0, v0, h, N):
     denom4 = 8.0 * n * (n + 2.0)
     bu = -rexp * v0 ** (rexp - 1.0) * uq0 / denom4 if v0 > 0.0 else 0.0
     bv = q * u0 ** (-q - 1.0) * vr0 / denom4
-    r = r_start = min(h, 1e-2)
+    # the series' own scale: where a nonzero term falls to START_FRACTION of
+    # the nonzero term before it
+    scales = [math.sqrt(b.START_FRACTION * abs(c0 / c1))
+              for c0, c1 in ((u0, au), (au, bu), (v0, av), (av, bv)) if c0 != 0.0 and c1 != 0.0]
+    r = r_start = min([h, 1e-2] + scales)
     r2 = r * r
     y = [u0 + au * r2 + bu * r2 * r2, 2.0 * au * r + 4.0 * bu * r2 * r,
          v0 + av * r2 + bv * r2 * r2, 2.0 * av * r + 4.0 * bv * r2 * r]
@@ -322,7 +326,7 @@ def plain_ivp(n, q, rexp, u0, v0, h, N):
         b._dense_fill(data, b._extension(data), h, i_first, i_stop, outs)
         return (*outs, status, i_stop, r_event, [accepted, rejected, nfev])
 
-    dt_nat = 0.5 * min(h, 1e-3)
+    dt = 0.5 * min(h, 1e-3)
     dt_min = 1e-13 * max(h, 1.0)
     nfev = 1
     ok, *k1 = _plain_rhs(r, *y, n, q, rexp)
@@ -330,13 +334,11 @@ def plain_ivp(n, q, rexp, u0, v0, h, N):
     if not ok:
         return finish(b.STATUS_FAILED, r, r, accepted, rejected, nfev)
     while accepted + rejected < b.MAX_STEPS:
-        clamped = r + dt_nat >= r_end
-        dtc = r_end - r if clamped else dt_nat
         ks = [k1]
         for s in range(1, 7):
             row = A[s]
             if s == 1:
-                ys = [y[c] + dtc * row[0] * k1[c] for c in range(4)]
+                ys = [y[c] + dt * row[0] * k1[c] for c in range(4)]
             else:
                 ys = []
                 for c in range(4):
@@ -344,11 +346,11 @@ def plain_ivp(n, q, rexp, u0, v0, h, N):
                     for j in range(1, s):
                         if j != 1 or s != 6:   # the solution row skips stage 2
                             acc = acc + row[j] * ks[j][c]
-                    ys.append(y[c] + dtc * acc)
+                    ys.append(y[c] + dt * acc)
             if s == 6:
                 z = ys
             nfev += 1
-            ok, *k = _plain_rhs(r + dtc if s >= 5 else r + C[s] * dtc, *ys, n, q, rexp)
+            ok, *k = _plain_rhs(r + dt if s >= 5 else r + C[s] * dt, *ys, n, q, rexp)
             if not ok:
                 break
             ks.append(k)
@@ -359,26 +361,26 @@ def plain_ivp(n, q, rexp, u0, v0, h, N):
                 for j in range(2, 7):
                     e = e + E[j] * ks[j][c]
                 sc = atol + rtol * max(abs(y[c]), abs(z[c]))
-                err += (dtc * e / sc) ** 2
+                err += (dt * e / sc) ** 2
             err = math.sqrt(err / 4.0)
         else:
             err = math.inf
         if err <= 1.0:
             accepted += 1
-            r_next = r_end if clamped else r + dtc
+            r_next = r + dt
             if z[0] <= fl_u or z[2] <= fl_v:
                 return finish(b.STATUS_TOUCHED, r, r_next, accepted, rejected, nfev)
-            steps.append(b._pack_step(r, dtc, *y, *(x for k in ks for x in k)))
+            steps.append(b._pack_step(r, dt, *y, *(x for k in ks for x in k)))
             r, y, k1 = r_next, z, ks[6]
-            if clamped:
+            if r >= r_end:   # the first accepted step that reaches the window end
                 return finish(b.STATUS_OK, r, r, accepted, rejected, nfev)
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
-            dt_nat = dtc * fac
+            dt = dt * fac
         else:
             rejected += 1
             fac = 0.2 if err == math.inf else min(0.9, max(0.2, 0.9 * err**-0.2))
-            dt_nat = dtc * fac
-            if dt_nat < dt_min:
+            dt = dt * fac
+            if dt < dt_min:
                 near = (y[0] <= max(2.0 * fl_u, 1e-5 * u0)
                         or y[2] <= max(2.0 * fl_v, 1e-5 * v0))
                 status = b.STATUS_TOUCHED if near else b.STATUS_FAILED
@@ -402,6 +404,8 @@ class TestPlainForm:
         "sweep-n3": (3, 2.0, 0.5, 1.0, 2.5, 20.0 / 1024, 1024),
         "sweep-n4": (4, 3.0, 0.5, 0.7, 0.9, 20.0 / 1024, 1024),
         "sweep-n5": (5, 5.0, 2.0, 1.5, 0.4, 20.0 / 1024, 1024),
+        # the series' own scale binds: r_start is below both h and 1e-2
+        "series-scale-start": (3, 50.0, 1.0, 0.6, 88070.67117853744, 20.0 / 1024, 1024),
     }
 
     @pytest.mark.parametrize("shot", list(SHOTS))
@@ -442,3 +446,38 @@ class TestStopReasons:
         *_, status, _, _, st = _backend.radial_ivp(3, 7.0, 1.0, 1.0, 2.0, 10.0 / 256, 256)
         assert st["stop"] == "max-steps" and status == _backend.STATUS_FAILED
         assert st["accepted"] + st["rejected"] == 3
+
+
+class TestStartRadius:
+    """A shot starts at min(h, 1e-2, s), s the even series' own scale."""
+
+    def test_series_scale_binds(self):
+        # q = 50, u0 = 0.6: the r^4 term of v passes START_FRACTION of its r^2
+        # term near r = 5e-5, far inside the first node
+        u0, v0 = 0.6, 88070.67117853744
+        s, au, bu, av, bv = _backend.series_start(3, 50.0, 1.0, u0, v0)
+        ratios = (u0 / au, au / bu, v0 / av, av / bv)
+        assert s == min((_backend.START_FRACTION * abs(x)) ** 0.5 for x in ratios) < 1e-4
+        assert _backend.integrate(3, 50.0, 1.0, u0, v0, 20 / 1024, 20.0).series[0] == s
+
+    def test_zero_terms_are_skipped(self):
+        # z0 = 0 zeroes v0, au and bu: only the pair (av, bv = 0) is left, and skipped
+        s, *_ = _backend.series_start(3, 7.0, 1.0, 1.0, 0.0)
+        assert s == float("inf")
+        assert _backend.integrate(3, 7.0, 1.0, 1.0, 0.0, 0.05, 20.0).series[0] == 0.01
+
+    def test_scale_follows_the_symmetry(self):
+        # (u0, v0) -> (lam^a u0, lam^b v0) multiplies s by lam
+        a, b = bh.scaling_exponents(3.0, 2.0)
+        base, *_ = _backend.series_start(4, 3.0, 2.0, 1.0, 0.9)
+        for lam in (0.25, 3.0):
+            s, *_ = _backend.series_start(4, 3.0, 2.0, lam**a, 0.9 * lam**b)
+            assert s == pytest.approx(lam * base, rel=1e-12)
+
+    def test_underflowing_scale_is_undefined(self):
+        # u0/au = 1e-300 / (1e300/6) underflows to 0: the series has no range
+        with pytest.raises(ArithmeticError):
+            _backend.series_start(3, 1.0001, 1.0, 1e-300, 1e300)
+        *_, status, i_stop, _, st = _backend.radial_ivp(3, 1.0001, 1.0, 1e-300, 1e300, 0.5, 40)
+        assert st["stop"] == "undefined-start" and status == _backend.STATUS_FAILED
+        assert i_stop == 0

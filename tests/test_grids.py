@@ -4,8 +4,7 @@ import pytest
 from biharm_lab.errors import DomainError, SizeError
 from biharm_lab.grids import (Field, RadialGrid, convergence_order,
                               derivative_values, laplacian_values,
-                              laplacian_with_derivative, radial_gradient_sq,
-                              radial_laplacian)
+                              radial_gradient_sq, radial_laplacian)
 
 
 def grid(n=3, r_max=10.0, N=512):
@@ -138,11 +137,26 @@ class TestDerivativeAssisted:
             f = (3 + 2 * r * r) * (1 + r * r) ** -1.5
             df = -r * (5 + 2 * r * r) * (1 + r * r) ** -2.5
             exact = -15.0 * (1 + r * r) ** -3.5
-            assisted = laplacian_with_derivative(f, df, g.h, 3)
+            assisted = laplacian_values(f, g.h, 3, df)
             sl = g.trim_slice()
             errs.append(np.abs(assisted[sl] - exact[sl]).max())
             assert errs[-1] < 6 * g.h**2
         assert convergence_order(errs[0], errs[1]) >= 1.8
+
+    def test_matches_spelled_out_form(self):
+        # f'' differenced from f, the transport term (n-1) df/r read from df;
+        # a stack gives its rows
+        g = grid(N=64)
+        r = g.r
+        f, df = np.cos(r), -np.sin(r)
+        ref = np.empty_like(f)
+        ref[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / g.h**2 + 2 * df[1:-1] / r[1:-1]
+        ref[0] = 3 * 2.0 * (f[1] - f[0]) / g.h**2
+        ref[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / g.h**2 \
+            + 2 * df[-1] / r[-1]
+        assert np.array_equal(laplacian_values(f, g.h, 3, df), ref)
+        stacked = laplacian_values(np.stack([f, 2 * f]), g.h, 3, np.stack([df, 2 * df]))
+        assert np.array_equal(stacked, [ref, laplacian_values(2 * f, g.h, 3, 2 * df)])
 
     def test_derivative_one_sided_end(self):
         g = grid(N=256)

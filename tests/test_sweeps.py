@@ -75,7 +75,7 @@ class TestFamilyOfOne:
 class TestMemberClassification:
     def _touched_base(self):
         v0 = 0.5 * weak_coefficient(7.0)
-        shot = _backend.integrate(3, 7.0, 1.0, 1.0, v0, H, 1e3, clamp=False)
+        shot = _backend.integrate(3, 7.0, 1.0, 1.0, v0, H, 1e3)
         assert shot.stop == "touched" and shot.r_covered < shot.r_event
         return v0, shot
 
@@ -124,9 +124,9 @@ class TestSeriesNodes:
         h, ((_, lam, factors, _),) = plan
         g = h / lam
         assert g < min(h, 1e-2) < 2 * g
-        shot = _backend.integrate(3, 7.0, 1.0, 1.0, v0, h, N * g, clamp=False)
+        shot = _backend.integrate(3, 7.0, 1.0, 1.0, v0, h, N * g)
         u, du, v, dv, status, _ = _backend.fill(shot, g, N)
-        au, bu, av, bv = _backend.series_start(3, 7.0, 1.0, 1.0, v0)
+        _, au, bu, av, bv = _backend.series_start(3, 7.0, 1.0, 1.0, v0)
         r2 = g * g
         assert u[1] == 1.0 + au * r2 + bu * r2 * r2
         assert dv[1] == 2.0 * av * g + 4.0 * bv * r2 * g
@@ -181,7 +181,7 @@ class TestCounters:
         v0, plan = _weak_family(3, 2.0, 1.6)
         profiles = list(sweeps._family_profiles(3, 2.0, 1.0, v0, plan, N))
         shot = _backend.integrate(3, 2.0, 1.0, 1.0, v0, plan[0],
-                                  max(end for *_, end in plan[1]), clamp=False)
+                                  max(end for *_, end in plan[1]))
         for prof in profiles:
             assert prof.counters == dict(shot.stats, family_size=4)
             assert "counters" not in prof.to_dict() and "family_size" not in prof.columns()
@@ -221,3 +221,32 @@ class TestRange:
         assert a == pytest.approx(1.2) and b == pytest.approx(-1.6)
         assert b / a == pytest.approx(system.sigma_exponent(3.0, 0.5))
         assert math.isclose(2.0 + b * 0.5, a) and math.isclose(2.0 - a * 3.0, b)
+
+
+class TestDirectShotIsAMember:
+    """A direct shot runs under the family's start and stop rule."""
+
+    @pytest.mark.parametrize("kappa", sweeps.KAPPA_V_GRID)
+    def test_unit_member_bitwise(self, kappa):
+        # the u0 = 1 member is its base shot on the sweep grid: lam = 1
+        v0 = kappa * system.comparison_factor(3.0, 2.0)
+        plan = sweeps._family_plan(3, 3.0, 2.0, [(1.0, v0)], 20.0, N)
+        (member,) = sweeps._family_profiles(3, 3.0, 2.0, v0, plan, N)
+        direct = system.solve_radial_system(3, 3.0, 2.0, 1.0, v0, 20.0, num_intervals=N)
+        assert member.classification == direct.classification
+        for name in ("u", "du", "z", "dz"):
+            assert np.array_equal(getattr(member, name).values, getattr(direct, name).values)
+
+    # at large q a member with u0 < 1 starts where its even series has a
+    # small range: the start radius follows the series' scale
+    def test_weak_classifications_at_large_q(self):
+        for row in sweeps.weak_bound_sweep(n_values=(3, 4, 5), q_values=(20.0, 50.0, 70.0)):
+            direct = biharmonic.shoot(row["n"], row["q"], row["u0"], row["z0"], 20.0,
+                                      num_intervals=N)
+            assert direct.classification.kind == row["classification"], row
+
+    def test_system_classifications_at_large_q(self):
+        for row in sweeps.system_sweep(n_values=(3, 4, 5), q_values=(20.0, 50.0, 70.0)):
+            direct = system.solve_radial_system(row["n"], row["q"], row["rexp"], row["u0"],
+                                                row["v0"], 20.0, num_intervals=N)
+            assert direct.classification.kind == row["classification"], row
