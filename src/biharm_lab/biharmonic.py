@@ -17,7 +17,7 @@ import numpy as np
 from ._backend import RTOL, STATUS_FAILED, STATUS_OK, radial_ivp
 from .errors import (DomainError, IntegratorError, PreconditionError, require_above,
                      require_count, require_in, require_power)
-from .grids import Field, RadialGrid, laplacian_values
+from .grids import STENCIL_NODES, Field, RadialGrid, laplacian_values
 
 POSITIVE = "positive-on-window"
 TOUCHED_ZERO = "touched-zero"
@@ -77,10 +77,11 @@ class SolutionProfile:
         }
 
     def columns(self) -> dict:
-        """Named CSV columns: r, the four fields and the discrete residual."""
+        """Named CSV columns: r, the four fields and the residual, NaN on too short a window."""
+        res = (residual(self).values if self.grid.num_nodes >= STENCIL_NODES
+               else np.full(self.grid.num_nodes, np.nan))
         return {"r": self.grid.r, "u": self.u.values, "du": self.du.values,
-                "z": self.z.values, "dz": self.dz.values,
-                "residual": residual(self).values}
+                "z": self.z.values, "dz": self.dz.values, "residual": res}
 
 
 EXACT_AMPLITUDE = 15.0 ** -0.125   # normalizes lap^2 u = -u^(-7) for sqrt(1+r^2)

@@ -363,7 +363,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, list[Artifact]]:
         "weighted": lambda: verify.verify_weighted_aux_inequality(
             prof, alpha, beta, gamma if gamma is not None
             else 0.5 * gamma_interval(alpha, prof.q, prof.n).gamma_star),
-        "curvature": lambda: verify.scalar_curvature(prof)[1],
+        "curvature": lambda: verify.scalar_curvature(prof),
     }
     reports = [make() for name, make in checks.items() if check in (name, "all")]
 

@@ -17,6 +17,8 @@ from .errors import DomainError, SizeError, require_above, require_count, requir
 
 #: nodes excluded at each window end when computing pass/fail statistics
 TRIM_NODES = 4
+#: the fewest nodes the stencils take (the wall row reaches three nodes in)
+STENCIL_NODES = 4
 
 
 @dataclass(frozen=True)
@@ -80,16 +82,13 @@ class Field:
         if self.positive and not np.all(self.values > 0):
             raise DomainError("field flagged positive has non-positive entries")
 
-    def to_dict(self) -> dict:
-        return {"grid": self.grid.to_dict(), "values": self.values}
-
     def columns(self, name: str = "values") -> dict:
         """Named CSV columns: r and the values."""
         return {"r": self.grid.r, name: self.values}
 
 
 def _check_size(values: np.ndarray):
-    if values.shape[-1] < 4:
+    if values.shape[-1] < STENCIL_NODES:
         raise SizeError("stencils need at least 4 nodes (N >= 4)")
 
 

@@ -11,8 +11,9 @@ Time stepping is Strang-split: Crank-Nicolson diffusion half-steps around a
 classical RK4 step of the (pointwise) reaction, with the step bounded so the
 relative reaction increment stays below a controller threshold per step.
 Both reactions are nonnegative, so solutions grow; blow-up truncates the run
-and raises a flag.  Snapshots land on a uniform time mesh, which keeps the
-central time differences of the verifiers second order.
+and raises a flag.  The radial Crank-Nicolson solve reads its bands off the
+stencil ``RadialBall.laplacian``; both snapshot checks take their time rates
+from ``_time_rate``, a central difference, second order on the uniform mesh.
 """
 from __future__ import annotations
 
@@ -135,17 +136,15 @@ class _RadialDiffusion:
         from scipy.linalg.lapack import dgtsv
         self._dgtsv = dgtsv
         self.geom = geom
-        h, n = geom.h, geom.n
-        # the operator's (upper, diagonal, lower) bands in solve_banded's layout
-        bands = np.zeros((3, geom.num_nodes))
-        upper, diag, lower = bands
-        diag[1:] = -2.0 / h**2
-        lower[0:-2] = 1.0 / h**2 - (n - 1) / geom.two_h_r
-        upper[2:] = 1.0 / h**2 + (n - 1) / geom.two_h_r
-        diag[0] = -2.0 * n / h**2
-        upper[1] = 2.0 * n / h**2
-        lower[-2] = 2.0 / h**2
-        self._bands = bands
+        # the stencil's (upper, diagonal, lower) bands in solve_banded's layout: row
+        # i reaches columns i-1..i+1, one in each comb k % 3 == c, so L[c, i] is
+        # the entry of row i in comb c's column
+        j = np.arange(geom.num_nodes)
+        L = geom.laplacian((j % 3 == np.arange(3)[:, None]).astype(float))
+        self._bands = bands = np.zeros((3, geom.num_nodes))
+        bands[0, 1:] = L[j[1:] % 3, j[:-1]]
+        bands[1] = L[j % 3, j]
+        bands[2, :-1] = L[j[:-1] % 3, j[1:]]
 
     def cn_step(self, f: np.ndarray, s: float) -> np.ndarray:
         k2 = 0.5 * s
@@ -307,16 +306,20 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
                            "diffusion_solves": 2 * len(dts)}})
 
 
+def _time_rate(f: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(f[k+1] - f[k-1]) / (2 dt) at the interior snapshots k of a uniform time mesh."""
+    return (f[2:] - f[:-2]) / (2.0 * (times[1] - times[0]))
+
+
 def _check_snapshot_residuals(fld: SpaceTimeField) -> float:
     """The worst relative residual of the snapshots; refuses one above the threshold."""
     if fld.times.shape[0] < 3:
         raise PreconditionError("need at least three snapshots for time differences")
-    dt = fld.times[1] - fld.times[0]
     # per snapshot, the largest |time derivative| and |residual| of u and v; one
     # component at a time, as a stack of both would double the peak memory
     rate, defect = 1.0, 0.0
     for f, source, power in ((fld.u, fld.v, fld.r_exp), (fld.v, fld.u, fld.p_exp)):
-        res = (f[2:] - f[:-2]) / (2.0 * dt)
+        res = _time_rate(f, fld.times)
         rate = np.maximum(rate, np.abs(res).max(axis=1))
         res = res - fld.geometry.laplacian(f[1:-1]) - source[1:-1] ** power
         defect = np.maximum(defect, np.abs(res).max(axis=1))
@@ -341,7 +344,7 @@ def verify_heat_diff_inequality(fld: SpaceTimeField) -> VerificationReport:
     sl = geom.trim_slice()
     w = fld.w
     lap_w = geom.laplacian(w[1:-1])[:, sl]
-    w_t = ((w[2:] - w[:-2]) / (2.0 * (fld.times[1] - fld.times[0])))[:, sl]
+    w_t = _time_rate(w, fld.times)[:, sl]
     u, v = fld.u[1:-1, sl], fld.v[1:-1, sl]
     reac = ell * sig * v ** (sig - 1.0) * (u ** p_exp - ell**p_exp * v ** (sig * p_exp))
     scale = max(1.0, *(float(np.abs(a).max()) for a in (lap_w, w_t, reac)))

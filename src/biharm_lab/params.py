@@ -63,10 +63,6 @@ class ParamSet:
         if self.gamma is not None:
             require_in("gamma", self.gamma, 0.0, 1.0)
 
-    @property
-    def p_half(self) -> float:
-        return _half_p(self.q)
-
     def to_dict(self) -> dict:
         return {"n": self.n, "q": self.q, "alpha": self.alpha,
                 "beta": self.beta, "gamma": self.gamma}
@@ -219,10 +215,6 @@ class GammaInterval:
     """Feasible growth weights [0, gamma_star); empty when gamma_star <= 0."""
 
     gamma_star: float
-
-    @property
-    def is_empty(self) -> bool:
-        return self.gamma_star <= 0
 
     def contains(self, gamma: float) -> bool:
         return 0.0 <= gamma < self.gamma_star

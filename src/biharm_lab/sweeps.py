@@ -20,8 +20,8 @@ from . import biharmonic, system, verify
 from ._backend import RTOL, fill, integrate, series_start
 from .biharmonic import _profile_from_arrays, shooting_grid
 from .errors import DomainError, IntegratorError, require_above, require_power
-from .params import (ParamSet, _beta_max_or_zero, _coefficients, _gamma_star, _region_tests,
-                     weak_coefficient)
+from .params import (ParamSet, _beta_max_or_zero, _coefficients, _gamma_star, _half_p,
+                     _region_tests, weak_coefficient)
 
 #: initial-amplitude grid shared by both shooting sweeps
 U0_GRID = (0.6, 0.85, 1.2, 1.7)
@@ -40,7 +40,7 @@ DEFAULT_INTERVALS = 1024
 def biharmonic_targets(q: float):
     """(u0, z0, kappa) table for one exponent q."""
     coef = weak_coefficient(q)
-    p = (q - 1.0) / 2.0
+    p = _half_p(q)
     return [(u0, kappa * coef * require_power(f"u0**(-(q-1)/2) at q = {q:g}", u0, -p), kappa)
             for u0 in U0_GRID for kappa in KAPPA_GRID]
 

@@ -14,7 +14,7 @@ import numpy as np
 from ._backend import RTOL
 from .biharmonic import POSITIVE, Classification, SolutionProfile, _shot_profile, residual
 from .errors import PreconditionError, require_above
-from .grids import Field, RadialGrid, derivative_values, laplacian_values
+from .grids import STENCIL_NODES, Field, RadialGrid, derivative_values, laplacian_values
 from .reports import (RESIDUAL_THRESHOLD, TOL_FIRST_ORDER, TOL_SECOND_ORDER,
                       VerificationReport, refusing_overflow, report_from_margin, worst_node)
 
@@ -55,10 +55,9 @@ class SystemProfile(SolutionProfile):
     def ell(self) -> float:
         return comparison_factor(self.q, self.rexp)
 
-    def gap_field(self) -> Field:
+    def gap_values(self) -> np.ndarray:
         """w = l u^sigma - v; the comparison holds iff w <= 0."""
-        w = self.ell * self.u.values**self.sigma - self.v.values
-        return Field(self.grid, w)
+        return self.ell * self.u.values**self.sigma - self.v.values
 
     def residuals(self) -> tuple[Field, Field]:
         """Discrete defects (lap u - v^rexp, lap v + u^(-q))."""
@@ -73,11 +72,19 @@ class SystemProfile(SolutionProfile):
         return dict(out, q=self.q, rexp=self.rexp, sigma=self.sigma, ell=self.ell)
 
     def columns(self) -> dict:
-        """Named CSV columns: r, u, v, the gap w, the comparison margin and residuals."""
-        ru, rv = self.residuals()
+        """Named CSV columns: r, u, v, the gap w, the comparison margin and residuals.
+
+        The residuals are NaN on too short a window; a shot that touches zero
+        before its first node leaves u = 0 there, and w = inf as the JSON's u says.
+        """
+        if self.grid.num_nodes >= STENCIL_NODES:
+            ru, rv = (f.values for f in self.residuals())
+        else:
+            ru = rv = np.full(self.grid.num_nodes, np.nan)
+        with np.errstate(divide="ignore"):
+            w, margin = self.gap_values(), comparison_margin(self)
         return {"r": self.grid.r, "u": self.u.values, "v": self.v.values,
-                "w": self.gap_field().values, "margin_comparison": comparison_margin(self),
-                "residual_u": ru.values, "residual_v": rv.values}
+                "w": w, "margin_comparison": margin, "residual_u": ru, "residual_v": rv}
 
     @classmethod
     def from_fields(cls, grid: RadialGrid, u: np.ndarray, v: np.ndarray,
@@ -161,7 +168,7 @@ def verify_gap_diff_inequality(profile: SystemProfile) -> VerificationReport:
     profile.require_positive()
     _require_solution(profile)
     g = profile.grid
-    w = profile.gap_field().values
+    w = profile.gap_values()
     lap_w = laplacian_values(w, g.h, g.n)
     rhs = gap_inequality_rhs(profile)
     scale = max(1.0, float(np.abs(lap_w[g.trim_slice()]).max()))
@@ -181,7 +188,7 @@ def verify_concavity_step(profile: SystemProfile) -> VerificationReport:
     """
     profile.require_positive()
     rexp = profile.rexp
-    w = profile.gap_field().values
+    w = Field(profile.grid, profile.gap_values()).values   # refuses a non-finite gap
     v = profile.v.values
     qualifying = w > 0
     params = {"n": profile.n, "q": profile.q, "rexp": rexp,

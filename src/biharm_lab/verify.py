@@ -21,7 +21,7 @@ import numpy as np
 from .biharmonic import SolutionProfile
 from .errors import DomainError, PreconditionError
 from .grids import Field, derivative_values, laplacian_values
-from .params import (ParamSet, beta_max, check_admissible, coefficients,
+from .params import (ParamSet, _half_p, beta_max, check_admissible, coefficients,
                      gamma_interval, weak_coefficient)
 from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
                       refusing_overflow, report_from_margin, worst_node)
@@ -53,7 +53,7 @@ def _gradient_term(profile: SolutionProfile, alpha: float, beta: float,
 def _power_term(profile: SolutionProfile) -> np.ndarray:
     """B = u^(-(q-1)/2), refused where it underflows to 0."""
     u, r = profile.u.values, profile.grid.r
-    B = u ** (-(profile.q - 1.0) / 2.0)
+    B = u ** -_half_p(profile.q)
     if not B.all():
         i = int(np.argmin(B))   # the first zero
         raise DomainError(f"u^(-(q-1)/2) underflows to 0 at r = {r[i]:.6g} (u = {u[i]:.6g}, "
@@ -73,13 +73,13 @@ def aux_fields(profile: SolutionProfile, alpha: float, beta: float,
                      w=Field(g, w), w_gamma=Field(g, w_gamma))
 
 
-def _growth_guard_ok(profile: SolutionProfile, exponent: float = 2.0) -> bool:
-    """Tail test: u / r^exponent non-increasing past its last interior rise."""
+def _growth_guard_ok(profile: SolutionProfile) -> bool:
+    """Tail test: u / r^2 non-increasing past its last interior rise."""
     r = profile.grid.r
     if r[-1] < 5.0:
         return True  # window too short to say anything; caveat stays on
     tail = r >= 0.5 * r[-1]
-    ratio = profile.u.values[tail] / r[tail] ** exponent
+    ratio = profile.u.values[tail] / r[tail] ** 2.0
     d = np.diff(ratio)
     return bool(np.all(d[len(d) // 2:] <= 1e-12))
 
@@ -185,7 +185,7 @@ def laplacian_identity_defect(profile: SolutionProfile, alpha: float,
     This is an equality; the report checks |defect| <= tol * scale two-sided.
     """
     profile.require_positive()
-    p = (profile.q - 1.0) / 2.0
+    p = _half_p(profile.q)
     aux = aux_fields(profile, alpha, beta)
     g = profile.grid
     A, B, w = aux.A.values, aux.B.values, aux.w.values
@@ -231,25 +231,22 @@ def verify_weighted_aux_inequality(profile: SolutionProfile, alpha: float,
 
 
 @refusing_overflow
-def scalar_curvature(profile: SolutionProfile) -> tuple[Field, VerificationReport]:
+def scalar_curvature(profile: SolutionProfile) -> VerificationReport:
     """Scalar curvature of the conformal metric u^(2/(n-2)) g_flat.
 
-    scal = -(2(n-1)/(n-2)) (lap u - |grad u|^2/(2u)) u^(-n/(n-2)); the report
-    asserts it is negative (up to tolerance) on the trimmed interior.
+    scal = -(2(n-1)/(n-2)) (lap u - |grad u|^2/(2u)) u^(-n/(n-2)), the
+    gradient bound's margin times a negative factor; the report asserts it is
+    negative (up to tolerance) on the trimmed interior and keeps scal as its
+    margin field.
     """
-    profile.require_positive()
     n = profile.n
-    u = profile.u.values
-    du = profile.du.values
-    expr = profile.z.values - du * du / (2.0 * u)
-    scal = -(2.0 * (n - 1.0) / (n - 2.0)) * expr * u ** (-n / (n - 2.0))
+    expr = profile.z.values - 0.5 * _gradient_term(profile, 0.5, 0.0)
+    scal = -(2.0 * (n - 1.0) / (n - 2.0)) * expr * profile.u.values ** (-n / (n - 2.0))
     g = profile.grid
-    fld = Field(g, scal)
-    sl = g.trim_slice()
+    fld, sl = Field(g, scal), g.trim_slice()
     scale = max(1.0, float(np.abs(scal[sl]).max()))
     # the claim is scal <= 0, so the margin reduced is -scal
-    rep = VerificationReport(
+    return VerificationReport(
         inequality="conformal-scalar-curvature-negative",
         params={"n": n, "q": profile.q}, tol=TOL_FIRST_ORDER, scale=scale,
         margin=fld, caveats=[GROWTH_CAVEAT], **worst_node(-scal[sl], g.r[sl]))
-    return fld, rep

@@ -80,6 +80,28 @@ class TestSolveBiharmonic:
         assert code == 2
 
 
+class TestShortWindowCsv:
+    """A window too short for the stencil writes its CSV with NaN residual cells."""
+
+    @pytest.mark.parametrize("argv,name,residuals", [
+        (["solve-biharmonic", "--u0", "1", "--z0", "0", "--h", "0.5", "--r-max", "2"],
+         "profile", ["residual"]),
+        (["solve-system", "--n", "5", "--q", "50", "--r-exp", "2", "--u0", "0.7",
+          "--v0", "100.17707219584926", "--h", "0.01953125"],
+         "system-profile", ["residual_u", "residual_v"]),
+    ])
+    def test_exits_0_with_nan_residuals(self, argv, name, residuals, tmp_path, capsys):
+        assert run_cli(argv + ["--format", "json,csv", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        header, *rows = (tmp_path / f"{name}.csv").read_text().splitlines()
+        cols = header.split(",")
+        record = json.loads((tmp_path / f"{name}.json").read_text())
+        assert 2 <= len(rows) == len(record["u"]) < 4
+        for row in rows:
+            cells = dict(zip(cols, row.split(",")))
+            assert [cells[c] for c in residuals] == ["nan"] * len(residuals)
+
+
 class TestGridSpacing:
     @pytest.mark.parametrize("argv", [
         ["solve-biharmonic", "--u0", "1", "--z0", "2", "--h", "0"],

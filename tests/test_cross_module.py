@@ -23,7 +23,7 @@ class TestBiharmonicVsCoupledSystem:
         sysprof = st.SystemProfile.from_fields(
             prof.grid, prof.u.values, prof.z.values, q, 1.0)
         weak = vf.verify_weak_bound(prof)
-        gap = sysprof.gap_field().values
+        gap = sysprof.gap_values()
         assert np.allclose(gap, -weak.margin.values, atol=1e-13)
         cmp_rep = st.verify_component_comparison(sysprof)
         assert cmp_rep.passed == weak.passed

@@ -253,6 +253,48 @@ class TestDirectSolve:
             assert np.array_equal(diffuser.cn_step(S[0], s), ref[0])
 
 
+def spelled_out_bands(geom):
+    """The radial operator's (upper, diagonal, lower) bands, coefficient by coefficient."""
+    h, n = geom.h, geom.n
+    bands = np.zeros((3, geom.num_nodes))
+    upper, diag, lower = bands
+    diag[1:] = -2.0 / h**2
+    lower[0:-2] = 1.0 / h**2 - (n - 1) / geom.two_h_r
+    upper[2:] = 1.0 / h**2 + (n - 1) / geom.two_h_r
+    diag[0] = -2.0 * n / h**2
+    upper[1] = 2.0 * n / h**2
+    lower[-2] = 2.0 / h**2
+    return bands
+
+
+class TestBandsFromStencil:
+    """The CN bands are read off RadialBall.laplacian, so they are its operator."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    @pytest.mark.parametrize("intervals", [3, 4, 5, 512])
+    @pytest.mark.parametrize("radius", [np.pi, 0.37])
+    def test_match_spelled_out_bands(self, n, intervals, radius):
+        geom = pb.RadialBall(n=n, radius=radius, num_intervals=intervals)
+        got, ref = pb._RadialDiffusion(geom)._bands, spelled_out_bands(geom)
+        # the entries dgtsv reads
+        for band, sl in ((0, np.s_[1:]), (1, np.s_[:]), (2, np.s_[:-1])):
+            assert np.array_equal(got[band, sl], ref[band, sl])
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    @pytest.mark.parametrize("intervals", [3, 64])
+    def test_band_product_is_the_stencil(self, n, intervals):
+        # a row reaching past its three neighbours would alias in the combs
+        # and fail here
+        geom = pb.RadialBall(n=n, radius=np.pi, num_intervals=intervals)
+        upper, diag, lower = pb._RadialDiffusion(geom)._bands
+        f = np.random.default_rng(n + intervals).normal(size=geom.num_nodes)
+        prod = diag * f
+        prod[:-1] += upper[1:] * f[1:]
+        prod[1:] += lower[:-1] * f[:-1]
+        lap = geom.laplacian(f)
+        assert np.abs(prod - lap).max() <= 1e-13 * np.abs(diag).max() * np.abs(f).max()
+
+
 class TestScalarPowerBounds:
     def test_square_case_is_identity(self):
         # (a+b)^2 - a^2 = 2ab + b^2 >= b^2

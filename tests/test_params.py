@@ -28,7 +28,6 @@ class TestParamSet:
             ParamSet(n=3, q=1.0)
         with pytest.raises(DomainError):
             ParamSet(n=3, q=7.0, gamma=1.0)
-        assert ParamSet(n=3, q=7.0).p_half == 3.0
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=3.5, q=7.0), dict(n=3, q=math.inf), dict(n=3, q=7.0, alpha=math.inf),
@@ -203,8 +202,8 @@ class TestGammaInterval:
             gamma_interval(0.6, 7.0, 3)
 
     def test_empty_interval_type(self):
-        assert GammaInterval(0.0).is_empty
-        assert not GammaInterval(0.5).is_empty
+        assert not GammaInterval(0.0).contains(0.0)
+        assert GammaInterval(0.5).contains(0.0)
 
 
 class TestGrowthExponent:

@@ -96,10 +96,9 @@ def sample(n: int, seed: int) -> np.ndarray:
 class TestFieldFormats:
     def test_json_record(self):
         g = RadialGrid.uniform(3, 2.0, 16)
-        f = Field(g, np.linspace(1.0, 2.0, 17))
-        rec = f.to_dict()
+        rec = json.loads(serialize.json_text(biharmonic.exact_solution(g).to_dict()))
         assert rec["grid"] == {"n": 3, "h": 0.125, "N": 16}
-        assert rec["values"][0] == 1.0 and len(rec["values"]) == 17
+        assert rec["u"][0] == biharmonic.EXACT_AMPLITUDE and len(rec["u"]) == 17
 
     def test_columns(self):
         g = RadialGrid.uniform(3, 2.0, 16)

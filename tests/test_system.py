@@ -80,7 +80,7 @@ class TestComparison:
         prof = st.SystemProfile.from_fields(g, u, v, q, rexp)
         margin = st.comparison_margin(prof)
         assert np.abs(margin).max() < 1e-14
-        assert np.abs(prof.gap_field().values).max() < 1e-14
+        assert np.abs(prof.gap_values()).max() < 1e-14
 
     def test_margin_sign_equivalent_to_gap_sign(self):
         rng = np.random.default_rng(99)
@@ -91,7 +91,7 @@ class TestComparison:
             v = np.exp(rng.normal(0, 0.5, g.num_nodes))
             prof = st.SystemProfile.from_fields(g, u, v, q, rexp)
             margin = st.comparison_margin(prof)
-            w = prof.gap_field().values
+            w = prof.gap_values()
             assert np.array_equal(margin > 0, w < 0)
 
 
