@@ -69,6 +69,8 @@ POSITIVITY_FLOOR = 1e-8
 MAX_STEPS = 20_000_000
 #: a term of the start series falls to this fraction of the one before it at s
 START_FRACTION = 1e-3
+#: grid nodes sampled from the continuous extension at a time
+FILL_BLOCK_NODES = 4096
 
 # Dormand-Prince 5(4) tableau (FSAL)
 _A21 = 1.0 / 5.0
@@ -132,21 +134,23 @@ def _dense_fill(steps, poly, h, i_first, i_stop, outs):
     """Evaluate the continuous extension of the steps at nodes i_first..i_stop.
 
     steps holds one packed record per step (r, dt, the state, the stages) and
-    poly its extension coefficients, _extension(steps).
+    poly its extension coefficients, _extension(steps).  Nodes are taken
+    FILL_BLOCK_NODES at a time, each with its own step, so the transients
+    grow with the block, not the grid, and the values do not depend on it.
     """
-    if i_stop < i_first:
-        return
     r0, dt = steps[:, 0], steps[:, 1]
-    ri = np.arange(i_first, i_stop + 1) * h
-    s = np.searchsorted(r0, ri, side="right") - 1
-    dts = dt[s]
-    x = (ri - r0[s]) / dts
-    # the four components at once: (node, component) blocks, Horner in x
-    q, xc = poly[s], x[:, None]
-    p = xc * (q[..., 0] + xc * (q[..., 1] + xc * (q[..., 2] + xc * q[..., 3])))
-    vals = steps[s, 2:6] + dts[:, None] * p
-    for c, out in enumerate(outs):
-        out[i_first:i_stop + 1] = vals[:, c]
+    for lo in range(i_first, i_stop + 1, FILL_BLOCK_NODES):
+        hi = min(lo + FILL_BLOCK_NODES, i_stop + 1)
+        ri = np.arange(lo, hi) * h
+        s = np.searchsorted(r0, ri, side="right") - 1
+        dts = dt[s]
+        x = (ri - r0[s]) / dts
+        # the four components at once: (node, component) blocks, Horner in x
+        q, xc = poly[s], x[:, None]
+        p = xc * (q[..., 0] + xc * (q[..., 1] + xc * (q[..., 2] + xc * q[..., 3])))
+        vals = steps[s, 2:6] + dts[:, None] * p
+        for c, out in enumerate(outs):
+            out[lo:hi] = vals[:, c]
 
 
 def _extension(steps):

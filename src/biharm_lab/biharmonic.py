@@ -161,7 +161,7 @@ def _profile_from_arrays(n, h, u, du, v, dv, status, i_stop, r_event, meta, stat
         cls = Classification(FAILED, r_stop=float(r_event))
     else:
         cls = Classification(TOUCHED_ZERO, r_stop=float(r_event))
-    grid = RadialGrid(n=n, h=h, num_intervals=max(i_stop, 1))
+    grid = RadialGrid(n=n, h=h, num_intervals=i_stop)
     k = grid.num_nodes
     positive = bool(np.all(u[:k] > 0))
     return SolutionProfile(

@@ -23,7 +23,11 @@ STENCIL_NODES = 4
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid r_i = i*h, i = 0..N, for radial functions in dimension n."""
+    """Uniform grid r_i = i*h, i = 0..N, for radial functions in dimension n.
+
+    N = 0 is the one-node window at r = 0 of a shot that stops before its
+    first node; the entry points refuse N < 1 from users.
+    """
 
     n: int
     h: float
@@ -32,7 +36,7 @@ class RadialGrid:
     def __post_init__(self):
         require_count("dimension n", self.n, 3, DomainError)
         require_spacing("h", self.h, 2.0 * self.n)   # the axis row's weight
-        require_count("num_intervals", self.num_intervals, 1)
+        require_count("num_intervals", self.num_intervals, 0)
 
     @classmethod
     def uniform(cls, n: int, r_max: float, num_intervals: int) -> "RadialGrid":

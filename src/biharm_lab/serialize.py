@@ -1,14 +1,19 @@
 """Artifact emission: atomic, deterministic JSON and CSV writers.
 
 Files are written to a temporary sibling and renamed into place, so readers
-never observe partial artifacts.  Every float is written as its Python repr,
-JSON has sorted keys, two-space indentation and ``null`` for NaN/inf, and CSV
-rows keep the order of the columns' entries, which makes identical inputs
-produce byte-identical files.
+never observe partial artifacts; a write that fails removes its temporary
+file.  Every float is written as its Python repr, JSON has sorted keys,
+two-space indentation and ``null`` for NaN/inf, and CSV rows keep the order of
+the columns' entries, which makes identical inputs produce byte-identical
+files.
 
-Float arrays are formatted by column, one ``float.__repr__`` per value with no
-per-cell dispatch: CSV in row blocks, so one block's strings are alive at a
-time, and JSON by splicing each 1-D float array into the text around it.
+A file is written as a stream of bounded text pieces (``json_pieces``,
+``column_pieces``), so the writer's memory grows with a block of
+``CSV_BLOCK_ROWS`` rows, not with the file.  Float arrays are formatted by
+column, one ``float.__repr__`` per value with no per-cell dispatch: CSV one
+row block at a time, and JSON by splicing each 1-D float array, block by
+block, into the text around it.  ``json_text`` joins the JSON pieces into the
+one string a summary prints.
 
 A run's artifacts are data (``Artifact``), and ``write_artifacts`` puts them
 on disk through one ``FloatTexts``, so each float column that recurs in the
@@ -26,15 +31,12 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-#: CSV rows formatted and joined at a time
-CSV_BLOCK_ROWS = 4096
-#: characters of a file's text encoded at a time; slices of 1 Mi characters
-#: raised the CLI's peak RSS by 1-2 MB over these
-WRITE_CHUNK_CHARS = 1 << 16
+#: CSV rows (and JSON array values) formatted, joined and written at a time
+CSV_BLOCK_ROWS = 1024
 
 # stands for the i-th spliced array in the JSON text of the structure
 _SPLICE = re.compile(r'"\\u0000(\d+)"')
@@ -57,10 +59,10 @@ def format_floats(a) -> list[str]:
     return list(map(float.__repr__, np.asarray(a, dtype=float).tolist()))
 
 
-def _text_blocks(a: np.ndarray) -> list[str]:
+def _text_blocks(a: np.ndarray) -> Iterator[str]:
     """The reprs of ``a`` in blocks of CSV_BLOCK_ROWS, each joined by newlines."""
-    return ["\n".join(format_floats(a[i:i + CSV_BLOCK_ROWS]))
-            for i in range(0, a.size, CSV_BLOCK_ROWS)]
+    return ("\n".join(format_floats(a[i:i + CSV_BLOCK_ROWS]))
+            for i in range(0, a.size, CSV_BLOCK_ROWS))
 
 
 class FloatTexts:
@@ -88,31 +90,42 @@ class FloatTexts:
         if key not in self._blocks:
             if csv and hash(key) not in self.recurring:
                 return None
-            self._blocks[key] = _text_blocks(a)
+            self._blocks[key] = list(_text_blocks(a))
         return self._blocks[key]
 
 
-def atomic_write_text(path: str | Path, text: str):
+def atomic_write_pieces(path: str | Path, pieces: Iterable[str]) -> Path:
+    """Write the concatenated text ``pieces`` to ``path``, atomically.
+
+    The pieces go to a temporary sibling as they come, which is renamed onto
+    ``path`` at the end; on any exception, one the pieces raise included, the
+    temporary file is removed and ``path`` is left as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            # in slices: the encoded copy of a whole artifact is never alive
-            for i in range(0, len(text), WRITE_CHUNK_CHARS):
-                fh.write(text[i:i + WRITE_CHUNK_CHARS])
+            for piece in pieces:
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return path
+
+
+def atomic_write_text(path: str | Path, text: str):
+    """Write ``text`` to ``path`` atomically: the one-piece ``atomic_write_pieces``."""
+    atomic_write_pieces(path, (text,))
 
 
 def sanitize_nan(obj, arrays: list | None = None):
     """Replace NaN/inf with None recursively (JSON has no such literals).
 
     1-D float arrays are not walked.  With ``arrays`` given, each is appended
-    to it and replaced by the placeholder ``json_text`` splices it back into.
+    to it and replaced by the placeholder ``json_pieces`` splices it back into.
     """
     if isinstance(obj, dict):
         return {k: sanitize_nan(v, arrays) for k, v in obj.items()}
@@ -127,40 +140,49 @@ def sanitize_nan(obj, arrays: list | None = None):
     return obj
 
 
-def _json_array(a: np.ndarray, indent: int, texts: FloatTexts | None) -> str:
+def _json_array(a: np.ndarray, indent: int, texts: FloatTexts | None) -> Iterator[str]:
+    """The JSON text of a 1-D float array at ``indent``, one block of values a piece."""
     if a.size == 0:
-        return "[]"
-    body = "\n".join(_text_blocks(a) if texts is None else texts.blocks(a))
-    if not np.isfinite(a).all():
-        # a finite repr holds no letter but e, so only the non-finite cells match
-        body = body.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+        yield "[]"
+        return
+    finite = bool(np.isfinite(a).all())
     pad = "\n" + " " * (indent + 2)
-    return "[" + pad + body.replace("\n", "," + pad) + "\n" + " " * indent + "]"
+    sep = "," + pad
+    for k, block in enumerate(_text_blocks(a) if texts is None else texts.blocks(a)):
+        if not finite:
+            # a finite repr holds no letter but e, so only the non-finite cells match
+            block = block.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+        yield (sep if k else "[" + pad) + block.replace("\n", sep)
+    yield "\n" + " " * indent + "]"
 
 
-def json_text(obj, texts: FloatTexts | None = None, end: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` with NaN/inf as null, then ``end``.
+def json_pieces(obj, texts: FloatTexts | None = None, end: str = "") -> Iterator[str]:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` with NaN/inf as null, then ``end``, in pieces.
 
     NumPy scalars and arrays are accepted; 1-D float arrays are formatted by
-    column and spliced in, one array's strings alive at a time.  With
-    ``texts``, every such array's text is read from it or stored in it.
+    column and spliced in block by block, so a piece is the structure text
+    between two arrays or one block of an array.  With ``texts``, every such
+    array's text is read from it or stored in it.
     """
     arrays = []
     text = json.dumps(sanitize_nan(obj, arrays), indent=2, sort_keys=True,
                       allow_nan=False, default=_json_default)
-    parts, pos = [], 0
+    pos = 0
     for m in _SPLICE.finditer(text):
         line = text[text.rfind("\n", 0, m.start()) + 1:m.start()]
-        parts += [text[pos:m.start()],
-                  _json_array(arrays[int(m.group(1))], len(line) - len(line.lstrip(" ")), texts)]
+        yield text[pos:m.start()]
+        yield from _json_array(arrays[int(m.group(1))], len(line) - len(line.lstrip(" ")), texts)
         pos = m.end()
-    parts += [text[pos:], end]
-    return "".join(parts)
+    yield text[pos:] + end
+
+
+def json_text(obj, texts: FloatTexts | None = None) -> str:
+    """The ``json_pieces`` of ``obj`` joined into one string."""
+    return "".join(json_pieces(obj, texts))
 
 
 def write_json(path: str | Path, obj, texts: FloatTexts | None = None) -> Path:
-    atomic_write_text(path, json_text(obj, texts, end="\n"))
-    return Path(path)
+    return atomic_write_pieces(path, json_pieces(obj, texts, end="\n"))
 
 
 def _json_default(x):
@@ -171,8 +193,8 @@ def _json_default(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
-def columns_text(columns: dict, texts: FloatTexts | None = None) -> str:
-    """CSV text of named columns of equal length, header first.
+def column_pieces(columns: dict, texts: FloatTexts | None = None) -> Iterator[str]:
+    """CSV text of named columns of equal length: the header line, then one row block a piece.
 
     A column is a float array, written as the repr of each value, or a list
     of strings already formatted (``table_columns``).  A float array stored
@@ -186,20 +208,17 @@ def columns_text(columns: dict, texts: FloatTexts | None = None) -> str:
         raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
     stored = [None if texts is None or isinstance(c, list) else texts.blocks(c, csv=True)
               for c in cols]
-    blocks = [",".join(columns)]
+    yield ",".join(columns) + "\n"
     for b, i in enumerate(range(0, rows, CSV_BLOCK_ROWS)):
         cells = [c[i:i + CSV_BLOCK_ROWS] if isinstance(c, list)
                  else format_floats(c[i:i + CSV_BLOCK_ROWS]) if s is None
                  else s[b].split("\n") for c, s in zip(cols, stored)]
-        blocks.append("\n".join(map(",".join, zip(*cells))))
-    blocks.append("")   # the trailing newline, joined in place of a copy
-    return "\n".join(blocks)
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_columns(path: str | Path, columns: dict, texts: FloatTexts | None = None) -> Path:
-    """Write ``columns_text(columns, texts)`` to ``path``."""
-    atomic_write_text(path, columns_text(columns, texts))
-    return Path(path)
+    """Write ``column_pieces(columns, texts)`` to ``path``."""
+    return atomic_write_pieces(path, column_pieces(columns, texts))
 
 
 def table_columns(header: list[str], rows) -> dict:

@@ -74,8 +74,7 @@ class SystemProfile(SolutionProfile):
     def columns(self) -> dict:
         """Named CSV columns: r, u, v, the gap w, the comparison margin and residuals.
 
-        The residuals are NaN on too short a window; a shot that touches zero
-        before its first node leaves u = 0 there, and w = inf as the JSON's u says.
+        The residuals are NaN on too short a window.
         """
         if self.grid.num_nodes >= STENCIL_NODES:
             ru, rv = (f.values for f in self.residuals())

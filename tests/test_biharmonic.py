@@ -78,6 +78,32 @@ class TestDenseOutput:
         assert status == _backend.STATUS_TOUCHED
         assert 0 < i_stop * h <= r_stop
 
+    # the exact-data shot and a shot that touches zero at r = 4.8
+    SHOTS = [(bh.EXACT_AMPLITUDE, 3.0 * bh.EXACT_AMPLITUDE, 20.0), (1.0, 0.3, 10.0)]
+
+    @pytest.mark.parametrize("u0,v0,r_max", SHOTS)
+    def test_fill_blocks_leave_values_unchanged(self, u0, v0, r_max, monkeypatch):
+        args = (3, 7.0, 1.0, u0, v0, r_max / self.N, self.N)
+        monkeypatch.setattr(_backend, "FILL_BLOCK_NODES", self.N + 1)
+        one = _backend.radial_ivp(*args)
+        monkeypatch.setattr(_backend, "FILL_BLOCK_NODES", 7)
+        blocked = _backend.radial_ivp(*args)
+        for a, b in zip(one[:4], blocked[:4]):
+            assert a.tobytes() == b.tobytes()
+        assert one[4:] == blocked[4:]
+
+    def test_fill_peak_memory(self):
+        """A 32769-node shot holds its four arrays and one block (9.8 MB unblocked)."""
+        import tracemalloc
+        u0, v0, r_max = self.SHOTS[0]
+        tracemalloc.start()
+        try:
+            _backend.radial_ivp(3, 7.0, 1.0, u0, v0, r_max / self.N, self.N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6, f"peak {peak} B"
+
 
 class TestSymbolicOracle:
     """Closed-form identities confirmed with a symbolic differentiation oracle."""

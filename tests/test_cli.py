@@ -81,7 +81,8 @@ class TestSolveBiharmonic:
 
 
 class TestShortWindowCsv:
-    """A window too short for the stencil writes its CSV with NaN residual cells."""
+    """A shot that stops before its first node writes the one-node window at r = 0,
+    its CSV with NaN residual cells."""
 
     @pytest.mark.parametrize("argv,name,residuals", [
         (["solve-biharmonic", "--u0", "1", "--z0", "0", "--h", "0.5", "--r-max", "2"],
@@ -96,7 +97,7 @@ class TestShortWindowCsv:
         header, *rows = (tmp_path / f"{name}.csv").read_text().splitlines()
         cols = header.split(",")
         record = json.loads((tmp_path / f"{name}.json").read_text())
-        assert 2 <= len(rows) == len(record["u"]) < 4
+        assert len(rows) == len(record["u"]) == 1 and rows[0].startswith("0.0,")
         for row in rows:
             cells = dict(zip(cols, row.split(",")))
             assert [cells[c] for c in residuals] == ["nan"] * len(residuals)

@@ -81,7 +81,8 @@ EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e
                1e16, 9999999999999998.0, 1e-05, 0.0001, 1e-4 - 1e-20, 0.1, 1.0 / 3.0,
                1.7976931348623157e308, 2.2250738585072014e-308, -1.5, 123456789.0]
 B = serialize.CSV_BLOCK_ROWS
-LENGTHS = [0, 1, 2, B - 1, B, B + 1, 2 * B + 3]
+# empty, short, and both sides of a block boundary several blocks in
+LENGTHS = [0, 1, 2, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B + 3]
 
 
 def sample(n: int, seed: int) -> np.ndarray:
@@ -176,7 +177,7 @@ class TestAgainstRowWiseReference:
         path = serialize.write_columns(tmp_path / "s.csv", {"a": a, "b": b})
         assert_same(path.read_text(), ref_columns_csv({"a": a, "b": b}))
 
-    @pytest.mark.parametrize("n", [0, 1, B + 1])
+    @pytest.mark.parametrize("n", [0, 1, 4 * B + 1])
     def test_object_rows(self, n, tmp_path):
         kinds = [None, True, False, "positive-on-window", 3, np.int64(7), np.float64(0.25),
                  float("nan"), -0.0, 5e-324, 1e16, 1e-05]
@@ -246,18 +247,50 @@ class TestFloatTexts:
             assert texts.blocks(-u, csv=True) is None
 
 
-def test_write_columns_peak_memory(tmp_path):
-    """The writer holds at most about two copies of the file's text at a time."""
+def _traced_peak(write):
+    """tracemalloc's peak while ``write()`` runs, and the size of the file it returns."""
     import tracemalloc
-    columns = {f"c{k}": sample(32769, 20 + k) for k in range(7)}
     tracemalloc.start()
     try:
-        path = serialize.write_columns(tmp_path / "big.csv", columns)
+        path = write()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = path.stat().st_size
-    assert peak <= 2.2 * size, f"peak {peak} B for a {size} B file ({peak / size:.2f}x)"
+    return peak, path.stat().st_size
+
+
+def test_write_columns_peak_memory(tmp_path):
+    """The writer holds one block of rows at a time: about 0.27x of a 4.8 MB file."""
+    columns = {f"c{k}": sample(32769, 20 + k) for k in range(7)}
+    peak, size = _traced_peak(lambda: serialize.write_columns(tmp_path / "big.csv", columns))
+    assert peak <= 0.35 * size, f"peak {peak} B for a {size} B file ({peak / size:.2f}x)"
+
+
+def test_write_json_peak_memory(tmp_path):
+    """A four-array profile is written one block of an array at a time (0.06x of 3.2 MB)."""
+    record = biharmonic.exact_solution(RadialGrid.uniform(3, 20.0, 32768)).to_dict()
+    assert all(record[k].size == 32769 for k in ("u", "du", "z", "dz"))
+    peak, size = _traced_peak(lambda: serialize.write_json(tmp_path / "big.json", record))
+    assert peak <= 0.1 * size, f"peak {peak} B for a {size} B file ({peak / size:.2f}x)"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_stream_leaves_no_file(existing, tmp_path):
+    """A piece generator raising mid-file leaves no temporary sibling and the target as it was."""
+    target = tmp_path / "a.csv"
+    if existing:
+        target.write_text("old\n")
+
+    def pieces():
+        yield "r,u\n"
+        yield "0.0,1.0\n" * 16384   # past the file buffer: bytes reach the disk
+        raise RuntimeError("mid-file")
+
+    with pytest.raises(RuntimeError, match="mid-file"):
+        serialize.atomic_write_pieces(target, pieces())
+    assert [p.name for p in tmp_path.iterdir()] == (["a.csv"] if existing else [])
+    if existing:
+        assert target.read_text() == "old\n"
 
 
 @pytest.mark.parametrize("formats,names", [
@@ -276,9 +309,9 @@ def test_write_artifacts_order_and_formats(formats, names, tmp_path, monkeypatch
     artifacts = [serialize.Artifact("a", {"a": a}, columns("a", {"r": r, "a": a})),
                  serialize.Artifact("b", columns=columns("b", {"r": r, "b": -r})),
                  serialize.Artifact("c", [1.5, None])]
-    atomic_write_text = serialize.atomic_write_text
-    monkeypatch.setattr(serialize, "atomic_write_text",
-                        lambda path, text: written.append(path.name) or atomic_write_text(path, text))
+    atomic_write_pieces = serialize.atomic_write_pieces
+    monkeypatch.setattr(serialize, "atomic_write_pieces",
+                        lambda path, pieces: written.append(path.name) or atomic_write_pieces(path, pieces))
     serialize.write_artifacts(tmp_path, formats, "{}\n", artifacts)
     assert written == ["run-config.json"] + names
     assert called == (["a", "b"] if "csv" in formats else [])
@@ -293,26 +326,36 @@ def test_write_artifacts_order_and_formats(formats, names, tmp_path, monkeypatch
 def _spy_writers(monkeypatch):
     """Record, by file name, the artifact each file was written from.
 
-    The one writer is hooked: a JSON file maps to its artifact, and a CSV
-    file to its artifact and the columns its ``columns`` call gave the writer.
+    The one writer is hooked for the artifacts and the streaming writer for
+    the files: a JSON file maps to its artifact, and a CSV file to its
+    artifact and the columns its ``columns`` call gave the writer, once the
+    streaming writer has written that file.
     """
-    seen = {}
+    seen, pending = {}, {}
     write_artifacts = serialize.write_artifacts
+    atomic_write_pieces = serialize.atomic_write_pieces
 
     def recording(art):
         def columns():
             cols = art.columns()
-            seen[f"{art.name}.csv"] = (art, cols)
+            pending[f"{art.name}.csv"] = (art, cols)
             return cols
         return columns
 
     def spy(outdir, formats, config_text, artifacts):
-        seen.update((f"{art.name}.json", (art, None)) for art in artifacts
-                    if "json" in formats and art.json is not None)
+        pending.update((f"{art.name}.json", (art, None)) for art in artifacts
+                       if "json" in formats and art.json is not None)
         return write_artifacts(outdir, formats, config_text, [
             replace(art, columns=art.columns and recording(art)) for art in artifacts])
 
+    def streamed(path, pieces):
+        written = atomic_write_pieces(path, pieces)
+        if written.name != "run-config.json":
+            seen[written.name] = pending.pop(written.name)
+        return written
+
     monkeypatch.setattr(serialize, "write_artifacts", spy)
+    monkeypatch.setattr(serialize, "atomic_write_pieces", streamed)
     return seen
 
 
