@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from . import __version__, biharmonic, parabolic, serialize, system, sweeps, ver
 from ._backend import RTOL, TOL_PER_H2
 from .errors import (MAX_COUNT, BiharmLabError, DomainError, IntegratorError,
                      PreconditionError, SizeError, require_above, require_in)
-from .grids import RadialGrid, self_convergence_order
+from .grids import TRIM_NODES, RadialGrid, self_convergence_order
 from .params import (ParamSet, beta_max_or_zero, check_admissible, gamma_interval,
                      growth_exponent, tau)
 from .serialize import Artifact
@@ -98,93 +99,91 @@ def _build_parser() -> _Parser:
                 description="Solvers and pointwise-inequality verifiers for "
                             "singular biharmonic and coupled Lane-Emden type problems")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+    # a flag left unset is absent from the namespace: each run reads its own default
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=partial(_Parser, argument_default=argparse.SUPPRESS))
     p.commands = sub.choices
 
     def common(sp):
         sp.add_argument("--out", help="output directory for artifacts")
-        sp.add_argument("--format", default=None,
+        sp.add_argument("--format",
                         help="comma-separated artifact formats (default json): json,csv")
         sp.add_argument("--config", help="JSON config file; flags override it")
 
     # only where the printed reports carry the scale their verdict derives from
     def tol_option(sp):
-        sp.add_argument("--tol", type=float, default=None,
+        sp.add_argument("--tol", type=float,
                         help="override the pass tolerance of the verification reports")
 
     def radial_options(sp, h_help="grid spacing (default 20/4096)"):
-        sp.add_argument("--n", type=int, default=argparse.SUPPRESS, help="dimension (default 3)")
-        sp.add_argument("--q", type=float, default=argparse.SUPPRESS, help="singular exponent (default 7)")
-        sp.add_argument("--r-max", type=float, default=argparse.SUPPRESS, help="window end (default 20)")
-        sp.add_argument("--h", type=float, default=argparse.SUPPRESS, help=h_help)
+        sp.add_argument("--n", type=int, help="dimension (default 3)")
+        sp.add_argument("--q", type=float, help="singular exponent (default 7)")
+        sp.add_argument("--r-max", type=float, help="window end (default 20)")
+        sp.add_argument("--h", type=float, help=h_help)
 
     sp = sub.add_parser("region", help="admissibility and derived coefficients")
-    sp.add_argument("--n", type=int, default=argparse.SUPPRESS, help="dimension (default 3)")
+    sp.add_argument("--n", type=int, help="dimension (default 3)")
     sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--alpha", type=float, default=argparse.SUPPRESS, help="gradient coefficient (default 0.5)")
-    sp.add_argument("--beta", type=float, default=argparse.SUPPRESS,
-                    help="defaults to beta_max(alpha, q, n)")
+    sp.add_argument("--alpha", type=float, help="gradient coefficient (default 0.5)")
+    sp.add_argument("--beta", type=float, help="defaults to beta_max(alpha, q, n)")
     common(sp)
 
     sp = sub.add_parser("solve-biharmonic", help="shoot the fourth-order problem")
     radial_options(sp)
     sp.add_argument("--u0", type=float, required=True)
     sp.add_argument("--z0", type=float, required=True)
-    sp.add_argument("--rtol", type=float, default=argparse.SUPPRESS, help=RTOL_HELP)
+    sp.add_argument("--rtol", type=float, help=RTOL_HELP)
     common(sp)
 
     sp = sub.add_parser("verify", help="pointwise checks on a profile")
-    sp.add_argument("--exact", action="store_true", default=argparse.SUPPRESS,
+    sp.add_argument("--exact", action="store_true",
                     help="use the closed-form n=3, q=7 reference solution")
     sp.add_argument("--u0", type=float, help="shooting start when not --exact")
     sp.add_argument("--z0", type=float)
     radial_options(sp, "grid spacing; default 20/4096 for first-order checks, "
                        "20/32768 for checks differencing derived fields")
-    sp.add_argument("--check", choices=CHECKS, default=argparse.SUPPRESS,
-                    help="which inequality to verify (default all)")
-    sp.add_argument("--alpha", type=float, default=argparse.SUPPRESS, help="gradient coefficient (default 0.5)")
-    sp.add_argument("--beta", type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--gamma", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--check", choices=CHECKS, help="which inequality to verify (default all)")
+    sp.add_argument("--alpha", type=float, help="gradient coefficient (default 0.5)")
+    sp.add_argument("--beta", type=float)
+    sp.add_argument("--gamma", type=float)
     common(sp)
     tol_option(sp)
 
     sp = sub.add_parser("solve-system", help="shoot the coupled radial system")
     radial_options(sp)
-    sp.add_argument("--r-exp", type=float, default=argparse.SUPPRESS, help="coupling exponent (default 1)")
+    sp.add_argument("--r-exp", type=float, help="coupling exponent (default 1)")
     sp.add_argument("--u0", type=float, required=True)
     sp.add_argument("--v0", type=float, required=True)
-    sp.add_argument("--rtol", type=float, default=argparse.SUPPRESS, help=RTOL_HELP)
+    sp.add_argument("--rtol", type=float, help=RTOL_HELP)
     common(sp)
     tol_option(sp)
 
     sp = sub.add_parser("simulate-parabolic", help="method-of-lines run")
     sp.add_argument("--p-exp", type=float, required=True)
     sp.add_argument("--r-exp", type=float, required=True)
-    sp.add_argument("--geometry", choices=("periodic", "radial"), default=argparse.SUPPRESS, help="default periodic")
-    sp.add_argument("--nodes", type=int, default=argparse.SUPPRESS, help="spatial nodes (default 512)")
-    sp.add_argument("--length", type=float, default=argparse.SUPPRESS,
-                    help="periodic box length")
-    sp.add_argument("--radius", type=float, default=argparse.SUPPRESS, help="radial ball radius (default pi)")
-    sp.add_argument("--n", type=int, default=argparse.SUPPRESS, help="dimension for radial geometry (default 3)")
-    sp.add_argument("--u0", type=float, default=argparse.SUPPRESS, help="initial level of u (default 1)")
-    sp.add_argument("--v0", type=float, default=argparse.SUPPRESS, help="initial level of v (default 1.2)")
-    sp.add_argument("--perturb", type=float, default=argparse.SUPPRESS,
-                    help="amplitude of a one-mode spatial perturbation")
-    sp.add_argument("--t-final", type=float, default=argparse.SUPPRESS, help="simulated time (default 1)")
-    sp.add_argument("--snapshots", type=int, default=argparse.SUPPRESS, help="snapshot count (default 64)")
-    sp.add_argument("--blowup-factor", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--geometry", choices=("periodic", "radial"), help="default periodic")
+    sp.add_argument("--nodes", type=int, help="spatial nodes (default 512)")
+    sp.add_argument("--length", type=float, help="periodic box length")
+    sp.add_argument("--radius", type=float, help="radial ball radius (default pi)")
+    sp.add_argument("--n", type=int, help="dimension for radial geometry (default 3)")
+    sp.add_argument("--u0", type=float, help="initial level of u (default 1)")
+    sp.add_argument("--v0", type=float, help="initial level of v (default 1.2)")
+    sp.add_argument("--perturb", type=float, help="amplitude of a one-mode spatial perturbation")
+    sp.add_argument("--t-final", type=float, help="simulated time (default 1)")
+    sp.add_argument("--snapshots", type=int, help="snapshot count (default 64)")
+    sp.add_argument("--blowup-factor", type=float)
     common(sp)
 
     sp = sub.add_parser("sweep", help="deterministic parameter sweeps")
     sp.add_argument("--module", choices=("region", "biharmonic", "lane-emden"),
                     required=True)
-    sp.add_argument("--n", default=argparse.SUPPRESS, help="comma list of dimensions (default 3,4,5)")
-    sp.add_argument("--q", default=argparse.SUPPRESS, help="comma list of exponents q (default 2,3,5,7)")
-    sp.add_argument("--r-exp", "--r", dest="r_exp", default=argparse.SUPPRESS,
+    sp.add_argument("--n", help="comma list of dimensions (default 3,4,5)")
+    sp.add_argument("--q", help="comma list of exponents q (default 2,3,5,7)")
+    sp.add_argument("--r-exp", "--r", dest="r_exp",
                     help="comma list of exponents r (lane-emden; default 0.5,1,2)")
-    sp.add_argument("--alpha", default=argparse.SUPPRESS, help="comma list of alphas (region)")
-    sp.add_argument("--r-max", type=float, default=argparse.SUPPRESS, help="window end (default 20)")
-    sp.add_argument("--h", type=float, default=argparse.SUPPRESS, help="grid spacing (default 20/1024)")
+    sp.add_argument("--alpha", help="comma list of alphas (region)")
+    sp.add_argument("--r-max", type=float, help="window end (default 20)")
+    sp.add_argument("--h", type=float, help="grid spacing (default 20/1024)")
     common(sp)
 
     return p
@@ -304,7 +303,7 @@ def _cmd_solve_biharmonic(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     out = prof.to_dict()
     out["residual_max"] = float(np.abs(
         biharmonic.residual(prof).values[prof.grid.trim_slice()]).max()) \
-        if prof.grid.num_intervals > 8 else None
+        if prof.grid.num_intervals > 2 * TRIM_NODES else None
     print(serialize.json_text({"classification": out["classification"], "meta": out["meta"],
                                "residual_max": out["residual_max"]}))
     return EXIT_OK, [Artifact("profile", out, prof.columns)]
@@ -328,7 +327,7 @@ def _aux_report(prof, alpha: float, beta: float, exact: bool):
         rep.refinement_order = self_convergence_order([
             verify.verify_aux_inequality(biharmonic.exact_solution(
                 RadialGrid.uniform(3, prof.grid.r_max, n_fine // div)), alpha, beta).margin.values
-            for div in (4, 2, 1)])
+            for div in (4, 2)] + [rep.margin.values])   # the finest grid is the report's
     return rep
 
 
@@ -498,17 +497,18 @@ def run(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_with_config(parser, list(sys.argv[1:] if argv is None else argv)))
-        text = "json" if args.format is None else args.format
+        args = vars(parser.parse_args(
+            _with_config(parser, list(sys.argv[1:] if argv is None else argv))))
+        text = args.get("format", "json")
         formats = [f.strip() for f in text.split(",") if f.strip()]
         if not formats or not set(formats) <= {"json", "csv"}:
             raise UsageError(f"formats must be a comma list of json and csv, got {text!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS and v is not None}
-    return run(RunConfig(command=args.command, parameters=params, out=args.out, formats=formats,
-                         tol=getattr(args, "tol", None)))
+    params = {k: v for k, v in args.items() if k not in _NOT_PARAMETERS}
+    return run(RunConfig(command=args["command"], parameters=params, out=args.get("out"),
+                         formats=formats, tol=args.get("tol")))
 
 
 if __name__ == "__main__":

@@ -192,17 +192,6 @@ def system_sweep(n_values=(3, 4, 5), q_values=(2.0, 3.0, 5.0, 7.0),
     return _family_sweep(keys, families, r_max, intervals, _system_row)
 
 
-def _by_q(x, shape) -> list:
-    """The q rows of a (q, alpha) block of the given shape, as lists.
-
-    A value free of q (I1, K1) broadcasts to a single row: every q row
-    shares that one list, so its floats are made once per block.  That keeps
-    the rows' memory below the per-cell version's.
-    """
-    rows = np.broadcast_to(x, (len(x), shape[1])).tolist()
-    return rows * shape[0] if len(rows) == 1 else rows
-
-
 def region_sweep(n_values=(3, 4, 5, 6, 7, 8),
                  q_values=tuple(np.linspace(1.25, 10.0, 36)),
                  alpha_values=tuple(np.linspace(0.0, 0.5, 21))) -> list[dict]:
@@ -238,7 +227,7 @@ def region_sweep(n_values=(3, 4, 5, 6, 7, 8),
             c = _coefficients(n, q_col, a_row, beta)
             gamma = _gamma_star(a_row, q_col, n)
             block = (beta, admissible, c.I1, c.I2, c.I3, c.K1, c.K2, gamma)
-            for q, *cells in zip(qs, *(_by_q(x, beta.shape) for x in block)):
+            for q, *cells in zip(qs, *(np.broadcast_to(x, beta.shape).tolist() for x in block)):
                 rows.extend(
                     {"alpha": a, "q": q, "n": n, "beta": b, "admissible": ok,
                      "I1": i1, "I2": i2, "I3": i3, "K1": k1, "K2": k2,

@@ -15,8 +15,9 @@ from ._backend import RTOL
 from .biharmonic import POSITIVE, Classification, SolutionProfile, _shot_profile, residual
 from .errors import PreconditionError, require_above
 from .grids import STENCIL_NODES, Field, RadialGrid, derivative_values, laplacian_values
-from .reports import (RESIDUAL_THRESHOLD, TOL_FIRST_ORDER, TOL_SECOND_ORDER,
-                      VerificationReport, refusing_overflow, report_from_margin, worst_node)
+from .reports import (RESIDUAL_THRESHOLD, TOL_FIRST_ORDER, VerificationReport,
+                      refusing_overflow, report_from_margin, worst_node)
+from .verify import _second_order_report
 
 
 def sigma_exponent(q: float, rexp: float) -> float:
@@ -166,15 +167,9 @@ def verify_gap_diff_inequality(profile: SystemProfile) -> VerificationReport:
     """
     profile.require_positive()
     _require_solution(profile)
-    g = profile.grid
-    w = profile.gap_values()
-    lap_w = laplacian_values(w, g.h, g.n)
-    rhs = gap_inequality_rhs(profile)
-    scale = max(1.0, float(np.abs(lap_w[g.trim_slice()]).max()))
-    return report_from_margin(
-        "gap-differential-inequality", Field(g, lap_w - rhs),
-        TOL_SECOND_ORDER, scale,
-        {"n": profile.n, "q": profile.q, "rexp": profile.rexp})
+    return _second_order_report(
+        profile, "gap-differential-inequality", 1.0, profile.gap_values(),
+        gap_inequality_rhs(profile), {"n": profile.n, "q": profile.q, "rexp": profile.rexp})
 
 
 def verify_concavity_step(profile: SystemProfile) -> VerificationReport:

@@ -3,8 +3,9 @@
 Margin conventions: every check produces a margin field whose nonnegativity
 (up to -tol * scale on the trimmed interior) is the claim being verified.
 First-order margins use tol = 1e-8; margins that difference a derived field
-twice (the auxiliary-function checks) use tol = 1e-6 because the composition
-amplifies truncation error by two derivative orders.
+twice (the second-order checks, the system's gap check included) use
+tol = 1e-6 because the composition amplifies truncation error by two
+derivative orders; ``_second_order_report`` makes their one stencil call.
 
 The Laplacian entering the auxiliary function w = -lap u + alpha A + beta B
 is the profile's stored field z; the derived quantities (w', lap w, lap B)
@@ -31,19 +32,17 @@ GROWTH_CAVEAT = "growth: heuristic (finite-window tail test only)"
 
 @dataclass
 class AuxFields:
-    """Derived fields of a profile for fixed (alpha, beta, gamma)."""
+    """Derived fields of a profile for fixed (alpha, beta)."""
 
     A: Field          # u^(-1) |grad u|^2
     B: Field          # u^(-(q-1)/2)
     w: Field          # -lap u + alpha A + beta B
-    w_gamma: Field    # u^(-gamma) w
 
 
-def _gradient_term(profile: SolutionProfile, alpha: float, beta: float,
-                   gamma: float = 0.0) -> np.ndarray:
+def _gradient_term(profile: SolutionProfile, alpha: float, beta: float) -> np.ndarray:
     """A = u^(-1) |grad u|^2 of a positive profile, once the inputs are checked."""
     profile.require_positive()
-    ParamSet(n=profile.n, q=profile.q, alpha=alpha, beta=beta, gamma=gamma)   # input domains
+    ParamSet(n=profile.n, q=profile.q, alpha=alpha, beta=beta)   # input domains
     u, du = profile.u.values, profile.du.values
     if np.any(u <= 0):
         raise DomainError("profile has non-positive u values")
@@ -62,15 +61,12 @@ def _power_term(profile: SolutionProfile) -> np.ndarray:
 
 
 @refusing_overflow
-def aux_fields(profile: SolutionProfile, alpha: float, beta: float,
-               gamma: float = 0.0) -> AuxFields:
-    """A, B, w and the u^(-gamma)-weighted w for a positive profile."""
+def aux_fields(profile: SolutionProfile, alpha: float, beta: float) -> AuxFields:
+    """A, B and w for a positive profile."""
     g = profile.grid
-    A, B = _gradient_term(profile, alpha, beta, gamma), _power_term(profile)
+    A, B = _gradient_term(profile, alpha, beta), _power_term(profile)
     w = -profile.z.values + alpha * A + beta * B
-    w_gamma = profile.u.values ** (-gamma) * w
-    return AuxFields(A=Field(g, A), B=Field(g, B, positive=True),
-                     w=Field(g, w), w_gamma=Field(g, w_gamma))
+    return AuxFields(A=Field(g, A), B=Field(g, B, positive=True), w=Field(g, w))
 
 
 def _growth_guard_ok(profile: SolutionProfile) -> bool:
@@ -142,15 +138,16 @@ def verify_gradient_bound(profile: SolutionProfile) -> VerificationReport:
                         [GROWTH_CAVEAT])
 
 
-def _aux_rhs(profile, aux, coefs, alpha, beta):
+def _second_order_report(profile: SolutionProfile, inequality: str, weight: np.ndarray | float,
+                         f: np.ndarray, rhs: np.ndarray, params: dict,
+                         two_sided: bool = False) -> VerificationReport:
+    """Report on weight * lap f - rhs >= 0 for a derived field f, the second-order
+    checks' one stencil call; the scale is max |weight * lap f| on the trimmed interior."""
     g = profile.grid
-    dw = derivative_values(aux.w.values, g.h)
-    A, B, w = aux.A.values, aux.B.values, aux.w.values
-    rhs = (-2.0 * alpha * profile.du.values * dw
-           + (2.0 * alpha / g.n) * w * w
-           + coefs.K1 * alpha * A * w + coefs.K2 * beta * B * w
-           + coefs.I1 * alpha * A * A + coefs.I2 * B * B + coefs.I3 * beta * A * B)
-    return rhs
+    lhs = weight * laplacian_values(f, g.h, g.n)
+    scale = max(1.0, float(np.abs(lhs[g.trim_slice()]).max()))
+    return report_from_margin(inequality, Field(g, lhs - rhs), TOL_SECOND_ORDER, scale,
+                              params, two_sided=two_sided)
 
 
 @refusing_overflow
@@ -169,12 +166,13 @@ def verify_aux_inequality(profile: SolutionProfile, alpha: float,
         raise DomainError(f"the aux-inequality coefficients at alpha = {alpha:g}, "
                           f"beta = {beta:g} are not finite")
     aux = aux_fields(profile, alpha, beta)
-    g = profile.grid
-    lhs = profile.u.values * laplacian_values(aux.w.values, g.h, g.n)
-    margin = lhs - _aux_rhs(profile, aux, coefs, alpha, beta)
-    scale = max(1.0, float(np.abs(lhs[g.trim_slice()]).max()))
-    return report_from_margin("aux-differential-inequality", Field(g, margin),
-                              TOL_SECOND_ORDER, scale, params.to_dict())
+    A, B, w = aux.A.values, aux.B.values, aux.w.values
+    rhs = (-2.0 * alpha * profile.du.values * derivative_values(w, profile.grid.h)
+           + (2.0 * alpha / profile.n) * w * w
+           + coefs.K1 * alpha * A * w + coefs.K2 * beta * B * w
+           + coefs.I1 * alpha * A * A + coefs.I2 * B * B + coefs.I3 * beta * A * B)
+    return _second_order_report(profile, "aux-differential-inequality", profile.u.values,
+                                w, rhs, params.to_dict())
 
 
 @refusing_overflow
@@ -187,16 +185,11 @@ def laplacian_identity_defect(profile: SolutionProfile, alpha: float,
     profile.require_positive()
     p = _half_p(profile.q)
     aux = aux_fields(profile, alpha, beta)
-    g = profile.grid
     A, B, w = aux.A.values, aux.B.values, aux.w.values
-    lhs = profile.u.values * laplacian_values(B, g.h, g.n)
     rhs = p * B * w + p * (p + 1.0 - alpha) * A * B - p * beta * B * B
-    scale = max(1.0, float(np.abs(lhs[g.trim_slice()]).max()))
-    return report_from_margin(
-        "power-field-laplacian-identity", Field(g, lhs - rhs),
-        TOL_SECOND_ORDER, scale,
-        {"n": profile.n, "q": profile.q, "alpha": alpha, "beta": beta},
-        two_sided=True)
+    return _second_order_report(
+        profile, "power-field-laplacian-identity", profile.u.values, B, rhs,
+        {"n": profile.n, "q": profile.q, "alpha": alpha, "beta": beta}, two_sided=True)
 
 
 @refusing_overflow
@@ -205,7 +198,7 @@ def verify_weighted_aux_inequality(profile: SolutionProfile, alpha: float,
     """The u^(-gamma)-weighted form of the auxiliary differential inequality.
 
     Checks u^(1-gamma) lap w_g >= J1 w_g^2 + u^(-gamma) (-2 J2 u' w_g'
-    + L1 A w_g + L2 B w_g) for gamma in the feasible interval.
+    + L1 A w_g + L2 B w_g) for gamma in the feasible interval, w_g = u^(-gamma) w.
     """
     profile.require_positive()
     interval = gamma_interval(alpha, profile.q, profile.n)
@@ -214,20 +207,16 @@ def verify_weighted_aux_inequality(profile: SolutionProfile, alpha: float,
             f"gamma = {gamma} outside the feasible interval [0, {interval.gamma_star:.6g})")
     params = ParamSet(n=profile.n, q=profile.q, alpha=alpha, beta=beta, gamma=gamma)
     coefs = coefficients(params)
-    aux = aux_fields(profile, alpha, beta, gamma)
-    g = profile.grid
+    aux = aux_fields(profile, alpha, beta)
     u = profile.u.values
-    wg = aux.w_gamma.values
-    dwg = derivative_values(wg, g.h)
-    lhs = u ** (1.0 - gamma) * laplacian_values(wg, g.h, g.n)
+    weight = u ** -gamma
+    wg = weight * aux.w.values   # a non-finite w_g is refused by the margin's Field
     rhs = (coefs.J1 * wg * wg
-           + u ** (-gamma) * (-2.0 * coefs.J2 * profile.du.values * dwg
-                              + coefs.L1 * aux.A.values * wg
-                              + coefs.L2 * aux.B.values * wg))
-    scale = max(1.0, float(np.abs(lhs[g.trim_slice()]).max()))
-    return report_from_margin("weighted-aux-differential-inequality",
-                              Field(g, lhs - rhs), TOL_SECOND_ORDER, scale,
-                              params.to_dict())
+           + weight * (-2.0 * coefs.J2 * profile.du.values * derivative_values(wg, profile.grid.h)
+                       + coefs.L1 * aux.A.values * wg
+                       + coefs.L2 * aux.B.values * wg))
+    return _second_order_report(profile, "weighted-aux-differential-inequality",
+                                u ** (1.0 - gamma), wg, rhs, params.to_dict())
 
 
 @refusing_overflow

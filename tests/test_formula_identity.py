@@ -3,8 +3,9 @@
 Each reference below is a test-local copy of a formula as it was spelt a
 second time: the float path of the region formulas (math.sqrt, libm
 x ** 2, Python's max and min), the scalar even-series start of integrate,
-rescale's own profile assembly, and each Laplacian lower bound's own margin
-and report.  The package's single spelling must reproduce them by float.hex.
+rescale's own profile assembly, each Laplacian lower bound's own margin and
+report, and each second-order check's own stencil call, scale and report.
+The package's single spelling must reproduce them by float.hex.
 """
 import math
 import warnings
@@ -13,14 +14,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biharm_lab import _backend, biharmonic, verify
+from biharm_lab import _backend, biharmonic, system, verify
 from biharm_lab.biharmonic import POSITIVE, Classification
 from biharm_lab.errors import BiharmLabError, DomainError, PreconditionError
-from biharm_lab.grids import Field, RadialGrid
+from biharm_lab.grids import Field, RadialGrid, derivative_values, laplacian_values
 from biharm_lab.params import (BOUNDARY_TOL, ParamSet, beta_max, beta_max_or_zero,
                                check_admissible, coefficients, gamma_interval, q_min,
                                weak_coefficient)
-from biharm_lab.reports import TOL_FIRST_ORDER, report_from_margin
+from biharm_lab.reports import TOL_FIRST_ORDER, TOL_SECOND_ORDER, report_from_margin
 from biharm_lab.sweeps import region_sweep
 
 
@@ -314,3 +315,149 @@ def test_aux_fields_refuses_underflow_by_name(exact_coarse):
         verify.aux_fields(profile, 0.5, 0.1)
     assert str(exc.value) == (f"u^(-(q-1)/2) underflows to 0 at r = {exact_coarse.grid.r[i]:.6g} "
                               f"(u = {u[i]:.6g}, q = 7): the bounds cannot be evaluated in floats")
+
+
+# -- the four second-order checks: one stencil call ----------------------------
+
+def _aux_ref(profile, alpha, beta):
+    profile.require_positive()
+    params = ParamSet(n=profile.n, q=profile.q, alpha=alpha, beta=beta)
+    coefs = coefficients(params)
+    aux = verify.aux_fields(profile, alpha, beta)
+    g = profile.grid
+    dw = derivative_values(aux.w.values, g.h)
+    A, B, w = aux.A.values, aux.B.values, aux.w.values
+    rhs = (-2.0 * alpha * profile.du.values * dw
+           + (2.0 * alpha / g.n) * w * w
+           + coefs.K1 * alpha * A * w + coefs.K2 * beta * B * w
+           + coefs.I1 * alpha * A * A + coefs.I2 * B * B + coefs.I3 * beta * A * B)
+    lhs = profile.u.values * laplacian_values(aux.w.values, g.h, g.n)
+    margin = lhs - rhs
+    scale = max(1.0, float(np.abs(lhs[g.trim_slice()]).max()))
+    return report_from_margin("aux-differential-inequality", Field(g, margin),
+                              TOL_SECOND_ORDER, scale, params.to_dict())
+
+
+def _identity_ref(profile, alpha, beta):
+    profile.require_positive()
+    p = (profile.q - 1.0) / 2.0
+    aux = verify.aux_fields(profile, alpha, beta)
+    g = profile.grid
+    A, B, w = aux.A.values, aux.B.values, aux.w.values
+    lhs = profile.u.values * laplacian_values(B, g.h, g.n)
+    rhs = p * B * w + p * (p + 1.0 - alpha) * A * B - p * beta * B * B
+    scale = max(1.0, float(np.abs(lhs[g.trim_slice()]).max()))
+    return report_from_margin(
+        "power-field-laplacian-identity", Field(g, lhs - rhs), TOL_SECOND_ORDER, scale,
+        {"n": profile.n, "q": profile.q, "alpha": alpha, "beta": beta}, two_sided=True)
+
+
+def _weighted_ref(profile, alpha, beta, gamma):
+    profile.require_positive()
+    params = ParamSet(n=profile.n, q=profile.q, alpha=alpha, beta=beta, gamma=gamma)
+    coefs = coefficients(params)
+    aux = verify.aux_fields(profile, alpha, beta)
+    g = profile.grid
+    u = profile.u.values
+    wg = Field(g, u ** (-gamma) * aux.w.values).values
+    dwg = derivative_values(wg, g.h)
+    lhs = u ** (1.0 - gamma) * laplacian_values(wg, g.h, g.n)
+    rhs = (coefs.J1 * wg * wg
+           + u ** (-gamma) * (-2.0 * coefs.J2 * profile.du.values * dwg
+                              + coefs.L1 * aux.A.values * wg
+                              + coefs.L2 * aux.B.values * wg))
+    scale = max(1.0, float(np.abs(lhs[g.trim_slice()]).max()))
+    return report_from_margin("weighted-aux-differential-inequality",
+                              Field(g, lhs - rhs), TOL_SECOND_ORDER, scale, params.to_dict())
+
+
+def _gap_ref(profile):
+    profile.require_positive()
+    system._require_solution(profile)
+    g = profile.grid
+    lap_w = laplacian_values(profile.gap_values(), g.h, g.n)
+    rhs = system.gap_inequality_rhs(profile)
+    scale = max(1.0, float(np.abs(lap_w[g.trim_slice()]).max()))
+    return report_from_margin(
+        "gap-differential-inequality", Field(g, lap_w - rhs), TOL_SECOND_ORDER, scale,
+        {"n": profile.n, "q": profile.q, "rexp": profile.rexp})
+
+
+SECOND_ORDER = {
+    "aux": (lambda p: verify.verify_aux_inequality(p, 0.5, 0.4), lambda p: _aux_ref(p, 0.5, 0.4)),
+    "aux-other": (lambda p: verify.verify_aux_inequality(p, 0.3, 1.2),
+                  lambda p: _aux_ref(p, 0.3, 1.2)),
+    "identity": (lambda p: verify.laplacian_identity_defect(p, 0.5, 0.4),
+                 lambda p: _identity_ref(p, 0.5, 0.4)),
+    "identity-other": (lambda p: verify.laplacian_identity_defect(p, 0.2, 0.0),
+                       lambda p: _identity_ref(p, 0.2, 0.0)),
+    "weighted": (lambda p: verify.verify_weighted_aux_inequality(p, 0.5, 0.4, 0.2),
+                 lambda p: _weighted_ref(p, 0.5, 0.4, 0.2)),
+    "weighted-zero": (lambda p: verify.verify_weighted_aux_inequality(p, 0.4, 0.1, 0.0),
+                      lambda p: _weighted_ref(p, 0.4, 0.1, 0.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def second_order_profiles(exact_fine):
+    return {
+        "exact": exact_fine,
+        # the steep corner of the n = 3 draw box, where the identity check misses
+        "steep-n3": biharmonic.shoot(3, 9.0, 0.5, 24.0, 20.0, num_intervals=32768),
+        "n5": biharmonic.shoot(5, 5.0, 1.0, 2.0, 20.0, num_intervals=4096),
+        "touched": biharmonic.shoot(3, 7.0, 1.0, 0.5, 20.0, num_intervals=1024),
+    }
+
+
+def _assert_same_report(new, ref):
+    try:
+        expected = ref()
+    except BiharmLabError as exc:
+        with pytest.raises(type(exc)) as got:
+            new()
+        assert str(got.value) == str(exc)
+        return
+    rep = new()
+    assert _hex(rep.to_dict()) == _hex(expected.to_dict())
+    assert rep.two_sided is expected.two_sided
+    assert rep.margin.values.tobytes() == expected.margin.values.tobytes()
+    assert rep.margin.grid == expected.margin.grid
+
+
+@pytest.mark.parametrize("check", sorted(SECOND_ORDER))
+@pytest.mark.parametrize("which", ["exact", "steep-n3", "n5", "touched"])
+def test_second_order_checks_match_own_tails(check, which, second_order_profiles):
+    profile = second_order_profiles[which]
+    new, ref = SECOND_ORDER[check]
+    _assert_same_report(lambda: new(profile), lambda: ref(profile))
+
+
+@pytest.mark.parametrize("n,q,rexp,u0,v0", [(3, 7.0, 1.0, C, 3.0 * C), (5, 5.0, 2.0, 0.7, 2.0),
+                                           (4, 3.0, 0.5, 1.0, 2.0)])
+def test_gap_check_matches_own_tail(n, q, rexp, u0, v0):
+    profile = system.solve_radial_system(n, q, rexp, u0, v0, 10.0, num_intervals=2048)
+    assert profile.conforming
+    _assert_same_report(lambda: system.verify_gap_diff_inequality(profile),
+                        lambda: _gap_ref(profile))
+
+
+@pytest.mark.parametrize("check", ["aux", "weighted", "identity", "gap"])
+def test_second_order_checks_call_the_stencil_once(check, monkeypatch, exact_coarse):
+    """One stencil call on a derived field; the gap check's residuals keep their slopes."""
+    calls = []
+
+    def spy(f, h, n, df=None):
+        calls.append(df is None)
+        return laplacian_values(f, h, n, df)
+
+    for module in (verify, system, biharmonic):
+        monkeypatch.setattr(module, "laplacian_values", spy)
+    if check == "gap":
+        system.verify_gap_diff_inequality(system.solve_radial_system(
+            3, 7.0, 1.0, C, 3.0 * C, 10.0, num_intervals=512))
+        assert sorted(calls) == [False, False, True]   # lap u and lap v with stored slopes
+        return
+    {"aux": lambda: verify.verify_aux_inequality(exact_coarse, 0.5, 0.4),
+     "weighted": lambda: verify.verify_weighted_aux_inequality(exact_coarse, 0.5, 0.4, 0.2),
+     "identity": lambda: verify.laplacian_identity_defect(exact_coarse, 0.5, 0.4)}[check]()
+    assert calls == [True]

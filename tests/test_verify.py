@@ -6,7 +6,7 @@ import pytest
 from biharm_lab import biharmonic as bh
 from biharm_lab import reports
 from biharm_lab import verify as vf
-from biharm_lab.errors import DomainError, PreconditionError
+from biharm_lab.errors import PreconditionError
 from biharm_lab.grids import Field, RadialGrid
 
 from conftest import (GOLD_B0, GOLD_DU0, GOLD_SCAL0, GOLD_THM_MARGIN0,
@@ -36,12 +36,9 @@ class TestAuxFields:
         assert np.all(aux.w.values < 0)
 
     def test_weight_preserves_sign(self, exact_coarse):
-        aux = vf.aux_fields(exact_coarse, 0.5, BETA_REF, gamma=0.3)
-        assert np.array_equal(np.sign(aux.w_gamma.values), np.sign(aux.w.values))
-
-    def test_gamma_domain(self, exact_coarse):
-        with pytest.raises(DomainError):
-            vf.aux_fields(exact_coarse, 0.5, BETA_REF, gamma=1.0)
+        aux = vf.aux_fields(exact_coarse, 0.5, BETA_REF)
+        w_gamma = exact_coarse.u.values ** -0.3 * aux.w.values
+        assert np.array_equal(np.sign(w_gamma), np.sign(aux.w.values))
 
 
 class TestPointwiseBound:
@@ -206,8 +203,8 @@ class TestFormulationEquivalence:
         rep = vf.verify_pointwise_bound(exact_coarse, alpha, beta)
         sl = exact_coarse.grid.trim_slice()
         for gamma in (0.0, 0.2, 0.45):
-            aux = vf.aux_fields(exact_coarse, alpha, beta, gamma)
-            wg = aux.w_gamma.values[sl]
+            aux = vf.aux_fields(exact_coarse, alpha, beta)
+            wg = (exact_coarse.u.values ** -gamma * aux.w.values)[sl]
             scale_g = max(1.0, np.abs(wg).max())
             assert rep.passed == bool(wg.max() <= rep.tol * scale_g)
 
