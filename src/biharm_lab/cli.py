@@ -407,7 +407,9 @@ def _cmd_simulate_parabolic(cfg: RunConfig) -> tuple[int, list[Artifact]]:
                                      num_nodes=p.get("nodes", 512))
     eps = p.get("perturb", 0.0)
     x = geom.x
-    scale_x = 2.0 * np.pi / (x[-1] + geom.h)
+    # one period over the box, or over [0, R]: cos(k r) then has zero slope
+    # at the axis and at the zero-flux wall
+    scale_x = 2.0 * np.pi / (geom.radius if geometry == "radial" else x[-1] + geom.h)
     with np.errstate(invalid="ignore"):   # -inf + inf: simulate refuses the NaN start
         u_init = p.get("u0", 1.0) + eps * np.cos(scale_x * x)
         v_init = p.get("v0", 1.2) + eps * np.cos(2.0 * scale_x * x)

@@ -11,8 +11,18 @@ The shooting sweeps run one base shot per scale-invariant family and fill
 every member's row from it (_family_profiles).  Every sweep returns its rows
 in sorted key order, so rows come out in the same order whatever order the
 inputs were given in.
+
+The families run in one stripe per CPU of the process's affinity mask: the
+caller runs the first stripe and forked children run the others
+(_striped).  A row is computed by the same code on the same inputs in
+whichever process runs it, so the rows are bitwise those of one process.
+There is no setting: a single family, a daemonic caller, a caller with
+other threads and a platform without fork run one process.
 """
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -105,20 +115,114 @@ def _member_profile(shot, n, h, intervals, lam, factors, meta, counters):
                                 status, i_stop, lam * shot.r_event, meta, counters)
 
 
+def _stripes(families: int) -> int:
+    """How many processes a sweep of this many families runs in.
+
+    One per CPU of the affinity mask, but one where a child cannot be forked
+    safely: without fork or an affinity mask, in a daemonic process (which
+    may not have children) and while other threads run (a fork copies only
+    the calling thread, and locks the others hold stay held).
+    """
+    # imported here, not at the top, so that commands that run no sweep do
+    # not carry its 0.9 MB of resident memory
+    import multiprocessing
+    if (families < 2 or not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), families)
+
+
+def _stripe(fn, indices):
+    """([fn(i) for the indices in order], first error).
+
+    The values stop at the first index whose call raises; the error is (that
+    index, its exception), or None when every call returned.
+    """
+    done = []
+    for i in indices:
+        try:
+            done.append(fn(i))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _send_stripe(conn, fn, indices):
+    with conn:
+        conn.send(_stripe(fn, indices))
+
+
+def _striped(fn, count):
+    """[fn(i) for i in range(count)], the indices dealt to W = _stripes(count)
+    stripes i, i + W, ...: this process runs the first and a forked child
+    each other one, which sends its values back over a pipe.
+
+    The values are those of one process, in index order.  When calls raise,
+    the exception of the lowest index is raised, with its type, message and
+    attributes: the one the one-process run meets first.  No child outlives
+    the call.
+    """
+    import multiprocessing
+    stripes = _stripes(count)
+    procs, conns = [], []
+    try:
+        for k in range(1, stripes):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            conns.append(recv)
+            with send:
+                # the fork context flushes stdout and stderr before it forks
+                proc = multiprocessing.get_context("fork").Process(
+                    target=_send_stripe, args=(send, fn, range(k, count, stripes)))
+                proc.start()
+            procs.append(proc)
+        results = [_stripe(fn, range(0, count, stripes))]
+        for proc, conn in zip(procs, conns):
+            try:
+                results.append(conn.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a sweep stripe exited with code {proc.exitcode} "
+                                   "before sending its rows") from None
+    except BaseException:
+        for proc in procs:
+            proc.kill()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+            proc.close()
+        for conn in conns:
+            conn.close()
+    errors = [err for _, err in results if err is not None]
+    if errors:
+        raise min(errors, key=lambda err: err[0])[1]
+    values = [None] * count
+    for k, (done, _) in enumerate(results):
+        values[k::stripes] = done
+    return values
+
+
 def _family_sweep(keys, families, r_max, intervals, make_row):
     """Rows of the keys in sorted order, one base shot per family.
 
     families maps the start (n, q, rexp, v0) of a family's base shot to its
     members, {key: (u0, v0)}; make_row(key, profile) gives a member's row.
-    Every family's guards run before the first shot.
+    Every family's guards run before the first shot, and the families then
+    run in stripes (_striped).
     """
     bases = sorted(families)
     plans = [_family_plan(*base[:3], families[base].values(), r_max, intervals)
              for base in bases]
+
+    def family_rows(i):
+        return [make_row(key, prof) for key, prof in
+                zip(families[bases[i]], _family_profiles(*bases[i], plans[i], intervals))]
+
     rows = {}
-    for base, plan in zip(bases, plans):
-        for key, prof in zip(families[base], _family_profiles(*base, plan, intervals)):
-            rows[key] = make_row(key, prof)
+    for base, base_rows in zip(bases, _striped(family_rows, len(bases))):
+        rows.update(zip(families[base], base_rows))
     return [rows[key] for key in sorted(keys)]
 
 

@@ -221,9 +221,9 @@ def test_criterion_8_parabolic_suite():
     rep_prop = pb.verify_sign_propagation(fld)
     assert rep_prop.passed
 
-    # (d) scalar inequalities, 1e5 samples per exponent pair
+    # (d) scalar inequalities on the fixed grid in t = b/a, per exponent pair
     for p, r in pairs:
-        rep = pb.verify_scalar_power_bounds(p, r, num_samples=100_000, seed=7)
+        rep = pb.verify_scalar_power_bounds(p, r)
         assert rep.passed and rep.params["violations"] == 0
 
     elapsed = time.perf_counter() - t0
@@ -233,7 +233,7 @@ def test_criterion_8_parabolic_suite():
     print(f"\ncriterion 8 PASS: conservation drift <= {worst_drift:.2e} (<= 1e-6) "
           f"with blow-up flags raised; inequality margin/tol*scale >= "
           f"{worst_ratio:+.2f}; propagation max gap {-rep_prop.min_margin:+.3e}; "
-          f"0 scalar violations in 3x10^5 samples; {elapsed:.1f}s (< 180s)")
+          f"0 scalar violations on 3 grids in b/a; {elapsed:.1f}s (< 180s)")
 
 
 def test_criterion_9_cutoff_bound_constants():

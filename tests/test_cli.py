@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from biharm_lab import biharmonic, cli, verify
@@ -634,6 +636,20 @@ class TestRadialParabolicCLI:
         man = json.loads((tmp_path / "run-manifest.json").read_text())
         assert man["geometry"]["kind"] == "radial"
         assert man["geometry"]["n"] == 3
+
+    def test_radial_perturbation_is_mirror_symmetric(self, tmp_path):
+        # one period of cos over [0, R]: zero slope at the axis and at the wall
+        assert run_cli(["simulate-parabolic", "--p-exp", "2", "--r-exp", "1",
+                        "--geometry", "radial", "--nodes", "512", "--t-final", "0.05",
+                        "--snapshots", "4", "--perturb", "0.02", "--format", "csv",
+                        "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "run-manifest.csv") as f:
+            rows = [row for row in csv.DictReader(f) if float(row["t"]) == 0.0]
+        assert len(rows) == 513
+        for name in ("u", "v"):
+            col = np.array([float(row[name]) for row in rows])
+            assert np.ptp(col) > 0.03
+            np.testing.assert_allclose(col, col[::-1], rtol=0, atol=1e-14)
 
 
 class TestRefinementOrderInReport:

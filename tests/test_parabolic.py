@@ -298,7 +298,7 @@ class TestBandsFromStencil:
 class TestScalarPowerBounds:
     def test_square_case_is_identity(self):
         # (a+b)^2 - a^2 = 2ab + b^2 >= b^2
-        rep = pb.verify_scalar_power_bounds(2.0, 1.0, num_samples=50_000, seed=1)
+        rep = pb.verify_scalar_power_bounds(2.0, 1.0)
         assert rep.passed and rep.params["violations"] == 0
 
     def test_hand_sample(self):
@@ -310,9 +310,10 @@ class TestScalarPowerBounds:
         rhs = (p / (1 + 0.5)) * b ** (p - 0.5 - 1) * (a - b) ** 1.5
         assert lhs == 7.0 and rhs == pytest.approx(2.0, rel=1e-14)
 
-    @pytest.mark.parametrize("p,r", [(2.0, 1.0), (3.0, 2.0), (2.0, 2.0)])
+    @pytest.mark.parametrize("p,r", [(2.0, 1.0), (3.0, 2.0), (2.0, 2.0), (1.1, 1.0),
+                                     (7.0, 0.2), (1.5, 0.7), (50.0, 0.05)])
     def test_no_violations(self, p, r):
-        rep = pb.verify_scalar_power_bounds(p, r, num_samples=100_000, seed=3)
+        rep = pb.verify_scalar_power_bounds(p, r)
         assert rep.passed and rep.params["violations"] == 0
 
     def test_empty_interval_refused(self):

@@ -3,9 +3,15 @@
 Each row is the family's base shot sampled on the member's rescaled grid; a
 row does not depend on which other rows share its family, its verdicts are
 the direct shot's, and its values stay within the dense-output envelope of
-the direct shot's (r_stop 2.8e-7 relative, min_margin 4.1e-7).
+the direct shot's (r_stop 2.8e-7 relative, min_margin 4.1e-7).  The
+families run in forked stripes, and rows and errors are those of one process.
 """
+import contextlib
 import math
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -250,3 +256,142 @@ class TestDirectShotIsAMember:
             direct = system.solve_radial_system(row["n"], row["q"], row["rexp"], row["u0"],
                                                 row["v0"], 20.0, num_intervals=N)
             assert direct.classification.kind == row["classification"], row
+
+
+def _reaped(pid):
+    """Whether pid is no longer a child of this process, running or unreaped."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestStripes:
+    """Families run in forked stripes; rows and errors are those of one process."""
+
+    @pytest.fixture
+    def stripes(self, monkeypatch):
+        """force(w) runs the sweeps in w stripes, whatever the CPUs."""
+        def force(w):
+            monkeypatch.setattr(sweeps, "_stripes", lambda families: min(w, families))
+        return force
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """pids of the stripes' children, recorded as they start."""
+        pids = []
+
+        class Recorded(multiprocessing.context.ForkProcess):
+            def start(self):
+                super().start()
+                pids.append(self.pid)
+        monkeypatch.setattr(multiprocessing.context.ForkContext, "Process", Recorded)
+        return pids
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: sweeps.weak_bound_sweep(n_values=(3,), q_values=(2.0, 7.0)),
+        lambda: sweeps.system_sweep(n_values=(3,), q_values=(2.0, 7.0), rexp_values=(0.5, 2.0)),
+    ], ids=["weak", "lane_emden"])
+    def test_rows_bitwise_one_process(self, sweep, stripes, forks, monkeypatch):
+        # 120 attempted steps stop the longest base shots as max-steps, so
+        # the table holds failed, touched and positive families
+        monkeypatch.setattr(_backend, "MAX_STEPS", 120)
+        default = sweep()
+        default_forks = len(forks)
+        stripes(1)
+        one = sweep()
+        stripes(3)
+        three = sweep()
+        assert len(forks) == default_forks + 2
+        assert {row["classification"] for row in one} == {
+            biharmonic.POSITIVE, biharmonic.TOUCHED_ZERO, biharmonic.FAILED}
+        assert _bits(default) == _bits(one) == _bits(three)
+
+    @pytest.mark.parametrize("case", ["stub", "underflow"])
+    def test_child_error_is_raised_alike(self, case, stripes, monkeypatch):
+        if case == "stub":
+            # the sorted families at q = 7 run kappa = 0.5, 0.9, 1.6, ...: the
+            # second and third fail at their third member, in different stripes
+            weak_row = sweeps._weak_row
+
+            def make_row(key, prof):
+                n, q, u0, z0, kappa = key
+                if kappa in (0.9, 1.6) and u0 == 1.2:
+                    raise IntegratorError(f"stub failure at kappa = {kappa}", location=z0)
+                return weak_row(key, prof)
+            monkeypatch.setattr(sweeps, "_weak_row", make_row)
+            error, kw = IntegratorError, dict(n_values=(3,), q_values=(7.0,))
+        else:
+            # q = 100 rows refuse their bounds where u^(-(q-1)/2) underflows
+            error, kw = DomainError, dict(n_values=(3,), q_values=(2.0, 100.0))
+        raised = []
+        for w in (1, 2, 3):
+            stripes(w)
+            with pytest.raises(error) as info:
+                sweeps.weak_bound_sweep(**kw)
+            raised.append((type(info.value), str(info.value),
+                           getattr(info.value, "location", None)))
+        assert raised == [raised[0]] * 3
+        if case == "stub":
+            z0 = dict(((u0, k), z0) for u0, z0, k in sweeps.biharmonic_targets(7.0))[(1.2, 0.9)]
+            assert raised[0][1:] == ("stub failure at kappa = 0.9", z0)
+
+    @pytest.mark.parametrize("fail", [None, "child", "parent", "interrupt", "exit"])
+    def test_no_child_remains(self, fail, stripes, forks, monkeypatch):
+        stripes(3)
+        parent, weak_row = os.getpid(), sweeps._weak_row
+
+        def make_row(key, prof):
+            in_parent = os.getpid() == parent
+            if (fail == "child" and not in_parent) or (fail == "parent" and in_parent):
+                raise IntegratorError("stub failure", location=0.0)
+            if fail == "interrupt":
+                if in_parent:
+                    raise KeyboardInterrupt
+                time.sleep(10)   # killed, not waited for
+            if fail == "exit" and not in_parent:
+                os._exit(5)   # a child that dies without sending its rows
+            return weak_row(key, prof)
+        monkeypatch.setattr(sweeps, "_weak_row", make_row)
+        raises = {None: contextlib.nullcontext(), "child": pytest.raises(IntegratorError),
+                  "parent": pytest.raises(IntegratorError),
+                  "interrupt": pytest.raises(KeyboardInterrupt),
+                  "exit": pytest.raises(RuntimeError, match="exited with code 5")}[fail]
+        t0 = time.monotonic()
+        with raises:
+            sweeps.weak_bound_sweep(n_values=(3,), q_values=(7.0,))
+        assert time.monotonic() - t0 < 30
+        assert len(forks) == 2 and all(map(_reaped, forks))
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("caller", ["daemon", "thread"])
+    def test_one_process_callers(self, caller, stripes, forks):
+        kw = dict(n_values=(3,), q_values=(7.0,))
+        if caller == "daemon":
+            recv, send = multiprocessing.Pipe(duplex=False)
+
+            def run():
+                with send:
+                    send.send((sweeps.weak_bound_sweep(**kw), len(forks)))
+            with send:
+                proc = multiprocessing.context.ForkProcess(target=run, daemon=True)
+                proc.start()
+            with recv:
+                assert recv.poll(120)
+                rows, children = recv.recv()
+            proc.join(60)
+            assert proc.exitcode == 0
+        else:
+            stop = threading.Event()
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+            try:
+                rows, children = sweeps.weak_bound_sweep(**kw), len(forks)
+            finally:
+                stop.set()
+                thread.join(60)
+            assert not thread.is_alive()
+        assert children == 0
+        stripes(1)
+        assert _bits(rows) == _bits(sweeps.weak_bound_sweep(**kw))
