@@ -17,9 +17,14 @@ one string a summary prints.
 
 A run's artifacts are data (``Artifact``), and ``write_artifacts`` puts them
 on disk through one ``FloatTexts``, so each float column that recurs in the
-run is formatted once: the JSON stores the text of every array it writes, a
-CSV column that occurs in more than one of the run's tables is stored on
-first use, and a CSV column equal to a stored one is read from it.
+files a process writes is formatted once there: the JSON stores the text of
+every array it writes, a CSV column that occurs in more than one of the
+run's tables is stored on first use, and a CSV column equal to a stored one
+is read from it.  The files are written in forked stripes, one per CPU of
+the affinity mask, each stripe through its own copy of the ``FloatTexts``
+(``write_artifacts``).  A file is made by the same code from the same data
+in whichever stripe writes it, so its bytes do not depend on how many
+stripes there are.
 """
 from __future__ import annotations
 
@@ -30,10 +35,13 @@ import re
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+
+from ._stripes import striped
 
 #: CSV rows (and JSON array values) formatted, joined and written at a time
 CSV_BLOCK_ROWS = 1024
@@ -239,6 +247,15 @@ class Artifact:
 def write_artifacts(outdir: str | Path, formats, config_text: str, artifacts: list[Artifact]):
     """Write ``run-config.json``, then each artifact's forms that ``formats`` holds, JSON first.
 
+    The files after ``run-config.json``, in that order, are dealt to the
+    W = ``_stripes.stripes`` stripes i, i + W, ...: this process writes the
+    first stripe and a forked child each other one (``_stripes.striped``).
+    A file's bytes do not depend on W.  When files cannot be written, the
+    error of the first in that order is raised.  A stripe stops at its
+    failed file while the others run on, so a later file of another stripe
+    may already be in place (whole, as every file is written), where one
+    process writes nothing after the failed file.
+
     One ``FloatTexts`` serves the run.  It stores the CSV float columns that
     occur in more than one table, found by their keys' hashes (a chance match
     stores one column more: the store itself is keyed by the bytes).
@@ -249,8 +266,10 @@ def write_artifacts(outdir: str | Path, formats, config_text: str, artifacts: li
     counts = Counter(key for cols in tables if cols for key in {
         hash(np.asarray(c, dtype=float).tobytes()) for c in cols.values() if not isinstance(c, list)})
     texts = FloatTexts({key for key, count in counts.items() if count > 1})
+    files = []
     for art, table in zip(artifacts, tables):
         if "json" in formats and art.json is not None:
-            write_json(outdir / f"{art.name}.json", art.json, texts)
+            files.append(partial(write_json, outdir / f"{art.name}.json", art.json))
         if table is not None:
-            write_columns(outdir / f"{art.name}.csv", table, texts)
+            files.append(partial(write_columns, outdir / f"{art.name}.csv", table))
+    striped(lambda i: files[i](texts), len(files))

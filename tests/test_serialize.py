@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biharm_lab import biharmonic, cli, serialize
+from biharm_lab import _stripes, biharmonic, cli, serialize
 from biharm_lab.grids import Field, RadialGrid
 
 
@@ -293,12 +299,23 @@ def test_failed_stream_leaves_no_file(existing, tmp_path):
         assert target.read_text() == "old\n"
 
 
+def force_stripes(monkeypatch, w):
+    """Run the writers (and sweeps) in w stripes, whatever the CPUs."""
+    monkeypatch.setattr(_stripes, "stripes", lambda jobs: min(w, jobs))
+
+
+@pytest.fixture
+def one_stripe(monkeypatch):
+    """Every file written by this process, where a spy's records are kept."""
+    force_stripes(monkeypatch, 1)
+
+
 @pytest.mark.parametrize("formats,names", [
     (["json"], ["a.json", "c.json"]),
     (["csv"], ["a.csv", "b.csv"]),
     (["json", "csv"], ["a.json", "a.csv", "b.csv", "c.json"]),
 ])
-def test_write_artifacts_order_and_formats(formats, names, tmp_path, monkeypatch):
+def test_write_artifacts_order_and_formats(formats, names, tmp_path, monkeypatch, one_stripe):
     """run-config.json first, then each artifact in order, JSON before CSV, as asked."""
     called, written = [], []
     a, r = sample(9, 15), sample(9, 16)
@@ -374,7 +391,7 @@ COMMANDS = {
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_cli_artifacts_match_reference(name, tmp_path, monkeypatch, capsys):
+def test_cli_artifacts_match_reference(name, tmp_path, monkeypatch, capsys, one_stripe):
     seen = _spy_writers(monkeypatch)
     cli.main(COMMANDS[name] + ["--format", "json,csv", "--out", str(tmp_path)])
     capsys.readouterr()
@@ -406,7 +423,8 @@ def test_cli_artifacts_match_reference(name, tmp_path, monkeypatch, capsys):
     ("solve-system", 9, 41),       # JSON u, du, v, dv; CSV r, w, margin, two residuals
     ("verify", 8, 101),            # r and seven distinct margins of eight
 ])
-def test_each_column_formatted_once(name, columns, nodes, tmp_path, monkeypatch, capsys):
+def test_each_column_formatted_once(name, columns, nodes, tmp_path, monkeypatch, capsys,
+                                    one_stripe):
     formatted = []
     format_floats = serialize.format_floats
     monkeypatch.setattr(serialize, "format_floats",
@@ -414,3 +432,83 @@ def test_each_column_formatted_once(name, columns, nodes, tmp_path, monkeypatch,
     cli.main(COMMANDS[name] + ["--format", "json,csv", "--out", str(tmp_path)])
     capsys.readouterr()
     assert sum(formatted) == columns * nodes
+
+
+def _run(argv, out: Path, capsys):
+    """(exit code, stdout, stderr) of one CLI run writing json,csv to ``out``."""
+    code = cli.main(argv + ["--format", "json,csv", "--out", str(out)])
+    return (code, *capsys.readouterr())
+
+
+def _files(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run-config.json"}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_two_stripes_write_the_bytes_of_one(name, tmp_path, monkeypatch, capsys):
+    runs, files = [], []
+    for w in (1, 2):
+        force_stripes(monkeypatch, w)
+        runs.append(_run(COMMANDS[name], tmp_path / f"w{w}", capsys))
+        files.append(_files(tmp_path / f"w{w}"))
+    assert runs[0] == runs[1]
+    assert len(files[0]) >= 2 and files[0] == files[1]
+
+
+def test_failed_child_file_reported_alike(tmp_path, monkeypatch, capsys):
+    """A CSV the child stripe writes fails as it fails in one process: exit 1, one line."""
+    argv = COMMANDS["solve-biharmonic"]   # profile.json in this process, profile.csv in the child
+    runs = []
+    for w in (1, 2):
+        force_stripes(monkeypatch, w)
+        out = tmp_path / f"w{w}"
+        (out / "profile.csv").mkdir(parents=True)
+        code, stdout, err = _run(argv, out, capsys)
+        # the temporary file's name is random
+        err = re.sub(r"profile\.csv\w+\.tmp", "profile.csv*.tmp", err.replace(str(out), "OUT"))
+        runs.append((code, stdout, err))
+        assert sorted(p.name for p in out.iterdir()) == ["profile.csv", "profile.json",
+                                                         "run-config.json"]
+    assert runs[0] == runs[1]
+    code, _, err = runs[0]
+    assert code == cli.EXIT_USAGE and err.startswith("error: --out ") and err.count("\n") == 1
+
+
+def test_interrupt_leaves_no_child_and_no_temporary(tmp_path, monkeypatch, capsys):
+    force_stripes(monkeypatch, 2)
+    parent, format_floats, child_file = os.getpid(), serialize.format_floats, []
+
+    def interrupted(a):
+        if os.getpid() != parent:
+            time.sleep(60)   # terminated, not waited for
+        # interrupt this process once the child has profile.csv's temporary file open
+        deadline = time.monotonic() + 30
+        while not child_file and time.monotonic() < deadline:
+            child_file.extend(tmp_path.glob("profile.csv*.tmp"))
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(serialize, "format_floats", interrupted)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _run(COMMANDS["solve-biharmonic"], tmp_path, capsys)
+    assert time.monotonic() - t0 < 30
+    assert child_file
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_no_multiprocessing_import(tmp_path):
+    """Neither the writers nor the sweeps load multiprocessing (0.9 MB resident to fork)."""
+    code = ("import sys; from biharm_lab import cli; out = sys.argv[1]; "
+            "cli.main(['verify', '--exact', '--h', '0.05', '--r-max', '5', "
+            "'--format', 'json,csv', '--out', out + '/verify']); "
+            "assert cli.main(['sweep', '--module', 'lane-emden', '--n', '3', '--q', '3', "
+            "'--r-exp', '1', '--h', '0.5', '--format', 'json,csv', '--out', out + '/sweep']) == 0; "
+            "print('multiprocessing' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[-1] == "False"
+    assert len(list(tmp_path.glob("*/*.csv"))) == 9
