@@ -16,15 +16,14 @@ block, into the text around it.  ``json_text`` joins the JSON pieces into the
 one string a summary prints.
 
 A run's artifacts are data (``Artifact``), and ``write_artifacts`` puts them
-on disk through one ``FloatTexts``, so each float column that recurs in the
-files a process writes is formatted once there: the JSON stores the text of
-every array it writes, a CSV column that occurs in more than one of the
-run's tables is stored on first use, and a CSV column equal to a stored one
-is read from it.  The files are written in forked stripes, one per CPU of
-the affinity mask, each stripe through its own copy of the ``FloatTexts``
-(``write_artifacts``).  A file is made by the same code from the same data
-in whichever stripe writes it, so its bytes do not depend on how many
-stripes there are.
+on disk with the work dealt by row block: block b of every table and of
+every JSON array is made by process b % W, one per CPU of the affinity mask
+(``FloatTexts``).  The calling process writes every file, in order, from the
+blocks it makes and those it reads, in turn, from each forked child's pipe.
+A process keeps the cells of its own blocks of each float column that recurs
+in the run's files, so each column is formatted once per run.  A block is
+made by the same code from the same data in whichever process makes it, so
+the files' bytes do not depend on W.
 """
 from __future__ import annotations
 
@@ -41,7 +40,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._stripes import striped
+from . import _stripes
 
 #: CSV rows (and JSON array values) formatted, joined and written at a time
 CSV_BLOCK_ROWS = 1024
@@ -67,39 +66,75 @@ def format_floats(a) -> list[str]:
     return list(map(float.__repr__, np.asarray(a, dtype=float).tolist()))
 
 
-def _text_blocks(a: np.ndarray) -> Iterator[str]:
-    """The reprs of ``a`` in blocks of CSV_BLOCK_ROWS, each joined by newlines."""
-    return ("\n".join(format_floats(a[i:i + CSV_BLOCK_ROWS]))
-            for i in range(0, a.size, CSV_BLOCK_ROWS))
+def _blocks(rows: int) -> int:
+    """How many blocks of CSV_BLOCK_ROWS hold ``rows`` rows (or values)."""
+    return -(-rows // CSV_BLOCK_ROWS)
 
 
 class FloatTexts:
-    """The formatted float columns of one run, each formatted once.
+    """The text one of the W processes writing a run's files makes.
 
-    A column is keyed by its values' bytes, so equal arrays held in different
-    objects share one text while ``-0.0`` and ``0.0`` do not.  It is stored as
-    blocks of ``CSV_BLOCK_ROWS`` reprs joined by newlines, non-finite values
-    spelled ``nan``/``inf``/``-inf`` as in a CSV; the JSON writer turns them
-    into ``null`` in its own copy.  ``recurring`` holds the hashes of the keys
-    of the CSV columns to store (``write_artifacts``).
+    Block b of a float array, a table or a JSON array (its rows or values
+    b * CSV_BLOCK_ROWS up to (b + 1) * CSV_BLOCK_ROWS) is made by process
+    b % ``width``; this one is ``rank``.  ``piece(b, make)`` is the text of
+    block b: ``make(b)`` where this process makes it, and otherwise, in the
+    writing process (rank 0), the next text the block's maker sent
+    (``children``, ranks 1, 2, ...).  A child sends the text of its blocks on
+    its ``sink`` and gives "" for every block.
+
+    ``blocks(a, csv)`` gives the reprs of a float array block by block, for
+    a CSV (``csv``) or a JSON.  ``uses`` counts, by the hash of a column's
+    key (its values' bytes), the files still to write it.  A column that a
+    later file writes too keeps the blocks made here, keyed by the bytes, so
+    equal arrays held in different objects share them while ``-0.0`` and
+    ``0.0`` do not.  A CSV keeps a block's cells, and a JSON their
+    newline-joined text, which a CSV after it splits, keeping the cells in
+    its place for the files after it; the last file to write a column drops
+    its blocks.  A non-finite value is spelled ``nan``/``inf``/``-inf``, as
+    in a CSV; the JSON writer turns it into ``null`` in its own text.
     """
 
-    def __init__(self, recurring=frozenset()):
-        self._blocks = {}
-        self.recurring = recurring
+    def __init__(self, uses=(), width: int = 1, rank: int = 0, children=(), sink=None):
+        self.uses = Counter(uses)
+        self.width = width
+        self.rank = rank
+        self.children = children
+        self.sink = sink
+        self._kept = {}
 
-    def blocks(self, a, csv: bool = False) -> list[str] | None:
-        """The blocks of the 1-D float array ``a``, formatted and stored on first use.
+    def blocks(self, a, csv: bool) -> Callable[[int], list[str] | str]:
+        """Block b of the 1-D float array ``a`` as a function of b, for one file.
 
-        A CSV column (``csv``) not stored yet is stored only if it recurs, else None.
+        A block is its list of reprs, or, read by a JSON (not ``csv``) from
+        a JSON before it, their newline-joined text.
         """
         a = np.asarray(a, dtype=float)
         key = a.tobytes()
-        if key not in self._blocks:
-            if csv and hash(key) not in self.recurring:
-                return None
-            self._blocks[key] = list(_text_blocks(a))
-        return self._blocks[key]
+        self.uses[hash(key)] -= 1
+        later = self.uses[hash(key)] > 0
+        kept = self._kept.setdefault(key, {}) if later else self._kept.pop(key, {})
+
+        def block(b):
+            made = kept.get(b)
+            if made is None:
+                made = format_floats(a[b * CSV_BLOCK_ROWS:(b + 1) * CSV_BLOCK_ROWS])
+                if later:   # a JSON keeps the text, a quarter of the cells' memory
+                    kept[b] = made if csv else "\n".join(made)
+            elif csv and isinstance(made, str):
+                made = made.split("\n")
+                if later:
+                    kept[b] = made
+            return made
+        return block
+
+    def piece(self, b: int, make: Callable[[int], str]) -> str:
+        """The text of block b, ``make(b)``, from the process that makes it."""
+        maker = b % self.width
+        if self.sink is None:
+            return make(b) if maker == self.rank else self.children[maker - 1].receive()
+        if maker == self.rank:
+            _stripes.send(self.sink, make(b))
+        return ""
 
 
 def atomic_write_pieces(path: str | Path, pieces: Iterable[str]) -> Path:
@@ -148,7 +183,7 @@ def sanitize_nan(obj, arrays: list | None = None):
     return obj
 
 
-def _json_array(a: np.ndarray, indent: int, texts: FloatTexts | None) -> Iterator[str]:
+def _json_array(a: np.ndarray, indent: int, texts: FloatTexts) -> Iterator[str]:
     """The JSON text of a 1-D float array at ``indent``, one block of values a piece."""
     if a.size == 0:
         yield "[]"
@@ -156,11 +191,18 @@ def _json_array(a: np.ndarray, indent: int, texts: FloatTexts | None) -> Iterato
     finite = bool(np.isfinite(a).all())
     pad = "\n" + " " * (indent + 2)
     sep = "," + pad
-    for k, block in enumerate(_text_blocks(a) if texts is None else texts.blocks(a)):
+    blocks = texts.blocks(a, csv=False)
+
+    def block(b):
+        made = blocks(b)
+        text = made.replace("\n", sep) if isinstance(made, str) else sep.join(made)
         if not finite:
             # a finite repr holds no letter but e, so only the non-finite cells match
-            block = block.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
-        yield (sep if k else "[" + pad) + block.replace("\n", sep)
+            text = text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+        return (sep if b else "[" + pad) + text
+
+    for b in range(_blocks(a.size)):
+        yield texts.piece(b, block)
     yield "\n" + " " * indent + "]"
 
 
@@ -169,12 +211,16 @@ def json_pieces(obj, texts: FloatTexts | None = None, end: str = "") -> Iterator
 
     NumPy scalars and arrays are accepted; 1-D float arrays are formatted by
     column and spliced in block by block, so a piece is the structure text
-    between two arrays or one block of an array.  With ``texts``, every such
-    array's text is read from it or stored in it.
+    between two arrays or one block of an array, made through ``texts``.
     """
     arrays = []
-    text = json.dumps(sanitize_nan(obj, arrays), indent=2, sort_keys=True,
-                      allow_nan=False, default=_json_default)
+    return _spliced(sanitize_nan(obj, arrays), arrays, texts or FloatTexts(), end)
+
+
+def _spliced(structure, arrays: list, texts: FloatTexts, end: str = "") -> Iterator[str]:
+    """The JSON pieces of a ``sanitize_nan`` structure with the ``arrays`` spliced in."""
+    text = json.dumps(structure, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_default)
     pos = 0
     for m in _SPLICE.finditer(text):
         line = text[text.rfind("\n", 0, m.start()) + 1:m.start()]
@@ -204,24 +250,27 @@ def _json_default(x):
 def column_pieces(columns: dict, texts: FloatTexts | None = None) -> Iterator[str]:
     """CSV text of named columns of equal length: the header line, then one row block a piece.
 
-    A column is a float array, written as the repr of each value, or a list
-    of strings already formatted (``table_columns``).  A float array stored
-    in ``texts``, or recurring there, is split from its stored blocks; any
-    other is formatted here and not stored, as a column that does not repeat
-    would gain nothing.
+    A column is a float array, written as the repr of each value through
+    ``texts``, or a list of strings already formatted (``table_columns``).
     """
+    texts = texts or FloatTexts()
     cols = list(columns.values())
     rows = len(cols[0]) if cols else 0
     if any(len(c) != rows for c in cols):
         raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
-    stored = [None if texts is None or isinstance(c, list) else texts.blocks(c, csv=True)
-              for c in cols]
+    cells = [partial(_list_block, c) if isinstance(c, list) else texts.blocks(c, csv=True)
+             for c in cols]
+
+    def block(b):
+        return "\n".join(map(",".join, zip(*(column(b) for column in cells)))) + "\n"
+
     yield ",".join(columns) + "\n"
-    for b, i in enumerate(range(0, rows, CSV_BLOCK_ROWS)):
-        cells = [c[i:i + CSV_BLOCK_ROWS] if isinstance(c, list)
-                 else format_floats(c[i:i + CSV_BLOCK_ROWS]) if s is None
-                 else s[b].split("\n") for c, s in zip(cols, stored)]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    for b in range(_blocks(rows)):
+        yield texts.piece(b, block)
+
+
+def _list_block(cells: list, b: int) -> list:
+    return cells[b * CSV_BLOCK_ROWS:(b + 1) * CSV_BLOCK_ROWS]
 
 
 def write_columns(path: str | Path, columns: dict, texts: FloatTexts | None = None) -> Path:
@@ -247,29 +296,48 @@ class Artifact:
 def write_artifacts(outdir: str | Path, formats, config_text: str, artifacts: list[Artifact]):
     """Write ``run-config.json``, then each artifact's forms that ``formats`` holds, JSON first.
 
-    The files after ``run-config.json``, in that order, are dealt to the
-    W = ``_stripes.stripes`` stripes i, i + W, ...: this process writes the
-    first stripe and a forked child each other one (``_stripes.striped``).
-    A file's bytes do not depend on W.  When files cannot be written, the
-    error of the first in that order is raised.  A stripe stops at its
-    failed file while the others run on, so a later file of another stripe
-    may already be in place (whole, as every file is written), where one
-    process writes nothing after the failed file.
+    This process writes every file, in that order, and stops at the first it
+    cannot write: that file's error is raised, and no later file is written.
+    The files' row blocks are dealt to W = ``_stripes.stripes`` processes
+    (``FloatTexts``): this process makes blocks 0, W, 2W, ... of each table
+    and JSON array, and forked child k blocks k, k + W, ..., which it sends
+    on its pipe as it makes them, the pipe's capacity holding it back.  A
+    file's bytes do not depend on W.
 
-    One ``FloatTexts`` serves the run.  It stores the CSV float columns that
-    occur in more than one table, found by their keys' hashes (a chance match
-    stores one column more: the store itself is keyed by the bytes).
+    A float column that occurs more than once in the files (a JSON array and
+    a CSV column, or columns of several tables) is formatted once: each
+    process keeps the blocks of it that it makes until the last file that
+    writes it (``FloatTexts``).  Columns are counted by the hash of their
+    values' bytes, so a chance match can only cost a column formatted again:
+    what is kept is keyed by the bytes.
     """
     outdir = Path(outdir)
     atomic_write_text(outdir / "run-config.json", config_text)
-    tables = [a.columns() if "csv" in formats and a.columns else None for a in artifacts]
-    counts = Counter(key for cols in tables if cols for key in {
-        hash(np.asarray(c, dtype=float).tobytes()) for c in cols.values() if not isinstance(c, list)})
-    texts = FloatTexts({key for key, count in counts.items() if count > 1})
-    files = []
-    for art, table in zip(artifacts, tables):
+    files, columns = [], []   # (path, its pieces from a FloatTexts); every column written
+    for art in artifacts:
         if "json" in formats and art.json is not None:
-            files.append(partial(write_json, outdir / f"{art.name}.json", art.json))
-        if table is not None:
-            files.append(partial(write_columns, outdir / f"{art.name}.csv", table))
-    striped(lambda i: files[i](texts), len(files))
+            arrays = []
+            files.append((outdir / f"{art.name}.json",
+                          partial(_spliced, sanitize_nan(art.json, arrays), arrays, end="\n")))
+            columns += arrays
+        if "csv" in formats and art.columns:
+            table = art.columns()
+            files.append((outdir / f"{art.name}.csv", partial(column_pieces, table)))
+            columns += table.values()
+    uses = Counter(hash(np.asarray(c, dtype=float).tobytes())
+                   for c in columns if not isinstance(c, list))
+    width = _stripes.stripes(_blocks(max(map(len, columns), default=0)))
+
+    def make_blocks(rank, pipe):   # in a forked child
+        texts = FloatTexts(uses, width, rank, sink=pipe)
+        try:
+            for _, pieces in files:
+                for _ in pieces(texts):
+                    pass
+        except Exception as exc:   # raised where the writing process reaches it
+            _stripes.send(pipe, exc)
+
+    with _stripes.forked(width, make_blocks) as children:
+        texts = FloatTexts(uses, width, children=children)
+        for path, pieces in files:
+            atomic_write_pieces(path, pieces(texts))

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -217,40 +218,56 @@ class TestFloatTexts:
 
     def test_non_finite_spelled_per_format(self, tmp_path):
         a = np.array([float("nan"), 1.5, float("inf"), -float("inf"), -0.0, 1e-05])
-        js, csv = self.write_both(tmp_path, {"a": a}, {"a": a}, serialize.FloatTexts())
+        js, csv = self.write_both(tmp_path, {"a": a}, {"a": a},
+                                  serialize.FloatTexts([hash(a.tobytes())] * 2))
         assert_same(js, ref_json({"a": a}))
         assert_same(csv, ref_columns_csv({"a": a}))
         assert json.loads(js)["a"] == [None, 1.5, None, None, -0.0, 1e-05]
         assert csv.splitlines()[1:] == ["nan", "1.5", "inf", "-inf", "-0.0", "1e-05"]
 
     def test_keyed_by_bytes(self):
-        texts = serialize.FloatTexts()
         a = sample(B + 1, 12)
-        assert texts.blocks(a, csv=True) is None
-        first = texts.blocks(a)
-        assert texts.blocks(a.copy()) is first and texts.blocks(list(a), csv=True) is first
-        assert texts.blocks(a[::-1]) is not first
-        assert texts.blocks(np.array([0.0, 1.0])) == ["0.0\n1.0"]
-        assert texts.blocks(np.array([-0.0, 1.0])) == ["-0.0\n1.0"]
-        assert texts.blocks(np.zeros(0)) == []
+        pair, signed = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
+        texts = serialize.FloatTexts([hash(x.tobytes()) for x in (a, a, a, a, pair, signed)])
+        assert texts.blocks(-a, True)(1) is not texts.blocks(-a, True)(1)   # written once
+        first = texts.blocks(a, True)(1)
+        assert first == [repr(float(a[-1]))]
+        assert texts.blocks(a.copy(), True)(1) is first
+        assert texts.blocks(a[::-1], True)(1) is not first
+        assert texts.blocks(list(a), True)(1) is first
+        # the fourth and last file to write a reads it and drops it
+        assert texts.blocks(a, True)(1) is first
+        assert texts.blocks(a, True)(1) is not first
+        assert texts.blocks(pair, True)(0) == ["0.0", "1.0"]
+        assert texts.blocks(signed, True)(0) == ["-0.0", "1.0"]
+
+    def test_json_keeps_text_for_csv(self):
+        a = sample(2 * B, 13)
+        texts = serialize.FloatTexts([hash(a.tobytes())] * 4)
+        cells = texts.blocks(a, False)(1)
+        assert texts.blocks(a, False)(1) == "\n".join(cells)
+        split = texts.blocks(a, True)(1)
+        assert split == cells and texts.blocks(a, True)(1) is split
 
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_shared_equals_unshared(self, n, tmp_path):
+    def test_shared_equals_unshared(self, n, tmp_path, monkeypatch):
         u = sample(n, 13)
         strided = sample(3 * n, 14)[::-3]   # a reversed, strided view
         obj = {"u": u, "w": strided, "nested": [{"u2": u.copy()}], "empty": np.zeros(0)}
         columns = {"r": np.arange(n) * 0.5, "u": u, "w": strided, "u_again": u[::1],
                    "z": -u, "cells": [ref_fmt(float(k)) for k in range(n)]}
-        texts = serialize.FloatTexts()
+        formatted = []
+        format_floats = serialize.format_floats
+        monkeypatch.setattr(serialize, "format_floats",
+                            lambda a: formatted.append(len(a)) or format_floats(a))
+        # the uses write_artifacts counts: u four times, w twice; r and z once
+        texts = serialize.FloatTexts([hash(u.tobytes())] * 4 + [hash(strided.tobytes())] * 2)
         shared = self.write_both(tmp_path, obj, columns, texts)
+        assert sum(formatted) == 4 * n
         assert shared == self.write_both(tmp_path, obj, columns, None)
+        assert sum(formatted) == 4 * n + 8 * n
         assert_same(shared[0], ref_json(obj))
         assert_same(shared[1], ref_columns_csv(columns))
-        # the JSON stored u and w; the CSV formats its other columns without storing them
-        if n:
-            assert texts.blocks(u, csv=True) is not None
-            assert texts.blocks(strided, csv=True) is not None
-            assert texts.blocks(-u, csv=True) is None
 
 
 def _traced_peak(write):
@@ -418,20 +435,42 @@ def test_cli_artifacts_match_reference(name, tmp_path, monkeypatch, capsys, one_
             == (tmp_path / "margin-laplacian-lower-bound-max-alpha.csv").read_bytes()
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 7 rows, so that a small grid spans many and each process makes some."""
+    monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 7)
+
+
 @pytest.mark.parametrize("name,columns,nodes", [
     ("solve-biharmonic", 6, 41),   # JSON u, du, z, dz; CSV r, residual
     ("solve-system", 9, 41),       # JSON u, du, v, dv; CSV r, w, margin, two residuals
     ("verify", 8, 101),            # r and seven distinct margins of eight
 ])
 def test_each_column_formatted_once(name, columns, nodes, tmp_path, monkeypatch, capsys,
-                                    one_stripe):
-    formatted = []
+                                    small_blocks):
+    """Once per run in all, the child's share counted too: half each, within a block a column."""
+    log = tmp_path / "formatted"
     format_floats = serialize.format_floats
-    monkeypatch.setattr(serialize, "format_floats",
-                        lambda a: formatted.append(len(a)) or format_floats(a))
-    cli.main(COMMANDS[name] + ["--format", "json,csv", "--out", str(tmp_path)])
-    capsys.readouterr()
-    assert sum(formatted) == columns * nodes
+
+    def counted(a):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(a)}\n")
+        return format_floats(a)
+
+    monkeypatch.setattr(serialize, "format_floats", counted)
+    for w in (1, 2):
+        force_stripes(monkeypatch, w)
+        log.write_text("")
+        _run(COMMANDS[name], tmp_path / f"w{w}", capsys)
+        shares = {}
+        for line in log.read_text().splitlines():
+            pid, count = map(int, line.split())
+            shares[pid] = shares.get(pid, 0) + count
+        assert sum(shares.values()) == columns * nodes
+        assert len(shares) == w
+        # each column's blocks alternate, so the processes' shares differ by a block at most
+        assert all(abs(share - columns * nodes / w) <= columns * 7 / 2
+                   for share in shares.values())
 
 
 def _run(argv, out: Path, capsys):
@@ -445,7 +484,7 @@ def _files(out: Path) -> dict:
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_two_stripes_write_the_bytes_of_one(name, tmp_path, monkeypatch, capsys):
+def test_two_stripes_write_the_bytes_of_one(name, tmp_path, monkeypatch, capsys, small_blocks):
     runs, files = [], []
     for w in (1, 2):
         force_stripes(monkeypatch, w)
@@ -455,48 +494,139 @@ def test_two_stripes_write_the_bytes_of_one(name, tmp_path, monkeypatch, capsys)
     assert len(files[0]) >= 2 and files[0] == files[1]
 
 
-def test_failed_child_file_reported_alike(tmp_path, monkeypatch, capsys):
-    """A CSV the child stripe writes fails as it fails in one process: exit 1, one line."""
-    argv = COMMANDS["solve-biharmonic"]   # profile.json in this process, profile.csv in the child
+def _edge_artifacts() -> list:
+    """Artifacts on the block edges: at 7 rows a block, a short tail block, a
+    one-block table, an empty array, non-finite JSON cells (the edge floats
+    lead ``sample``) and preformatted cells in a sweep-like table."""
+    u = sample(3 * 7 + 2, 40)
+    rows = [(k, "positive-on-window" if k % 3 else None, k % 2 == 0, float(u[k]))
+            for k in range(len(u))]
+    header = ["n", "kind", "pass", "margin"]
+    return [
+        serialize.Artifact("profile", {"u": u, "short": u[:5], "empty": np.zeros(0),
+                                       "nested": [{"u": u.copy(), "w": -u}]},
+                           lambda: {"r": np.arange(u.size) * 0.5, "u": u, "w": -u}),
+        serialize.Artifact("single", columns=lambda: {"r": u[:7], "z": u[7:14]}),
+        serialize.Artifact("sweep", [dict(zip(header, row)) for row in rows],
+                           lambda: serialize.table_columns(header, rows)),
+    ]
+
+
+def _write_edges(out: Path):
+    serialize.write_artifacts(out, ["json", "csv"], "{}\n", _edge_artifacts())
+    return _files(out)
+
+
+def test_block_edges_written_alike(tmp_path, monkeypatch, small_blocks):
+    """Every edge of the block deal: the same bytes from two processes as from one,
+    and those of the row-wise reference writers."""
+    files = []
+    for w in (1, 2):
+        force_stripes(monkeypatch, w)
+        files.append(_write_edges(tmp_path / f"w{w}"))
+    assert files[0] == files[1]
+    for art in _edge_artifacts():
+        if art.json is not None:
+            assert_same(files[1][f"{art.name}.json"].decode(), ref_json(art.json), art.name)
+        assert_same(files[1][f"{art.name}.csv"].decode(), ref_columns_csv(art.columns()),
+                    art.name)
+
+
+def test_written_alike_under_a_millisecond_timer(tmp_path, monkeypatch, capsys, small_blocks):
+    """A SIGALRM every millisecond while two processes write, as a sampling clock
+    interrupts a timed run, changes no byte."""
+    force_stripes(monkeypatch, 1)
+    quiet = _write_edges(tmp_path / "quiet"), _run(COMMANDS["verify"], tmp_path / "quiet-v", capsys)
+    force_stripes(monkeypatch, 2)
+    previous = signal.signal(signal.SIGALRM, lambda signum, frame: None)
+    signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
+    try:
+        ticked = (_write_edges(tmp_path / "ticked"),
+                  _run(COMMANDS["verify"], tmp_path / "ticked-v", capsys))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert ticked == quiet
+    assert _files(tmp_path / "ticked-v") == _files(tmp_path / "quiet-v")
+
+
+def test_child_error_raised_as_one_process_raises(tmp_path, monkeypatch, small_blocks):
+    """A block the child makes raises there, and this process raises it where it reaches
+    that block, as one process does: the same type and message, no file after it."""
+    cells = [f"{k}" if k != 10 else None for k in range(20)]   # join raises in block 1
+    artifacts = [serialize.Artifact("a", {"u": sample(20, 41)}),
+                 serialize.Artifact("t", columns=lambda: {"kind": cells}),
+                 serialize.Artifact("z", {"z": 1.5})]
+    errors = []
+    for w in (1, 2):
+        force_stripes(monkeypatch, w)
+        with pytest.raises(TypeError) as err:
+            serialize.write_artifacts(tmp_path / f"w{w}", ["json", "csv"], "{}\n", artifacts)
+        errors.append(str(err.value))
+        assert sorted(p.name for p in (tmp_path / f"w{w}").iterdir()) == ["a.json",
+                                                                         "run-config.json"]
+    assert errors[0] == errors[1]
+
+
+def test_child_death_raised(tmp_path, monkeypatch, small_blocks):
+    force_stripes(monkeypatch, 2)
+    parent, format_floats = os.getpid(), serialize.format_floats
+    monkeypatch.setattr(serialize, "format_floats",
+                        lambda a: os._exit(3) if os.getpid() != parent else format_floats(a))
+    with pytest.raises(RuntimeError, match="a stripe exited with code 3"):
+        serialize.write_artifacts(tmp_path, ["json"], "{}\n",
+                                  [serialize.Artifact("a", {"u": sample(20, 42)})])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run-config.json"]
+
+
+def test_failed_child_file_reported_alike(tmp_path, monkeypatch, capsys, small_blocks):
+    """A file whose blocks both processes make fails as it fails in one process:
+    exit 1, one line, and no later file written."""
+    argv = COMMANDS["verify"]   # reports.json, then eight margin CSVs
     runs = []
     for w in (1, 2):
         force_stripes(monkeypatch, w)
         out = tmp_path / f"w{w}"
-        (out / "profile.csv").mkdir(parents=True)
+        (out / "margin-laplacian-lower-bound.csv").mkdir(parents=True)
         code, stdout, err = _run(argv, out, capsys)
         # the temporary file's name is random
-        err = re.sub(r"profile\.csv\w+\.tmp", "profile.csv*.tmp", err.replace(str(out), "OUT"))
+        err = re.sub(r"bound\.csv\w+\.tmp", "bound.csv*.tmp", err.replace(str(out), "OUT"))
         runs.append((code, stdout, err))
-        assert sorted(p.name for p in out.iterdir()) == ["profile.csv", "profile.json",
-                                                         "run-config.json"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "margin-laplacian-lower-bound.csv", "reports.json", "run-config.json"]
     assert runs[0] == runs[1]
     code, _, err = runs[0]
     assert code == cli.EXIT_USAGE and err.startswith("error: --out ") and err.count("\n") == 1
 
 
-def test_interrupt_leaves_no_child_and_no_temporary(tmp_path, monkeypatch, capsys):
+def test_interrupt_leaves_no_child_and_no_temporary(tmp_path, monkeypatch, capsys, small_blocks):
+    """An interrupt while this process writes a file ends the child making its blocks."""
     force_stripes(monkeypatch, 2)
-    parent, format_floats, child_file = os.getpid(), serialize.format_floats, []
+    parent, format_floats = os.getpid(), serialize.format_floats
+    started = tmp_path / "child-started"
 
     def interrupted(a):
         if os.getpid() != parent:
+            started.touch()
             time.sleep(60)   # terminated, not waited for
-        # interrupt this process once the child has profile.csv's temporary file open
+        # interrupt this process, profile.json's temporary file open, once the child formats
         deadline = time.monotonic() + 30
-        while not child_file and time.monotonic() < deadline:
-            child_file.extend(tmp_path.glob("profile.csv*.tmp"))
+        while not started.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
+        assert list(tmp_path.glob("out/profile.json*.tmp"))
         raise KeyboardInterrupt
 
     monkeypatch.setattr(serialize, "format_floats", interrupted)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        _run(COMMANDS["solve-biharmonic"], tmp_path, capsys)
+        _run(COMMANDS["solve-biharmonic"], tmp_path / "out", capsys)
     assert time.monotonic() - t0 < 30
-    assert child_file
+    assert started.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert not list(tmp_path.glob("*.tmp"))
+    assert not list(tmp_path.glob("out/*.tmp"))
 
 
 def test_no_multiprocessing_import(tmp_path):
