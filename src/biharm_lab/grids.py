@@ -10,6 +10,7 @@ stencils degrade accuracy there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +46,12 @@ class RadialGrid:
         return cls(n=n, h=require_above("r_max", r_max) / num_intervals,
                    num_intervals=num_intervals)
 
-    @property
+    @cached_property
     def r(self) -> np.ndarray:
-        return np.arange(self.num_intervals + 1) * self.h
+        # built once per grid and shared by every caller, so read-only
+        r = np.arange(self.num_intervals + 1) * self.h
+        r.flags.writeable = False
+        return r
 
     @property
     def r_max(self) -> float:

@@ -12,7 +12,9 @@ classical RK4 step of the (pointwise) reaction, with the step bounded so the
 relative reaction increment stays below a controller threshold per step.
 Both reactions are nonnegative, so solutions grow; blow-up truncates the run
 and raises a flag.  The radial Crank-Nicolson solve reads its bands off the
-stencil ``RadialBall.laplacian``; both snapshot checks take their time rates
+stencil ``RadialBall.laplacian`` and takes a half-step as one tridiagonal
+solve (I - s/2 L) y = f and x = 2y - f, the same step as solving
+(I - s/2 L) x = (I + s/2 L) f; both snapshot checks take their time rates
 from ``_time_rate``, a central difference, second order on the uniform mesh.
 """
 from __future__ import annotations
@@ -120,22 +122,32 @@ class _PeriodicDiffusion:
         k = np.fft.rfftfreq(geom.num_nodes, d=1.0) * geom.num_nodes
         self.lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / geom.num_nodes)) / geom.h**2
         self.geom = geom
+        self._s = self._factor = None
 
     def cn_step(self, f: np.ndarray, s: float) -> np.ndarray:
         # Crank-Nicolson over time s: (I - s/2 lap) f+ = (I + s/2 lap) f,
-        # solved exactly on the FD eigenvalues of the periodic stencil
+        # solved exactly on the FD eigenvalues of the periodic stencil; both
+        # half-steps of a split step share s, so its factor is built once
+        if s != self._s:
+            self._s, self._factor = s, (1.0 - 0.5 * s * self.lam) / (1.0 + 0.5 * s * self.lam)
         fh = np.fft.rfft(f, axis=-1)
-        fh *= (1.0 - 0.5 * s * self.lam) / (1.0 + 0.5 * s * self.lam)
+        fh *= self._factor
         return np.fft.irfft(fh, n=self.geom.num_nodes, axis=-1)
 
 
 class _RadialDiffusion:
+    """Crank-Nicolson half-steps on the bands of ``RadialBall.laplacian``.
+
+    With k = s/2, (I - k L)^-1 (I + k L) = 2 (I - k L)^-1 - I, so a step is
+    one tridiagonal solve (I - k L) y = f and x = 2y - f: no stencil product
+    builds a right-hand side.
+    """
+
     def __init__(self, geom: RadialBall):
         # SciPy is imported here, by the one stepper that needs it, so that
         # every other run starts without it
         from scipy.linalg.lapack import dgtsv
         self._dgtsv = dgtsv
-        self.geom = geom
         # the stencil's (upper, diagonal, lower) bands in solve_banded's layout: row
         # i reaches columns i-1..i+1, one in each comb k % 3 == c, so L[c, i] is
         # the entry of row i in comb c's column
@@ -147,18 +159,19 @@ class _RadialDiffusion:
         bands[2, :-1] = L[j[:-1] % 3, j[1:]]
 
     def cn_step(self, f: np.ndarray, s: float) -> np.ndarray:
-        k2 = 0.5 * s
-        ab = -k2 * self._bands
+        ab = -0.5 * s * self._bands
         ab[1] += 1.0
-        rhs = f + k2 * self.geom.laplacian(f)
-        # the routine solve_banded((1, 1), ab, rhs.T) runs, on the same band
-        # slices, without its validation layers; ab and rhs are scratch, so it
-        # solves in place, one column per row of f
-        *_, x, info = self._dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs.T, overwrite_dl=1,
-                                  overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        # the routine solve_banded((1, 1), ab, f.T) runs, on the same band
+        # slices, without its validation layers; ab is scratch, so it is
+        # factored in place, while f (a snapshot may hold it) is copied, one
+        # column per row of f
+        *_, y, info = self._dgtsv(ab[2, :-1], ab[1], ab[0, 1:], f.T, overwrite_dl=1,
+                                  overwrite_d=1, overwrite_du=1)
         if info:
             raise LinAlgError(f"dgtsv failed with info = {info}")
-        return x.T
+        y *= 2.0
+        y -= f.T
+        return y.T
 
 
 @dataclass
@@ -235,7 +248,9 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
     flag) when max(u, v) exceeds blowup_factor times the initial scale, when
     the controller step underflows, or if positivity is lost; snapshots
     recorded so far are returned.  ``meta["counters"]`` holds the steps computed
-    (a step rejected at truncation included), their smallest dt and the diffusion solves.
+    (a step rejected at truncation included), their smallest dt, the diffusion
+    solves and the controller's reaction rate at the last step computed
+    (``rate_last``, None before the first).
     """
     require_above("p_exp", p_exp)
     require_above("r_exp", r_exp)
@@ -259,7 +274,7 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
 
     # S is replaced, never written in place, so snapshots keep references
     snaps, ts, dts = [S], [0.0], []
-    t, reason = 0.0, None
+    t, reason, rate_last = 0.0, None, None
     j_next = 1
     # an overflowing reaction turns the state inf or NaN, which _truncation
     # reports as non-finite-state: NumPy need not warn about it as well
@@ -273,6 +288,7 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
                 break
 
             dts.append(dt)
+            rate_last = rate
             Sn = diffuser.cn_step(S, 0.5 * dt)
             k1 = _reaction(Sn, p_exp, r_exp)
             k2 = _reaction(Sn + 0.5 * dt * k1, p_exp, r_exp)
@@ -303,7 +319,7 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
                             "scheme": "strang: CN diffusion halves + RK4 reaction",
                             "reaction": True},
               "counters": {"steps": len(dts), "dt_min": min(dts, default=None),
-                           "diffusion_solves": 2 * len(dts)}})
+                           "diffusion_solves": 2 * len(dts), "rate_last": rate_last}})
 
 
 def _time_rate(f: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -18,6 +18,12 @@ class TestRadialGrid:
         assert np.allclose(np.diff(g.r), g.h)
         assert g.num_nodes == 101
 
+    def test_nodes_built_once_read_only(self):
+        g = grid(N=100)
+        assert g.r is g.r and not g.r.flags.writeable
+        assert np.array_equal(g.r, np.arange(101) * g.h)
+        assert g == grid(N=100) and hash(g) == hash(grid(N=100))   # the cache is no field
+
     def test_dimension_floor(self):
         with pytest.raises(DomainError):
             RadialGrid.uniform(2, 1.0, 64)

@@ -157,9 +157,10 @@ class TestPropagation:
     def test_pure_diffusion_preserves_constant_gap(self):
         # a CN step is linear and fixes constants, so two fields that differ
         # by a constant keep that offset under pure diffusion
-        for diffuser in (pb._PeriodicDiffusion(pb.PeriodicBox(num_nodes=128)),
-                         pb._RadialDiffusion(pb.RadialBall(n=3, num_intervals=128))):
-            u0 = 1.0 + 0.05 * np.cos(diffuser.geom.x)
+        for make, geom in ((pb._PeriodicDiffusion, pb.PeriodicBox(num_nodes=128)),
+                           (pb._RadialDiffusion, pb.RadialBall(n=3, num_intervals=128))):
+            diffuser = make(geom)
+            u0 = 1.0 + 0.05 * np.cos(geom.x)
             u, v = u0, u0 + 0.07
             for _ in range(16):
                 u, v = diffuser.cn_step(u, 0.02), diffuser.cn_step(v, 0.02)
@@ -232,8 +233,22 @@ class TestTruncation:
         assert pb._truncation(S, self.CAP) is not None
 
 
+class ExplicitRadialDiffusion(pb._RadialDiffusion):
+    """The radial half-step solved against its spelled-out right-hand side (I + s/2 L) f."""
+
+    def __init__(self, geom):
+        super().__init__(geom)
+        self.geom = geom
+
+    def cn_step(self, f, s):
+        from scipy.linalg import solve_banded
+        ab = -0.5 * s * self._bands
+        ab[1] += 1.0
+        return solve_banded((1, 1), ab, (f + 0.5 * s * self.geom.laplacian(f)).T).T
+
+
 class TestDirectSolve:
-    """cn_step calls dgtsv on the bands solve_banded((1, 1), ...) would pass it."""
+    """cn_step is x = 2y - f, y from dgtsv on the bands solve_banded((1, 1), ...) would pass it."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("rows", [1, 2])
@@ -243,14 +258,46 @@ class TestDirectSolve:
         diffuser = pb._RadialDiffusion(geom)
         x = geom.x
         S = np.stack((1.0 + 0.1 * np.cos(x), 2.0 + 0.3 * np.cos(2 * x) + 0.01 * x**2))[:rows]
+        S0 = S.copy()
         for s in (1e-4, 0.05, 3.0):
             ab = -0.5 * s * diffuser._bands
             ab[1] += 1.0
-            rhs = S + 0.5 * s * geom.laplacian(S)
-            ref = solve_banded((1, 1), ab, rhs.T).T
+            ref = 2.0 * solve_banded((1, 1), ab, S.T).T - S
             got = diffuser.cn_step(S, s)
             assert got.shape == S.shape and np.array_equal(got, ref)
             assert np.array_equal(diffuser.cn_step(S[0], s), ref[0])
+            assert np.array_equal(S, S0)   # snapshots hold the input: it is never written
+            # (I - kL)^-1 (I + kL) = 2 (I - kL)^-1 - I: the explicit right-hand side's step
+            explicit = ExplicitRadialDiffusion(geom).cn_step(S, s)
+            assert np.abs(got - explicit).max() <= 1e-12 * np.abs(explicit).max()
+
+
+class TestTrajectory:
+    def test_radial_run_matches_explicit_right_hand_side(self, monkeypatch):
+        geom = pb.RadialBall(n=3, radius=np.pi, num_intervals=128)
+        r = geom.x
+
+        def run():
+            return pb.simulate(geom, 2.0, 1.5, 1.0 + 0.03 * np.cos(r),
+                               1.1 + 0.02 * np.cos(2 * r), t_final=0.3, num_snapshots=128)
+
+        got = run()
+        monkeypatch.setattr(pb, "_RadialDiffusion", ExplicitRadialDiffusion)
+        ref = run()
+        assert got.meta["counters"]["steps"] == ref.meta["counters"]["steps"] > 128
+        assert got.t_reached == ref.t_reached and not got.blown_up and not ref.blown_up
+        for a, b in ((got.u, ref.u), (got.v, ref.v)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        assert (pb.verify_heat_diff_inequality(got).passed
+                == pb.verify_heat_diff_inequality(ref).passed)
+
+    def test_periodic_factor_follows_the_step(self):
+        # the factor is kept for one s: a changed s builds a fresh one
+        geom = pb.PeriodicBox(num_nodes=64)
+        S = TestStackedForm.stack(geom)
+        diffuser = pb._PeriodicDiffusion(geom)
+        for s in (0.05, 0.05, 1e-4, 0.05):
+            assert np.array_equal(diffuser.cn_step(S, s), pb._PeriodicDiffusion(geom).cn_step(S, s))
 
 
 def spelled_out_bands(geom):
@@ -484,6 +531,7 @@ class TestCounters:
         c = counters[0]
         assert c["diffusion_solves"] == 2 * c["steps"]
         assert c["steps"] >= 32 and 0 < c["dt_min"] <= 0.1 / 32
+        assert isinstance(c["rate_last"], float) and c["rate_last"] > 0
         for fld in runs:
             text = json_text(fld.manifest())
             bare = replace(fld, meta={"dt_policy": fld.meta["dt_policy"]})
@@ -493,4 +541,5 @@ class TestCounters:
         # a controller step below the floor truncates before the first step
         fld = pb.simulate(pb.PeriodicBox(num_nodes=16), 2.0, 1.0, 1e10, 1e10, 1.0)
         assert fld.truncation_reason == "controller-underflow"
-        assert fld.meta["counters"] == {"steps": 0, "dt_min": None, "diffusion_solves": 0}
+        assert fld.meta["counters"] == {"steps": 0, "dt_min": None, "diffusion_solves": 0,
+                                        "rate_last": None}
