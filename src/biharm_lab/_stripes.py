@@ -3,7 +3,8 @@
 ``forked(width, body)`` runs ``body(k, pipe)`` in forked children k = 1, ...,
 width - 1, each sending values (``send``) on its own pipe, which this process
 reads in order (``Child.receive``).  A child leaves through ``os._exit``, so
-it runs none of the parent's exit handlers and flushes none of its buffers.
+it runs none of the parent's exit handlers and flushes none of its buffers,
+and a SIGTERM ends it at once: it writes no file, so it has nothing to undo.
 
 ``striped(fn, count)`` gives ``[fn(i) for i in range(count)]``, with the
 indices dealt to W = ``stripes(count)`` stripes i, i + W, ...: this process
@@ -62,13 +63,6 @@ def _stripe(fn, indices):
         except Exception as exc:
             return done, (i, exc)
     return done, None
-
-
-def _unwind(signum, frame):
-    """SIGTERM in a child: unwind its stack as an interrupt unwinds the parent's,
-    so that its ``finally`` clauses run."""
-    signal.signal(signum, signal.SIG_DFL)   # a second one ends the child at once
-    raise SystemExit(1)
 
 
 def _flush_stdio():
@@ -149,17 +143,14 @@ def _fork(body, k: int, children: list):
     if pid == 0:
         code = 1
         try:
-            try:
-                signal.signal(signal.SIGTERM, _unwind)
-                os.close(read)
-                with open(write, "wb") as pipe:
-                    body(k, pipe)
-                code = 0
-            finally:
-                os._exit(code)
+            # SIGTERM ends the child: no handler of the caller's runs in it
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.close(read)
+            with open(write, "wb") as pipe:
+                body(k, pipe)
+            code = 0
         finally:
-            # reached only when a SIGTERM unwinds the clause above before its exit
-            os._exit(1)
+            os._exit(code)
     os.close(write)
     children.append(Child(pid, read))
 

@@ -6,6 +6,10 @@ f(-r) = f(r), which gives the limit value lap f(0) = n f''(0); the outer
 boundary uses one-sided second-order stencils.  Verifiers exclude a 4h
 margin at the window ends from pass/fail statistics because the one-sided
 stencils degrade accuracy there.
+
+``laplacian_values`` is the one radial Laplacian: the profile checks call
+it, and ``parabolic.RadialBall.laplacian`` keeps its axis and interior rows
+and replaces its wall row by a zero-flux ghost row.
 """
 from __future__ import annotations
 
@@ -100,26 +104,6 @@ def _check_size(values: np.ndarray):
         raise SizeError("stencils need at least 4 nodes (N >= 4)")
 
 
-def transport_denominators(num_nodes: int, h: float) -> np.ndarray:
-    """2 h r_i at the interior nodes i = 1..N-1, the central f'/r divisors."""
-    return 2.0 * h * (np.arange(1, num_nodes - 1) * h)
-
-
-def laplacian_rows(f: np.ndarray, h: float, n: int, den: np.ndarray,
-                   out: np.ndarray, df: np.ndarray | None = None) -> np.ndarray:
-    """Write lap f into ``out`` at the axis and the interior nodes (r: last axis).
-
-    The transport term (n-1) f'/r is (n-1) slope/den: f[i+1] - f[i-1] over
-    ``transport_denominators``, or df[i] over r_i given samples ``df`` of f'.
-    The wall row is the caller's.
-    """
-    out[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h**2 \
-        + (n - 1) * (f[..., 2:] - f[..., :-2] if df is None else df[..., 1:-1]) / den
-    # r = 0: even extension makes f'(0) = 0 and lap f(0) = n f''(0)
-    out[..., 0] = n * 2.0 * (f[..., 1] - f[..., 0]) / h**2
-    return out
-
-
 def laplacian_values(f: np.ndarray, h: float, n: int, df: np.ndarray | None = None) -> np.ndarray:
     """lap f = f'' + (n-1) f'/r on raw samples of an even radial function (r: last axis).
 
@@ -130,16 +114,18 @@ def laplacian_values(f: np.ndarray, h: float, n: int, df: np.ndarray | None = No
     """
     f = np.asarray(f, dtype=float)
     _check_size(f)
-    r_end = (f.shape[-1] - 1) * h
-    if df is None:
-        den = transport_denominators(f.shape[-1], h)
-        wall_slope, wall_den = 3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3], 2.0 * h * r_end
+    r = np.arange(1, f.shape[-1]) * h   # r_1, ..., r_N
+    if df is None:   # f'/r as a difference of f over 2 h r
+        den, wall_slope = 2.0 * h * r, 3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]
     else:
-        den = np.arange(1, f.shape[-1] - 1) * h
-        wall_slope, wall_den = df[..., -1], r_end
-    out = laplacian_rows(f, h, n, den, np.empty_like(f), df)
+        den, wall_slope = r, df[..., -1]
+    out = np.empty_like(f)
+    out[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h**2 \
+        + (n - 1) * (f[..., 2:] - f[..., :-2] if df is None else df[..., 1:-1]) / den[:-1]
+    # r = 0: even extension makes f'(0) = 0 and lap f(0) = n f''(0)
+    out[..., 0] = n * 2.0 * (f[..., 1] - f[..., 0]) / h**2
     out[..., -1] = (2.0 * f[..., -1] - 5.0 * f[..., -2] + 4.0 * f[..., -3] - f[..., -4]) / h**2 \
-        + (n - 1) * wall_slope / wall_den
+        + (n - 1) * wall_slope / den[-1]
     return out
 
 

@@ -20,14 +20,13 @@ from ``_time_rate``, a central difference, second order on the uniform mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError   # the class scipy.linalg raises
 
 from .errors import (DomainError, PreconditionError, require_above, require_count,
                      require_spacing)
-from .grids import TRIM_NODES, laplacian_rows, transport_denominators
+from .grids import TRIM_NODES, laplacian_values
 from .reports import (RESIDUAL_THRESHOLD, TOL_FIRST_ORDER, TOL_SECOND_ORDER,
                       VerificationReport, worst_node)
 
@@ -97,13 +96,10 @@ class RadialBall:
     def x(self) -> np.ndarray:
         return np.arange(self.num_nodes) * self.h
 
-    @cached_property
-    def two_h_r(self) -> np.ndarray:
-        return transport_denominators(self.num_nodes, self.h)
-
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        out = laplacian_rows(f, self.h, self.n, self.two_h_r, np.empty_like(f))
-        out[..., -1] = 2.0 * (f[..., -2] - f[..., -1]) / self.h**2    # ghost node from zero flux
+        """``laplacian_values`` with the wall row closed by a zero-flux ghost node."""
+        out = laplacian_values(f, self.h, self.n)
+        out[..., -1] = 2.0 * (f[..., -2] - f[..., -1]) / self.h**2
         return out
 
     def trim_slice(self) -> slice:

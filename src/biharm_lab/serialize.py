@@ -230,9 +230,9 @@ def _spliced(structure, arrays: list, texts: FloatTexts, end: str = "") -> Itera
     yield text[pos:] + end
 
 
-def json_text(obj, texts: FloatTexts | None = None) -> str:
+def json_text(obj) -> str:
     """The ``json_pieces`` of ``obj`` joined into one string."""
-    return "".join(json_pieces(obj, texts))
+    return "".join(json_pieces(obj))
 
 
 def write_json(path: str | Path, obj, texts: FloatTexts | None = None) -> Path:

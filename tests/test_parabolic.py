@@ -305,9 +305,10 @@ def spelled_out_bands(geom):
     h, n = geom.h, geom.n
     bands = np.zeros((3, geom.num_nodes))
     upper, diag, lower = bands
+    two_h_r = 2.0 * h * (np.arange(1, geom.num_nodes - 1) * h)
     diag[1:] = -2.0 / h**2
-    lower[0:-2] = 1.0 / h**2 - (n - 1) / geom.two_h_r
-    upper[2:] = 1.0 / h**2 + (n - 1) / geom.two_h_r
+    lower[0:-2] = 1.0 / h**2 - (n - 1) / two_h_r
+    upper[2:] = 1.0 / h**2 + (n - 1) / two_h_r
     diag[0] = -2.0 * n / h**2
     upper[1] = 2.0 * n / h**2
     lower[-2] = 2.0 / h**2
@@ -406,6 +407,20 @@ class TestRadialStencil:
         lap = geom.laplacian(f)
         assert np.array_equal(lap[:-1], laplacian_values(f, geom.h, geom.n)[:-1])
         assert lap[-1] == 2.0 * (f[-2] - f[-1]) / geom.h**2
+
+    # n = 1 and 2 exist only for the ball: the elliptic grids start at n = 3
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["1d", "stack"])
+    def test_grid_stencil_with_ghost_wall(self, n, stacked):
+        from biharm_lab.grids import laplacian_values
+        geom = pb.RadialBall(n=n, radius=0.37, num_intervals=40)
+        f = np.cos(geom.x) + 0.1 * geom.x**3
+        if stacked:
+            f = np.stack([f, 2.0 * f - geom.x, f**2])
+        lap = geom.laplacian(f)
+        assert lap.shape == f.shape
+        assert np.array_equal(lap[..., :-1], laplacian_values(f, geom.h, n)[..., :-1])
+        assert np.array_equal(lap[..., -1], 2.0 * (f[..., -2] - f[..., -1]) / geom.h**2)
 
 
 def stack_run(case):

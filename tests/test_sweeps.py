@@ -10,6 +10,7 @@ import contextlib
 import math
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -366,6 +367,32 @@ class TestStripes:
         assert len(forks) == 2 and all(map(_reaped, forks))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_child_ignores_the_callers_sigterm_handler(self, stripes, forks, monkeypatch,
+                                                       tmp_path):
+        # a child the handler ran in would touch the marker and sleep on,
+        # until its stripe stops at its first row
+        stripes(3)
+        parent, marker = os.getpid(), tmp_path / "marker"
+
+        def make_row(key, prof):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(40)
+            raise IntegratorError("stub failure", location=0.0)
+        monkeypatch.setattr(sweeps, "_weak_row", make_row)
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: marker.touch())
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                sweeps.weak_bound_sweep(n_values=(3,), q_values=(7.0,))
+            assert time.monotonic() - t0 < 30
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not marker.exists()
 
     @pytest.mark.parametrize("caller", ["daemon", "thread"])
     def test_one_process_callers(self, caller, stripes, forks):
