@@ -394,23 +394,28 @@ def verify_component_comparison(fld: SpaceTimeField) -> VerificationReport:
 def verify_sign_propagation(fld: SpaceTimeField) -> VerificationReport:
     """With w(., 0) <= 0, later snapshots keep max w below tol * scale.
 
-    A positive initial gap makes the check not applicable (no verdict), not
-    a failure.
+    A positive initial gap, or a field with no snapshot after t = 0 (a run
+    truncated at its start), makes the check not applicable (no verdict),
+    not a failure.
     """
     w = fld.w
     scale = max(1.0, float(np.abs(w).max()))
     w0_max = float(w[0].max())
     params = {"p": fld.p_exp, "r": fld.r_exp, "initial_max_gap": w0_max}
     if w0_max > TOL_FIRST_ORDER * scale:
+        caveat = "not applicable: initial gap has positive nodes"
+    elif len(fld.times) < 2:
+        caveat = "not applicable: no snapshot after t = 0"
+    else:
+        # the claim is w <= 0 on later snapshots, so the margin reduced is -w
         return VerificationReport(
-            inequality="negativity-propagation", params=params, applicable=False,
-            min_margin=-w0_max, argmin_r=np.nan, tol=TOL_SECOND_ORDER, scale=scale,
-            caveats=["not applicable: initial gap has positive nodes"])
-    # the claim is w <= 0 on later snapshots, so the margin reduced is -w
+            inequality="negativity-propagation", params=params,
+            tol=TOL_SECOND_ORDER, scale=scale,
+            **worst_node(-w[1:], fld.geometry.x, fld.times[1:]))
     return VerificationReport(
-        inequality="negativity-propagation", params=params,
-        tol=TOL_SECOND_ORDER, scale=scale,
-        **worst_node(-w[1:], fld.geometry.x, fld.times[1:]))
+        inequality="negativity-propagation", params=params, applicable=False,
+        min_margin=-w0_max, argmin_r=np.nan, tol=TOL_SECOND_ORDER, scale=scale,
+        caveats=[caveat])
 
 
 def convexity_epsilon(p_exp: float, r_exp: float) -> float:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -578,6 +579,27 @@ class TestSweepDeterminism:
         assert run_cli(["sweep", "--module", "region"] + flags) == 1
         err = capsys.readouterr().err
         assert "not a comma list of" in err and "Traceback" not in err
+
+
+class TestArtifactRunList:
+    """The runs .github/artifact_runs.py checks parse, and cover every subcommand.
+
+    A line that does not parse exits 1 at a commit and at its parent alike,
+    and the two would compare equal.
+    """
+
+    LIST = Path(__file__).resolve().parents[1] / ".github" / "artifact-runs.txt"
+
+    def test_lines_parse_with_json_csv_and_no_out(self):
+        commands = set()
+        for line in self.LIST.read_text().splitlines():
+            if not line.strip() or line.startswith("#"):
+                continue
+            args = vars(cli._build_parser().parse_args(line.split()))
+            assert args.get("format") == "json,csv", line
+            assert "out" not in args and "config" not in args, line
+            commands.add(args["command"])
+        assert commands == set(cli._build_parser().commands)
 
 
 class TestSimulateParabolic:

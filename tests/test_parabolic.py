@@ -154,6 +154,16 @@ class TestPropagation:
         assert rep.passed is None
         assert any("not applicable" in c for c in rep.caveats)
 
+    def test_not_applicable_without_later_snapshot(self):
+        # this run overflows in its first step and keeps only t = 0, where
+        # w <= 0: there is no later snapshot to check, not an empty argmin
+        fld = pb.simulate(pb.RadialBall(3, np.pi, 16), 7e5, 1, 1.0000559, 5e8, 1.0,
+                          num_snapshots=4)
+        assert fld.times.tolist() == [0.0] and fld.w[0].max() <= 0
+        rep = pb.verify_sign_propagation(fld)
+        assert rep.passed is None
+        assert rep.caveats == ["not applicable: no snapshot after t = 0"]
+
     def test_pure_diffusion_preserves_constant_gap(self):
         # a CN step is linear and fixes constants, so two fields that differ
         # by a constant keep that offset under pure diffusion
