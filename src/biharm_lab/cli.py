@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -243,6 +244,22 @@ class UsageError(BiharmLabError):
     pass
 
 
+def _print(text: str) -> None:
+    """Print a run's summary on stdout, the one path every subcommand prints by.
+
+    A reader that closes stdout early (``| head``) loses the rest of the text,
+    not the run: stdout then points at the null device, so neither this print
+    nor the flush at exit raises, and the run still writes its artifacts and
+    returns its own exit code.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _cmd_region(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     p = cfg.parameters
     # the default beta is a formula in (n, q, alpha): validate them first
@@ -263,7 +280,7 @@ def _cmd_region(cfg: RunConfig) -> tuple[int, list[Artifact]]:
            "beta_max_used": beta, "gamma_star": gamma_star,
            "growth_exponent": gexp,
            "tau": tau(q, n) if q >= 3 else None}
-    print(serialize.json_text(out))
+    _print(serialize.json_text(out))
     return EXIT_OK, [Artifact("region", out)]
 
 
@@ -304,8 +321,8 @@ def _cmd_solve_biharmonic(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     out["residual_max"] = float(np.abs(
         biharmonic.residual(prof).values[prof.grid.trim_slice()]).max()) \
         if prof.grid.num_intervals > 2 * TRIM_NODES else None
-    print(serialize.json_text({"classification": out["classification"], "meta": out["meta"],
-                               "residual_max": out["residual_max"]}))
+    _print(serialize.json_text({"classification": out["classification"], "meta": out["meta"],
+                                "residual_max": out["residual_max"]}))
     return EXIT_OK, [Artifact("profile", out, prof.columns)]
 
 
@@ -368,7 +385,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, list[Artifact]]:
 
     code = _verdict(cfg, reports)
     payload = [rep.to_dict() for rep in reports]
-    print(serialize.json_text(payload))
+    _print(serialize.json_text(payload))
     return code, [Artifact("reports", payload)] + [
         Artifact(f"margin-{rep.inequality}", columns=lambda m=rep.margin: m.columns("margin"))
         for rep in reports if rep.margin is not None]
@@ -389,7 +406,7 @@ def _cmd_solve_system(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     out = {"classification": prof.classification.to_dict(),
            "sigma": prof.sigma, "ell": prof.ell,
            "reports": [rep.to_dict() for rep in reports]}
-    print(serialize.json_text(out))
+    _print(serialize.json_text(out))
     return code, [Artifact("system-profile", prof.to_dict(), prof.columns),
                   Artifact("system-reports", out)]
 
@@ -418,7 +435,7 @@ def _cmd_simulate_parabolic(cfg: RunConfig) -> tuple[int, list[Artifact]]:
         num_snapshots=p.get("snapshots", 64),
         blowup_factor=p.get("blowup_factor", parabolic.BLOWUP_FACTOR))
     manifest = fld.manifest()
-    print(serialize.json_text(manifest))
+    _print(serialize.json_text(manifest))
     return EXIT_OK, [Artifact("run-manifest", manifest, fld.columns)]
 
 
@@ -443,7 +460,7 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     header = list(rows[0])
     verdicts = [r for r in rows if r.get("weak_pass") is False
                 or r.get("comparison_pass") is False or r.get("concavity_pass") is False]
-    print(f"sweep {module}: {len(rows)} cases, {len(verdicts)} failures")
+    _print(f"sweep {module}: {len(rows)} cases, {len(verdicts)} failures")
     return EXIT_VERIFICATION if verdicts else EXIT_OK, [Artifact(
         f"sweep-{module}", rows,
         lambda: serialize.table_columns(header, ([row.get(k) for k in header] for row in rows)))]

@@ -11,11 +11,16 @@ Time stepping is Strang-split: Crank-Nicolson diffusion half-steps around a
 classical RK4 step of the (pointwise) reaction, with the step bounded so the
 relative reaction increment stays below a controller threshold per step.
 Both reactions are nonnegative, so solutions grow; blow-up truncates the run
-and raises a flag.  The radial Crank-Nicolson solve reads its bands off the
-stencil ``RadialBall.laplacian`` and takes a half-step as one tridiagonal
-solve (I - s/2 L) y = f and x = 2y - f, the same step as solving
-(I - s/2 L) x = (I + s/2 L) f; both snapshot checks take their time rates
-from ``_time_rate``, a central difference, second order on the uniform mesh.
+and raises a flag.  A step allocates only the diffusion solves' outputs: the
+reaction (v^r, u^p) of a stack is one broadcast power, and the RK4 slopes
+and sums are written into buffers made once per run.  The radial
+Crank-Nicolson solve reads its bands off the stencil ``RadialBall.laplacian``
+and takes a half-step as one tridiagonal solve (I - s/2 L) y = f and
+x = 2y - f, the same step as solving (I - s/2 L) x = (I + s/2 L) f.  The
+snapshot checks reduce their margins over blocks of CHECK_BLOCK_SNAPSHOTS
+snapshots, bitwise as over the whole field; the two that need time rates
+take them from ``_time_rate``, a central difference, second order on the
+uniform mesh.
 """
 from __future__ import annotations
 
@@ -34,6 +39,8 @@ from .reports import (RESIDUAL_THRESHOLD, TOL_FIRST_ORDER, TOL_SECOND_ORDER,
 REL_INCREMENT = 1e-3
 #: default blow-up factor over the initial scale
 BLOWUP_FACTOR = 1e6
+#: snapshots a check reduces at a time, so that a block's temporaries stay in cache
+CHECK_BLOCK_SNAPSHOTS = 16
 
 ETERNALITY_CAVEAT = "comparison proved for eternal solutions; finite window shown as-is"
 
@@ -195,7 +202,11 @@ class SpaceTimeField:
 
     @property
     def w(self) -> np.ndarray:
-        return self.u - self.ell * self.v**self.sigma
+        return self.gap(slice(None))
+
+    def gap(self, rows: slice) -> np.ndarray:
+        """w = u - l v^sigma on the snapshots ``rows``."""
+        return self.u[rows] - self.ell * self.v[rows] ** self.sigma
 
     def manifest(self) -> dict:
         return {
@@ -214,14 +225,6 @@ class SpaceTimeField:
         x = self.geometry.x
         return {"t": np.repeat(self.times, x.size), "x": np.tile(x, self.times.size),
                 "u": self.u.ravel(), "v": self.v.ravel(), "w": self.w.ravel()}
-
-
-def _reaction(S: np.ndarray, p_exp: float, r_exp: float) -> np.ndarray:
-    """(v^r, u^p) for the stack S = [u, v]; a scalar exponent per row keeps NumPy's fast paths."""
-    out = np.empty_like(S)
-    out[0] = S[1] ** r_exp
-    out[1] = S[0] ** p_exp
-    return out
 
 
 def _truncation(S: np.ndarray, cap: float) -> str | None:
@@ -268,15 +271,24 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
     cap = blowup_factor * float(S.max())
     dt_floor = 1e-12 * max(t_final, 1.0)
 
-    # S is replaced, never written in place, so snapshots keep references
+    # S and every snapshot come fresh out of cn_step, so the snapshots keep
+    # references; only the five buffers below are written in place
     snaps, ts, dts = [S], [0.0], []
     t, reason, rate_last = 0.0, None, None
     j_next = 1
+    # the reaction (v^r, u^p) of a stack X is np.power(X[::-1], E): E
+    # broadcasts with stride 0 along a row, as a scalar exponent does, so
+    # NumPy takes S[1] ** r_exp's path, its fast paths for 0.5, 1 and 2 included
+    E = np.array([[r_exp], [p_exp]], dtype=float)
+    # the rate, the stage sums and RK4's combination are formed in T in the
+    # operand order of Sn + dt/6 (k1 + 2 k2 + 2 k3 + k4), so each rounds alike
+    T, k1, k2, k3, k4 = (np.empty_like(S) for _ in range(5))
     # an overflowing reaction turns the state inf or NaN, which _truncation
     # reports as non-finite-state: NumPy need not warn about it as well
     with np.errstate(over="ignore", invalid="ignore"):
         while j_next <= num_snapshots:
-            rate = float((_reaction(S, p_exp, r_exp) / S).max())
+            np.power(S[::-1], E, out=T)
+            rate = float(np.divide(T, S, out=T).max())
             dt = REL_INCREMENT / rate if rate > 0 else t_final / num_snapshots
             dt = min(dt, t_snap[j_next] - t)
             if dt < dt_floor:
@@ -286,11 +298,17 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
             dts.append(dt)
             rate_last = rate
             Sn = diffuser.cn_step(S, 0.5 * dt)
-            k1 = _reaction(Sn, p_exp, r_exp)
-            k2 = _reaction(Sn + 0.5 * dt * k1, p_exp, r_exp)
-            k3 = _reaction(Sn + 0.5 * dt * k2, p_exp, r_exp)
-            k4 = _reaction(Sn + dt * k3, p_exp, r_exp)
-            Sn = diffuser.cn_step(Sn + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.5 * dt)
+            np.power(Sn[::-1], E, out=k1)
+            # the stage Sn + c k, then its reaction
+            np.power(np.add(Sn, np.multiply(k1, 0.5 * dt, out=T), out=T)[::-1], E, out=k2)
+            np.power(np.add(Sn, np.multiply(k2, 0.5 * dt, out=T), out=T)[::-1], E, out=k3)
+            np.power(np.add(Sn, np.multiply(k3, dt, out=T), out=T)[::-1], E, out=k4)
+            # T = dt/6 (((k1 + 2 k2) + 2 k3) + k4); k2 is free for 2 k3
+            np.add(k1, np.multiply(k2, 2.0, out=T), out=T)
+            T += np.multiply(k3, 2.0, out=k2)
+            T += k4
+            T *= dt / 6.0
+            Sn = diffuser.cn_step(np.add(Sn, T, out=T), 0.5 * dt)
 
             reason = _truncation(Sn, cap)
             if reason in ("non-finite-state", "positivity-lost"):
@@ -323,19 +341,51 @@ def _time_rate(f: np.ndarray, times: np.ndarray) -> np.ndarray:
     return (f[2:] - f[:-2]) / (2.0 * (times[1] - times[0]))
 
 
+def _reduce_blocks(fld: SpaceTimeField, start: int, stop: int, block_terms,
+                   r: np.ndarray | None = None, maxima: list | None = None):
+    """Reduce a check over the snapshots start..stop-1, CHECK_BLOCK_SNAPSHOTS at a time.
+
+    ``block_terms(lo, hi)`` returns the arrays whose largest entries are kept
+    and the margin, or None, on the snapshots lo..hi-1, r on its last axis.
+    Returns the largest entry of each array over all blocks, starting from
+    ``maxima`` if given, and the ``worst_node`` keywords of the whole margin.
+    Both follow NumPy's rules on the whole field: a maximum is NaN when an
+    entry is, as with ``ndarray.max``, and the worst node is the first flat
+    ``argmin``, where NaN counts as smallest and the earliest snapshot wins a tie.
+    """
+    worst = None
+    for lo in range(start, stop, CHECK_BLOCK_SNAPSHOTS):
+        hi = min(lo + CHECK_BLOCK_SNAPSHOTS, stop)
+        arrays, margin = block_terms(lo, hi)
+        block = [a.max() for a in arrays]
+        maxima = block if maxima is None else [np.maximum(m, b) for m, b in zip(maxima, block)]
+        if margin is not None:
+            node = worst_node(margin, r, fld.times[lo:hi])
+            # not (value >= best) takes a smaller value or a NaN; an earlier
+            # block keeps a tie, and its NaN
+            if worst is None or not (np.isnan(worst["min_margin"])
+                                     or node["min_margin"] >= worst["min_margin"]):
+                worst = node
+    return [float(m) for m in maxima], worst
+
+
 def _check_snapshot_residuals(fld: SpaceTimeField) -> float:
     """The worst relative residual of the snapshots; refuses one above the threshold."""
     if fld.times.shape[0] < 3:
         raise PreconditionError("need at least three snapshots for time differences")
-    # per snapshot, the largest |time derivative| and |residual| of u and v; one
-    # component at a time, as a stack of both would double the peak memory
-    rate, defect = 1.0, 0.0
-    for f, source, power in ((fld.u, fld.v, fld.r_exp), (fld.v, fld.u, fld.p_exp)):
-        res = _time_rate(f, fld.times)
-        rate = np.maximum(rate, np.abs(res).max(axis=1))
-        res = res - fld.geometry.laplacian(f[1:-1]) - source[1:-1] ** power
-        defect = np.maximum(defect, np.abs(res).max(axis=1))
-    worst = float((defect / rate).max())
+
+    def block_terms(lo, hi):
+        # per snapshot, the largest |time derivative| and |residual| of u and v
+        rate, defect = 1.0, 0.0
+        for f, source, power in ((fld.u, fld.v, fld.r_exp), (fld.v, fld.u, fld.p_exp)):
+            res = _time_rate(f[lo - 1:hi + 1], fld.times)
+            rate = np.maximum(rate, np.abs(res).max(axis=1))
+            res -= fld.geometry.laplacian(f[lo:hi])
+            res -= source[lo:hi] ** power
+            defect = np.maximum(defect, np.abs(res).max(axis=1))
+        return [defect / rate], None
+
+    (worst,), _ = _reduce_blocks(fld, 1, fld.times.shape[0] - 1, block_terms)
     if worst > RESIDUAL_THRESHOLD:
         raise PreconditionError(
             f"snapshots do not solve the system: relative residual {worst:.3e} "
@@ -354,23 +404,26 @@ def verify_heat_diff_inequality(fld: SpaceTimeField) -> VerificationReport:
     geom = fld.geometry
     sig, ell, p_exp = fld.sigma, fld.ell, fld.p_exp
     sl = geom.trim_slice()
-    w = fld.w
-    lap_w = geom.laplacian(w[1:-1])[:, sl]
-    w_t = _time_rate(w, fld.times)[:, sl]
-    u, v = fld.u[1:-1, sl], fld.v[1:-1, sl]
-    reac = ell * sig * v ** (sig - 1.0) * (u ** p_exp - ell**p_exp * v ** (sig * p_exp))
-    scale = max(1.0, *(float(np.abs(a).max()) for a in (lap_w, w_t, reac)))
-    # the flat argmin takes the earliest snapshot among equal margins
+
+    def block_terms(lo, hi):
+        w = fld.gap(slice(lo - 1, hi + 1))
+        lap_w = geom.laplacian(w[1:-1])[:, sl]
+        w_t = _time_rate(w, fld.times)[:, sl]
+        u, v = fld.u[lo:hi, sl], fld.v[lo:hi, sl]
+        reac = ell * sig * v ** (sig - 1.0) * (u ** p_exp - ell**p_exp * v ** (sig * p_exp))
+        return [np.abs(lap_w), np.abs(w_t), np.abs(reac)], lap_w - w_t - reac
+
+    maxima, worst = _reduce_blocks(fld, 1, fld.times.shape[0] - 1, block_terms, geom.x[sl])
     return VerificationReport(
         inequality="gap-heat-inequality",
         params={"p": fld.p_exp, "r": fld.r_exp, "sigma": sig},
-        tol=TOL_SECOND_ORDER, scale=scale,
-        **worst_node(lap_w - w_t - reac, geom.x[sl], fld.times[1:-1]))
+        tol=TOL_SECOND_ORDER, scale=max(1.0, *maxima), **worst)
 
 
-def _comparison_terms(fld: SpaceTimeField) -> tuple[np.ndarray, np.ndarray]:
-    return (fld.v ** (fld.r_exp + 1.0) / (fld.r_exp + 1.0),
-            fld.u ** (fld.p_exp + 1.0) / (fld.p_exp + 1.0))
+def _comparison_terms(fld: SpaceTimeField,
+                      rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    return (fld.v[rows] ** (fld.r_exp + 1.0) / (fld.r_exp + 1.0),
+            fld.u[rows] ** (fld.p_exp + 1.0) / (fld.p_exp + 1.0))
 
 
 def comparison_margin(fld: SpaceTimeField) -> np.ndarray:
@@ -380,15 +433,16 @@ def comparison_margin(fld: SpaceTimeField) -> np.ndarray:
 
 def verify_component_comparison(fld: SpaceTimeField) -> VerificationReport:
     """Margin v^(r+1)/(r+1) - u^(p+1)/(p+1) >= 0 at all snapshot nodes."""
-    v_term, u_term = _comparison_terms(fld)
-    margin = v_term - u_term
+    def block_terms(lo, hi):
+        v_term, u_term = _comparison_terms(fld, slice(lo, hi))
+        return [v_term, u_term], v_term - u_term
+
     # division by a positive constant is monotone: max(x / c) == max(x) / c
-    scale = max(1.0, float(v_term.max()), float(u_term.max()))
+    maxima, worst = _reduce_blocks(fld, 0, fld.times.shape[0], block_terms, fld.geometry.x)
     return VerificationReport(
         inequality="parabolic-power-comparison",
-        params={"p": fld.p_exp, "r": fld.r_exp}, tol=TOL_FIRST_ORDER, scale=scale,
-        caveats=[ETERNALITY_CAVEAT],
-        **worst_node(margin, fld.geometry.x, fld.times))
+        params={"p": fld.p_exp, "r": fld.r_exp}, tol=TOL_FIRST_ORDER,
+        scale=max(1.0, *maxima), caveats=[ETERNALITY_CAVEAT], **worst)
 
 
 def verify_sign_propagation(fld: SpaceTimeField) -> VerificationReport:
@@ -398,20 +452,26 @@ def verify_sign_propagation(fld: SpaceTimeField) -> VerificationReport:
     truncated at its start), makes the check not applicable (no verdict),
     not a failure.
     """
-    w = fld.w
-    scale = max(1.0, float(np.abs(w).max()))
-    w0_max = float(w[0].max())
+    w0 = fld.gap(slice(0, 1))
+    w0_max = float(w0.max())
+
+    def block_terms(lo, hi):
+        w = fld.gap(slice(lo, hi))
+        return [np.abs(w)], -w
+
+    # the claim is w <= 0 on later snapshots, so the margin reduced is -w
+    (w_max,), worst = _reduce_blocks(fld, 1, fld.times.shape[0], block_terms, fld.geometry.x,
+                                     maxima=[np.abs(w0).max()])
+    scale = max(1.0, w_max)
     params = {"p": fld.p_exp, "r": fld.r_exp, "initial_max_gap": w0_max}
     if w0_max > TOL_FIRST_ORDER * scale:
         caveat = "not applicable: initial gap has positive nodes"
     elif len(fld.times) < 2:
         caveat = "not applicable: no snapshot after t = 0"
     else:
-        # the claim is w <= 0 on later snapshots, so the margin reduced is -w
         return VerificationReport(
             inequality="negativity-propagation", params=params,
-            tol=TOL_SECOND_ORDER, scale=scale,
-            **worst_node(-w[1:], fld.geometry.x, fld.times[1:]))
+            tol=TOL_SECOND_ORDER, scale=scale, **worst)
     return VerificationReport(
         inequality="negativity-propagation", params=params, applicable=False,
         min_margin=-w0_max, argmin_r=np.nan, tol=TOL_SECOND_ORDER, scale=scale,

@@ -648,6 +648,42 @@ class TestExitCodeMapping:
         assert "integration failed at r = 0" in err and "Traceback" not in err
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early, as `| head -c 10` does, costs the run nothing."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["solve-system", "--u0", "0.71", "--v0", "2.14", "--h", "0.05", "--r-max", "5"], 0),
+        (["verify", "--u0", "1.0", "--z0", "1.8385", "--n", "3", "--q", "2", "--check",
+          "weak", "--r-max", "20"], 3),
+        (["sweep", "--module", "region", "--q", "7", "--alpha", "0.5"], 0)],
+        ids=["solve-system", "verify-exit-3", "sweep"])
+    def test_artifacts_exit_code_and_quiet_stderr(self, argv, code, tmp_path, capsys):
+        import os
+        import subprocess
+        import sys
+        argv = argv + ["--format", "json,csv", "--out"]
+        assert run_cli(argv + [str(tmp_path / "open")]) == code
+        capsys.readouterr()
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        # the read end is closed before the child starts, so its first write
+        # to stdout meets a broken pipe, whatever the timing
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run([sys.executable, "-m", "biharm_lab.cli", *argv,
+                                  str(tmp_path / "closed")], env=env, stdout=write_end,
+                                 stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (code, "")
+        names = sorted(p.name for p in (tmp_path / "open").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "closed").iterdir())
+        for name in names:
+            if name != "run-config.json":   # it names its --out
+                assert ((tmp_path / "open" / name).read_bytes()
+                        == (tmp_path / "closed" / name).read_bytes()), name
+
+
 class TestRadialParabolicCLI:
     def test_radial_geometry_manifest(self, tmp_path):
         code = run_cli(["simulate-parabolic", "--p-exp", "2", "--r-exp", "1",

@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from biharm_lab import parabolic as pb
 from biharm_lab.errors import DomainError, PreconditionError, SizeError
+from biharm_lab.reports import worst_node
 
 
 def kinetic_oracle(p, r, u0, v0, times):
@@ -568,3 +569,234 @@ class TestCounters:
         assert fld.truncation_reason == "controller-underflow"
         assert fld.meta["counters"] == {"steps": 0, "dt_min": None, "diffusion_solves": 0,
                                         "rate_last": None}
+
+
+def allocating_simulate(geometry, p_exp, r_exp, u_init, v_init, t_final, num_snapshots,
+                        blowup_factor=pb.BLOWUP_FACTOR):
+    """Reference of simulate's step loop, building the reaction and every RK4 sum afresh.
+
+    Returns the snapshots of u and v, their times, the counters, the
+    truncation reason and the time reached.
+    """
+    def reaction(S):
+        out = np.empty_like(S)
+        out[0] = S[1] ** r_exp
+        out[1] = S[0] ** p_exp
+        return out
+
+    S = np.empty((2, geometry.num_nodes))
+    S[0], S[1] = u_init, v_init
+    diffuser = (pb._PeriodicDiffusion(geometry) if isinstance(geometry, pb.PeriodicBox)
+                else pb._RadialDiffusion(geometry))
+    t_snap = np.linspace(0.0, t_final, num_snapshots + 1)
+    cap = blowup_factor * float(S.max())
+    dt_floor = 1e-12 * max(t_final, 1.0)
+    snaps, ts, dts = [S], [0.0], []
+    t, reason, rate_last, j_next = 0.0, None, None, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while j_next <= num_snapshots:
+            rate = float((reaction(S) / S).max())
+            dt = pb.REL_INCREMENT / rate if rate > 0 else t_final / num_snapshots
+            dt = min(dt, t_snap[j_next] - t)
+            if dt < dt_floor:
+                reason = "controller-underflow"
+                break
+            dts.append(dt)
+            rate_last = rate
+            Sn = diffuser.cn_step(S, 0.5 * dt)
+            k1 = reaction(Sn)
+            k2 = reaction(Sn + 0.5 * dt * k1)
+            k3 = reaction(Sn + 0.5 * dt * k2)
+            k4 = reaction(Sn + dt * k3)
+            Sn = diffuser.cn_step(Sn + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.5 * dt)
+            reason = pb._truncation(Sn, cap)
+            if reason in ("non-finite-state", "positivity-lost"):
+                break
+            S = Sn
+            t += dt
+            if reason == "blow-up":
+                break
+            if t >= t_snap[j_next] - 1e-14 * max(t_final, 1.0):
+                t = t_snap[j_next]
+                snaps.append(S)
+                ts.append(t)
+                j_next += 1
+    snaps = np.stack(snaps, axis=1)
+    counters = {"steps": len(dts), "dt_min": min(dts, default=None),
+                "diffusion_solves": 2 * len(dts), "rate_last": rate_last}
+    return snaps[0], snaps[1], np.asarray(ts), counters, reason, t
+
+
+def stepper_case(case):
+    """(geometry, p, r, u_init, v_init, t_final, snapshots, blowup_factor) of a named run."""
+    if case.startswith("radial-n"):
+        geom = pb.RadialBall(n=int(case[-1]), radius=np.pi, num_intervals=48)
+        x = geom.x
+        return (geom, 2.5, 1.3, 1.0 + 0.03 * np.cos(x), 1.6 + 0.02 * np.cos(2 * x),
+                0.1, 16, pb.BLOWUP_FACTOR)
+    if case == "blow-up":
+        geom = pb.RadialBall(n=3, radius=np.pi, num_intervals=32)
+        x = geom.x
+        return (geom, 2.0, 1.0, 1.0 + 0.05 * np.cos(x), 1.1 + 0.02 * np.cos(2 * x),
+                30.0, 20, 2.0)
+    if case == "non-finite":
+        return (pb.PeriodicBox(num_nodes=16), 7e5, 1.0, float(np.exp(5.59e-5)), 5e8,
+                1.0, 4, pb.BLOWUP_FACTOR)
+    geom = pb.PeriodicBox(num_nodes=64)
+    x = geom.x
+    p, r = (2.0, 1.5) if case == "periodic" else map(float, case.split("-")[1:])
+    return (geom, p, r, 1.0 + 0.05 * np.cos(2 * x), 2.0 + 0.04 * np.sin(2 * x),
+            0.1, 16, pb.BLOWUP_FACTOR)
+
+
+class TestStepperReference:
+    """simulate with its five buffers and stacked power is the allocating loop, bitwise."""
+
+    # p-<p>-<r>: exponents 0.5, 1 and 2 take NumPy's scalar fast paths
+    @pytest.mark.parametrize("case", [
+        "periodic", "radial-n2", "radial-n3", "radial-n5",
+        "p-3-0.5", "p-2-1", "p-3-1", "p-2-2", "p-3-2", "blow-up", "non-finite"])
+    def test_matches_allocating_loop(self, case):
+        geom, p, r, u_init, v_init, t_final, snapshots, factor = stepper_case(case)
+        fld = pb.simulate(geom, p, r, u_init, v_init, t_final, num_snapshots=snapshots,
+                          blowup_factor=factor)
+        u, v, times, counters, reason, t = allocating_simulate(
+            geom, p, r, u_init, v_init, t_final, snapshots, blowup_factor=factor)
+        assert np.array_equal(fld.u, u) and np.array_equal(fld.v, v)
+        assert np.array_equal(fld.times, times) and fld.meta["counters"] == counters
+        assert (fld.truncation_reason, fld.t_reached) == (reason, t)
+        assert reason == {"blow-up": "blow-up", "non-finite": "non-finite-state"}.get(case)
+
+    def test_second_run_leaves_the_first_unchanged(self):
+        geom, p, r, u_init, v_init, t_final, snapshots, factor = stepper_case("radial-n3")
+        first = pb.simulate(geom, p, r, u_init, v_init, t_final, num_snapshots=snapshots)
+        u, v = first.u.copy(), first.v.copy()
+        second = pb.simulate(geom, p, r, 2.0 * u_init, v_init, t_final, num_snapshots=snapshots)
+        assert np.array_equal(first.u, u) and np.array_equal(first.v, v)
+        assert not np.array_equal(second.u, u)
+
+
+def whole_field_residual(fld):
+    """The snapshot residual reduced over whole (snapshots, nodes) arrays, without refusal."""
+    rate, defect = 1.0, 0.0
+    for f, source, power in ((fld.u, fld.v, fld.r_exp), (fld.v, fld.u, fld.p_exp)):
+        res = pb._time_rate(f, fld.times)
+        rate = np.maximum(rate, np.abs(res).max(axis=1))
+        res = res - fld.geometry.laplacian(f[1:-1]) - source[1:-1] ** power
+        defect = np.maximum(defect, np.abs(res).max(axis=1))
+    return float((defect / rate).max())
+
+
+def whole_field_heat(fld):
+    """The heat inequality's report reduced over whole arrays, without the residual gate."""
+    geom = fld.geometry
+    sig, ell, p_exp = fld.sigma, fld.ell, fld.p_exp
+    sl = geom.trim_slice()
+    w = fld.w
+    lap_w = geom.laplacian(w[1:-1])[:, sl]
+    w_t = pb._time_rate(w, fld.times)[:, sl]
+    u, v = fld.u[1:-1, sl], fld.v[1:-1, sl]
+    reac = ell * sig * v ** (sig - 1.0) * (u ** p_exp - ell**p_exp * v ** (sig * p_exp))
+    scale = max(1.0, *(float(np.abs(a).max()) for a in (lap_w, w_t, reac)))
+    margin = lap_w - w_t - reac
+    return pb.VerificationReport(
+        inequality="gap-heat-inequality",
+        params={"p": fld.p_exp, "r": fld.r_exp, "sigma": sig},
+        tol=pb.TOL_SECOND_ORDER, scale=scale,
+        **worst_node(margin, geom.x[sl], fld.times[1:-1])), margin
+
+
+def whole_field_comparison(fld):
+    v_term = fld.v ** (fld.r_exp + 1.0) / (fld.r_exp + 1.0)
+    u_term = fld.u ** (fld.p_exp + 1.0) / (fld.p_exp + 1.0)
+    margin = v_term - u_term
+    scale = max(1.0, float(v_term.max()), float(u_term.max()))
+    return pb.VerificationReport(
+        inequality="parabolic-power-comparison",
+        params={"p": fld.p_exp, "r": fld.r_exp}, tol=pb.TOL_FIRST_ORDER, scale=scale,
+        caveats=[pb.ETERNALITY_CAVEAT], **worst_node(margin, fld.geometry.x, fld.times)), margin
+
+
+def whole_field_propagation(fld):
+    w = fld.w
+    scale = max(1.0, float(np.abs(w).max()))
+    w0_max = float(w[0].max())
+    params = {"p": fld.p_exp, "r": fld.r_exp, "initial_max_gap": w0_max}
+    if w0_max > pb.TOL_FIRST_ORDER * scale:
+        caveat = "not applicable: initial gap has positive nodes"
+    elif len(fld.times) < 2:
+        caveat = "not applicable: no snapshot after t = 0"
+    else:
+        return pb.VerificationReport(
+            inequality="negativity-propagation", params=params,
+            tol=pb.TOL_SECOND_ORDER, scale=scale,
+            **worst_node(-w[1:], fld.geometry.x, fld.times[1:])), -w[1:]
+    return pb.VerificationReport(
+        inequality="negativity-propagation", params=params, applicable=False,
+        min_margin=-w0_max, argmin_r=np.nan, tol=pb.TOL_SECOND_ORDER, scale=scale,
+        caveats=[caveat]), None
+
+
+def block_field(geom, snapshots, kind):
+    """A (snapshots, nodes) field built to probe the block boundaries.
+
+    ``random`` is noise around a negative gap w; ``homogeneous`` is constant,
+    so every margin ties across every block; ``overflow`` puts u^p past the
+    float range at nodes in several blocks, so margins read inf and NaN.
+    """
+    rng = np.random.default_rng(snapshots)
+    shape = (snapshots, geom.num_nodes)
+    times = np.linspace(0.0, 0.1, snapshots)
+    p = 2.0
+    if kind == "homogeneous":
+        u, v = np.full(shape, 1.0), np.full(shape, 2.0)
+    else:
+        u, v = 1.0 + 0.1 * rng.random(shape), 2.0 + 0.1 * rng.random(shape)
+    if kind == "overflow":
+        # u^3 and v^1.5 overflow: alone, to an infinite margin; together, to
+        # NaN.  From the middle snapshot on, so a block of finite maxima comes first
+        p, mid = 3.0, geom.num_nodes // 2
+        for k in range(snapshots // 2, snapshots - 1, 11):
+            u[k, mid + 1 + k % 3] = u[k, mid] = 1e150
+            v[k, mid - 1 - k % 2] = v[k, mid] = 1e300
+    return pb.SpaceTimeField(geometry=geom, p_exp=p, r_exp=1.0, times=times, u=u, v=v,
+                             blown_up=False, truncation_reason=None, t_reached=0.1)
+
+
+class TestBlockReference:
+    """The block reductions are the whole-field ones, bitwise, scale included."""
+
+    B = pb.CHECK_BLOCK_SNAPSHOTS
+
+    # K - 2 interior snapshots: a multiple of the block, one more and one less; K = 3
+    @pytest.mark.parametrize("snapshots", [2 * B + 2, 2 * B + 3, 2 * B + 1, 3])
+    @pytest.mark.parametrize("kind", ["random", "homogeneous", "overflow"])
+    @pytest.mark.parametrize("geom", [pb.PeriodicBox(num_nodes=24),
+                                      pb.RadialBall(n=3, num_intervals=32)],
+                             ids=["periodic", "radial"])
+    def test_matches_whole_field(self, geom, snapshots, kind, monkeypatch):
+        fld = block_field(geom, snapshots, kind)
+        monkeypatch.setattr(pb, "RESIDUAL_THRESHOLD", np.inf)   # any field reaches the checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert repr(pb._check_snapshot_residuals(fld)) == repr(whole_field_residual(fld))
+            for check, reference in ((pb.verify_heat_diff_inequality, whole_field_heat),
+                                     (pb.verify_component_comparison, whole_field_comparison),
+                                     (pb.verify_sign_propagation, whole_field_propagation)):
+                ref, margin = reference(fld)
+                assert repr(check(fld).to_dict()) == repr(ref.to_dict()), check.__name__
+                if kind == "overflow" and check is not pb.verify_sign_propagation:
+                    assert np.isnan(margin).any() and np.isinf(margin).any(), check.__name__
+        if kind == "homogeneous":   # the tie goes to the first node of the first snapshot
+            assert pb.verify_component_comparison(fld).argmin_t == 0.0
+
+    def test_nan_rules_across_blocks(self):
+        # NaN first shows in the second block: the running maximum keeps it, as
+        # ndarray.max does, and a NaN margin in a later block does not displace
+        # the earlier block's
+        fld = block_field(pb.PeriodicBox(num_nodes=24), 3 * self.B, "random")
+        fld.u[self.B + 2, 5] = fld.u[2 * self.B + 1, 3] = np.nan
+        assert np.isnan(pb._check_snapshot_residuals(fld)) and np.isnan(whole_field_residual(fld))
+        rep = pb.verify_component_comparison(fld)
+        assert np.isnan(rep.min_margin) and rep.argmin_t == fld.times[self.B + 2]
+        assert rep.argmin_r == fld.geometry.x[5] and not np.isnan(rep.scale)
+        assert repr(rep.to_dict()) == repr(whole_field_comparison(fld)[0].to_dict())
