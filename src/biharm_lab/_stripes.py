@@ -133,18 +133,23 @@ def _fork(body, k: int, children: list):
     pipe and exits; append its ``Child`` to ``children``."""
     _flush_stdio()
     read, write = os.pipe()
+    # SIGTERM stays blocked until the child has reset it to SIG_DFL, so one
+    # that reaches the child as fork returns ends it, as any later one does:
+    # no handler of the caller's runs in a child
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     try:
         _widen(write)
         pid = os.fork()
     except BaseException:
         os.close(read)
         os.close(write)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         raise
     if pid == 0:
         code = 1
         try:
-            # SIGTERM ends the child: no handler of the caller's runs in it
             signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(read)
             with open(write, "wb") as pipe:
                 body(k, pipe)
@@ -153,6 +158,9 @@ def _fork(body, k: int, children: list):
             os._exit(code)
     os.close(write)
     children.append(Child(pid, read))
+    # after the append: a caller's handler that raises here leaves the
+    # child to ``forked``, which ends it
+    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 @contextmanager

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import LinAlgError   # the class scipy.linalg raises
 
 from .errors import (DomainError, PreconditionError, require_above, require_count,
                      require_spacing)
@@ -171,7 +170,13 @@ class _RadialDiffusion:
         *_, y, info = self._dgtsv(ab[2, :-1], ab[1], ab[0, 1:], f.T, overwrite_dl=1,
                                   overwrite_d=1, overwrite_du=1)
         if info:
-            raise LinAlgError(f"dgtsv failed with info = {info}")
+            # a pivot is exactly 0: the 1 on the diagonal of I - k L was lost
+            # to rounding next to k times weights that grow as 1/h^2
+            weight = float(np.abs(self._bands).max())
+            raise PreconditionError(
+                f"the radial Crank-Nicolson half-step over s = {s:g} is singular in "
+                f"floating point: s/2 times the stencil's largest weight {weight:g} "
+                "swamps the identity")
         y *= 2.0
         y -= f.T
         return y.T

@@ -82,6 +82,17 @@ class TestSolveBiharmonic:
         code = run_cli(["solve-biharmonic", "--u0", "-1", "--z0", "1"])
         assert code == 2
 
+    def test_steep_shot_classifies_as_its_sweep_row(self, tmp_path, capsys):
+        # the q = 50 sweep's member at u0 = 0.6, started where the even
+        # series is still in its range
+        assert run_cli(["solve-biharmonic", "--n", "3", "--q", "50", "--u0", "0.6",
+                        "--z0", "88070.67117853744", "--h", "0.01953125",
+                        "--format", "json,csv", "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["classification"]["kind"] == biharmonic.POSITIVE
+        assert (tmp_path / "profile.csv").stat().st_size > 0
+
 
 class TestShortWindowCsv:
     """A shot that stops before its first node writes the one-node window at r = 0,
@@ -96,7 +107,9 @@ class TestShortWindowCsv:
     ])
     def test_exits_0_with_nan_residuals(self, argv, name, residuals, tmp_path, capsys):
         assert run_cli(argv + ["--format", "json,csv", "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().err == ""
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["classification"]["kind"] == biharmonic.TOUCHED_ZERO
         header, *rows = (tmp_path / f"{name}.csv").read_text().splitlines()
         cols = header.split(",")
         record = json.loads((tmp_path / f"{name}.json").read_text())
@@ -431,19 +444,26 @@ class TestOutDirectory:
         assert captured.err == f"error: --out {out}: {blocker} is not a directory\n"
         assert blocker.read_text() == "x" and len(list(tmp_path.iterdir())) == 1 + in_config
 
-    @pytest.mark.parametrize("out,message", [
-        ("", "--out '' is not a directory name"),
-        ("a\0b", "--out 'a\\x00b' is not a directory name"),
-        ("a" * 300, f"--out {'a' * 300}: File name too long"),
-    ], ids=["empty", "nul", "name-too-long"])
+    REGION = ["region", "--q", "7", "--format", "json,csv"]
+
+    @pytest.mark.parametrize("argv,out,message", [
+        (REGION, "", "--out '' is not a directory name"),
+        (REGION, "a\0b", "--out 'a\\x00b' is not a directory name"),
+        (REGION, "a" * 300, f"--out {'a' * 300}: File name too long"),
+        (["verify", "--exact", "--check", "sharp", "--h", "0.05", "--r-max", "5",
+          "--format", "json,csv"], "", "--out '' is not a directory name"),
+        (["solve-system", "--u0", "0.71", "--v0", "2.14"], "",
+         "--out '' is not a directory name"),
+    ], ids=["empty", "nul", "name-too-long", "empty-verify", "empty-solve-system"])
     @pytest.mark.parametrize("in_config", [False, True])
-    def test_bad_name_exits_1(self, out, message, in_config, tmp_path, monkeypatch, capsys):
+    def test_bad_name_exits_1(self, argv, out, message, in_config, tmp_path, monkeypatch,
+                              capsys):
         monkeypatch.chdir(tmp_path)   # an empty --out would be the working directory
-        argv = ["region", "--q", "7", "--format", "json,csv"]
         if in_config:
+            parameters = {"q": 7.0} if argv[0] == "region" else {}
             (tmp_path / "cfg.json").write_text(
-                cli.RunConfig(command="region", parameters={"q": 7.0}, out=out).to_json())
-            argv += ["--config", "cfg.json"]
+                cli.RunConfig(command=argv[0], parameters=parameters, out=out).to_json())
+            argv = argv + ["--config", "cfg.json"]
         assert run_cli(argv if in_config else argv + [f"--out={out}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -884,6 +904,10 @@ class TestFloatRange:
         (["sweep", "--module", "biharmonic", "--n", "3", "--q", "100"],
          "precondition error: u^(-(q-1)/2) underflows to 0 at r = "),
         (STEEP + ["--check", "weak"], "precondition error: u^(-(q-1)/2) underflows to 0 at r = "),
+        # the spacing passes, but the half-step's matrix is singular in floating point
+        (["simulate-parabolic", "--p-exp", "2", "--r-exp", "1", "--geometry", "radial",
+          "--radius", "1e-10", "--snapshots", "4", "--nodes", "16"],
+         "precondition error: the radial Crank-Nicolson half-step over s = "),
     ])
     def test_refused_exits_2(self, argv, message, capsys):
         assert run_cli(argv) == 2

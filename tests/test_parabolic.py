@@ -282,6 +282,16 @@ class TestDirectSolve:
             explicit = ExplicitRadialDiffusion(geom).cn_step(S, s)
             assert np.abs(got - explicit).max() <= 1e-12 * np.abs(explicit).max()
 
+    @pytest.mark.parametrize("radius", [1e-10, 1e-100, 1e-152])
+    def test_singular_half_step_refused(self, radius):
+        # the ball passes its spacing check, but k times the stencil's
+        # weights swamps the 1 on the diagonal of I - k L, and a pivot is 0
+        geom = pb.RadialBall(n=3, radius=radius, num_intervals=16)
+        with pytest.raises(PreconditionError, match=r"half-step over s = \S+ is singular in "
+                                                    r"floating point: s/2 times the stencil's "
+                                                    r"largest weight \S+ swamps the identity"):
+            pb.simulate(geom, 2.0, 1.0, 1.0, 1.2, t_final=0.1, num_snapshots=4)
+
 
 class TestTrajectory:
     def test_radial_run_matches_explicit_right_hand_side(self, monkeypatch):

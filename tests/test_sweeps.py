@@ -394,6 +394,29 @@ class TestStripes:
             os.waitpid(-1, os.WNOHANG)
         assert not marker.exists()
 
+    def test_sigterm_as_fork_returns_ends_the_child(self, stripes, forks, monkeypatch,
+                                                    tmp_path):
+        # the child signals itself before it can reset SIGTERM: a handler of
+        # the caller's that ran there would touch the marker, and the child
+        # would send its values
+        stripes(2)
+        marker, recorded = tmp_path / "marker", os.fork
+
+        def signalled():
+            pid = recorded()
+            if pid == 0:
+                os.kill(os.getpid(), signal.SIGTERM)
+            return pid
+        monkeypatch.setattr(os, "fork", signalled)
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: marker.touch())
+        try:
+            with pytest.raises(RuntimeError, match="exited with code -15"):
+                _stripes.striped(lambda i: i, 2)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert len(forks) == 1 and all(map(_reaped, forks))
+        assert not marker.exists()
+
     @pytest.mark.parametrize("caller", ["daemon", "thread"])
     def test_one_process_callers(self, caller, stripes, forks):
         kw = dict(n_values=(3,), q_values=(7.0,))
