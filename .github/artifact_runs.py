@@ -12,6 +12,9 @@ stdout, exit code and artifacts (every file but run-config.json):
   `git worktree add /tmp/parent HEAD~1`), run from that tree's src.  A
   change that moves artifacts by design lists the paths it moves (`3/profile.csv`,
   `3.stdout`, `3.code`) in artifact-changes.txt, and they are not compared.
+  A listed path must still differ: one that is written by neither side, or
+  is byte-identical at PARENT_TREE, fails the check, so the list cannot go
+  stale.
 In each run that writes both, the pointwise and sharp margin tables must be
 identical: at the default coefficients they are one margin.
 
@@ -41,9 +44,10 @@ def run(tree: Path, args: list[str], out: Path, cpus=None) -> tuple[int, bytes]:
     return proc.returncode, proc.stderr
 
 
-def differ(a: Path, b: Path) -> bool:
-    """Whether two files or trees differ; diff names each difference."""
-    return subprocess.run(["diff", "-rq", "-x", "run-config.json", a, b]).returncode != 0
+def differ(a: Path, b: Path, quiet: bool = False) -> bool:
+    """Whether two files or trees differ; diff names each difference unless ``quiet``."""
+    return subprocess.run(["diff", "-rq", "-x", "run-config.json", a, b],
+                          stdout=subprocess.DEVNULL if quiet else None).returncode != 0
 
 
 def main(parent: Path | None) -> int:
@@ -72,8 +76,15 @@ def main(parent: Path | None) -> int:
     failed |= differ(work / "all", work / "one") | differ(work / "all", work / "replay")
     if parent:
         for path in (HERE / "artifact-changes.txt").read_text().split():
-            for side in ("all", "parent"):
-                target = work / side / path
+            sides = [work / side / path for side in ("all", "parent")]
+            if not any(target.exists() for target in sides):
+                print(f"artifact-changes.txt lists {path}, which neither side writes", flush=True)
+                failed = True
+            elif all(target.exists() for target in sides) and not differ(*sides, quiet=True):
+                print(f"artifact-changes.txt lists {path}, which is identical at the parent",
+                      flush=True)
+                failed = True
+            for target in sides:
                 shutil.rmtree(target) if target.is_dir() else target.unlink(missing_ok=True)
         failed |= differ(work / "parent", work / "all")
     if failed:

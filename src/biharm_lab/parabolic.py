@@ -34,8 +34,11 @@ from .grids import TRIM_NODES, laplacian_values
 from .reports import (RESIDUAL_THRESHOLD, TOL_FIRST_ORDER, TOL_SECOND_ORDER,
                       VerificationReport, worst_node)
 
-#: per-step relative reaction increment allowed by the controller
-REL_INCREMENT = 1e-3
+#: per-step relative reaction increment allowed by the controller: the largest
+#: one-digit value at which, in a time-refinement study, no check's verdict
+#: moves and every margin that a run at REL_INCREMENT / 32 puts within
+#: 10 tol * scale of zero stays within 0.1 tol * scale of that run
+REL_INCREMENT = 2e-3
 #: default blow-up factor over the initial scale
 BLOWUP_FACTOR = 1e6
 #: snapshots a check reduces at a time, so that a block's temporaries stay in cache
@@ -509,7 +512,9 @@ def verify_scalar_power_bounds(p_exp: float, r_exp: float) -> VerificationReport
     t = np.concatenate([half, 1.0 - half[-2::-1]])
 
     t_p = t**p_exp
-    rel1 = (1.0 + t) ** p_exp - 1.0 - t_p
+    # at large p, (1 + t)^p overflows to +inf, the right value of a passing margin
+    with np.errstate(over="ignore"):
+        rel1 = (1.0 + t) ** p_exp - 1.0 - t_p
     rel2 = 1.0 - t_p - (p_exp / (1.0 + eps)) * t ** (p_exp - eps - 1.0) * (1.0 - t) ** (1.0 + eps)
 
     worst = float(min(rel1.min(), rel2.min()))

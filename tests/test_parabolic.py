@@ -202,7 +202,7 @@ class TestPositivityAndBlowup:
                                       pb.RadialBall(n=3, num_intervals=16)],
                              ids=["periodic", "radial"])
     def test_overflowing_reaction_is_a_non_finite_state(self, geom):
-        # u grows by a relative 1e-3 a step, so u^p overflows within the RK4
+        # u grows by a relative REL_INCREMENT a step, so u^p overflows within the RK4
         # stages; both diffusions carry the inf into a non-finite state, which
         # the truncation reports without a NumPy warning
         with warnings.catch_warnings(record=True) as caught:
@@ -321,6 +321,59 @@ class TestTrajectory:
             assert np.array_equal(diffuser.cn_step(S, s), pb._PeriodicDiffusion(geom).cn_step(S, s))
 
 
+class TestTimeRefinement:
+    """The step rule REL_INCREMENT against runs at finer rules, as in the study that chose it.
+
+    The budget: no check's verdict moves, and a margin that the run at
+    REL_INCREMENT / 32 puts within 10 tol * scale of zero stays within
+    0.1 tol * scale of that run.
+    """
+
+    @staticmethod
+    def run_at(monkeypatch, rel, geom, p, r, u_init, v_init, t_final, snapshots):
+        monkeypatch.setattr(pb, "REL_INCREMENT", rel)
+        return pb.simulate(geom, p, r, u_init, v_init, t_final, num_snapshots=snapshots)
+
+    @pytest.mark.parametrize("geom", [pb.PeriodicBox(num_nodes=64),
+                                      pb.RadialBall(n=3, num_intervals=64)],
+                             ids=["periodic", "radial"])
+    def test_second_order_in_time(self, geom, monkeypatch):
+        # four snapshots leave every run bound by the controller, not the snapshot mesh
+        x, rule = geom.x, pb.REL_INCREMENT
+        *runs, ref = (self.run_at(monkeypatch, rel, geom, 2.0, 1.5, 1.0 + 0.05 * np.cos(x),
+                                  1.6 + 0.02 * np.cos(2 * x), 0.2, 4)
+                      for rel in (rule, rule / 2, rule / 4, rule / 32))
+        for name in ("u", "v"):
+            err = [np.abs(getattr(fld, name) - getattr(ref, name)).max() for fld in runs]
+            orders = np.log2(np.divide(err[:-1], err[1:]))
+            assert np.all(np.abs(orders - 2.0) <= 0.3), (name, orders)
+
+    def readme_moves(self, monkeypatch, rule):
+        """Whether the README example keeps its verdicts at rule, and its heat margin's move."""
+        geom = pb.PeriodicBox()
+        x = geom.x
+        reports = []
+        for rel in (rule, rule / 32):
+            fld = self.run_at(monkeypatch, rel, geom, 2.0, 1.0, 1.0 + 0.03 * np.cos(x),
+                              1.2 + 0.03 * np.cos(2 * x), 0.4, 128)
+            reports.append([pb.verify_heat_diff_inequality(fld),
+                            pb.verify_component_comparison(fld), pb.verify_sign_propagation(fld)])
+        (heat, *_), (heat_ref, *_) = reports
+        tol = heat_ref.tol * heat_ref.scale
+        # the early-time heat defect leaves this margin failing, inside the budget's 10 tol
+        assert -10.0 <= heat_ref.min_margin / tol < -1.0
+        verdicts = [[rep.passed for rep in run] for run in reports]
+        return verdicts[0] == verdicts[1], abs(heat.min_margin - heat_ref.min_margin) / tol
+
+    def test_readme_example_within_budget(self, monkeypatch):
+        # the binding case of the study; the next one-digit rule leaves the
+        # budget here, so the rule is the largest inside it
+        rule = pb.REL_INCREMENT
+        same_verdicts, move = self.readme_moves(monkeypatch, rule)
+        assert same_verdicts and move <= 0.1
+        assert self.readme_moves(monkeypatch, rule + 10.0 ** np.floor(np.log10(rule)))[1] > 0.1
+
+
 def spelled_out_bands(geom):
     """The radial operator's (upper, diagonal, lower) bands, coefficient by coefficient."""
     h, n = geom.h, geom.n
@@ -379,8 +432,9 @@ class TestScalarPowerBounds:
         rhs = (p / (1 + 0.5)) * b ** (p - 0.5 - 1) * (a - b) ** 1.5
         assert lhs == 7.0 and rhs == pytest.approx(2.0, rel=1e-14)
 
+    # at p = 7e5, (1 + t)^p overflows to +inf without a warning
     @pytest.mark.parametrize("p,r", [(2.0, 1.0), (3.0, 2.0), (2.0, 2.0), (1.1, 1.0),
-                                     (7.0, 0.2), (1.5, 0.7), (50.0, 0.05)])
+                                     (7.0, 0.2), (1.5, 0.7), (50.0, 0.05), (7e5, 1.0)])
     def test_no_violations(self, p, r):
         rep = pb.verify_scalar_power_bounds(p, r)
         assert rep.passed and rep.params["violations"] == 0
