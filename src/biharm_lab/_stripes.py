@@ -1,21 +1,24 @@
 """Work dealt to forked processes, one per CPU.
 
-``forked(width, body)`` runs ``body(k, pipe)`` in forked children k = 1, ...,
-width - 1, each sending values (``send``) on its own pipe, which this process
-reads in order (``Child.receive``).  A child leaves through ``os._exit``, so
-it runs none of the parent's exit handlers and flushes none of its buffers,
-and a SIGTERM ends it at once: it writes no file, so it has nothing to undo.
+This is the one rule for work split across processes: the sweeps deal their
+families by it, and ``serialize.write_artifacts`` the row blocks of a run's
+files.  ``dealt(jobs, run)`` deals jobs 0, 1, ... to W = ``stripes(jobs)``
+processes, job i to process i % W.  This process is process 0, and forked
+child k runs ``run(deal)`` with its own ``Deal``; the caller runs the same
+code on the ``Deal`` the block yields.  ``Deal.value(i, make)`` is
+``make(i)`` where this process makes job i, and, in the caller, otherwise
+the value job i's child sent on its pipe, read in job order.  A child sends
+each value as it makes it, and a child that raises sends the exception in
+place of its next value.  So the caller stops at the first failing job it
+reaches and raises what a one-process run raises there, and the children
+are then sent SIGTERM.
 
-``striped(fn, count)`` gives ``[fn(i) for i in range(count)]``, with the
-indices dealt to W = ``stripes(count)`` stripes i, i + W, ...: this process
-runs the first stripe and child k the k-th, which sends its values back in
-one piece.  The sweeps run their families this way.
-``serialize.write_artifacts`` deals the row blocks of a run's files through
-``forked``, a child streaming the text of each block it makes.
-
-Only ``os.fork``, a pipe and ``pickle`` are used: forking through
-``multiprocessing`` adds 0.9 MB to the process's resident memory (0.3 MB
-for the import alone, on CPython 3.11 / x86-64 Linux).
+A child leaves through ``os._exit``, so it runs none of the parent's exit
+handlers and flushes none of its buffers, and a SIGTERM ends it at once: it
+writes no file, so it has nothing to undo.  Only ``os.fork``, a pipe and
+``pickle`` are used: forking through ``multiprocessing`` adds 0.9 MB to the
+process's resident memory (0.3 MB for the import alone, on CPython 3.11 /
+x86-64 Linux).
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ PIPE_BYTES = 1 << 20
 
 
 def stripes(jobs: int) -> int:
-    """How many processes to run this many jobs in (``striped``, ``forked``).
+    """How many processes to deal this many jobs to (``dealt``).
 
     One per CPU of the affinity mask, but one where a child cannot be forked
     safely: without fork or an affinity mask, in a daemonic
@@ -50,21 +53,6 @@ def stripes(jobs: int) -> int:
     return min(len(os.sched_getaffinity(0)), jobs)
 
 
-def _stripe(fn, indices):
-    """([fn(i) for the indices in order], first error).
-
-    The values stop at the first index whose call raises; the error is (that
-    index, its exception), or None when every call returned.
-    """
-    done = []
-    for i in indices:
-        try:
-            done.append(fn(i))
-        except Exception as exc:
-            return done, (i, exc)
-    return done, None
-
-
 def _flush_stdio():
     # so that text buffered before the fork is not written twice
     for stream in (sys.stdout, sys.stderr):
@@ -74,10 +62,37 @@ def _flush_stdio():
             pass
 
 
-def send(pipe, value):
-    """Send ``value`` on a child's pipe, at once: the parent may be waiting for it."""
+def _send(pipe, value):
+    """Send ``value`` on a child's pipe, at once: the caller may be waiting for it."""
     pickle.dump(value, pipe, pickle.HIGHEST_PROTOCOL)
     pipe.flush()
+
+
+class Deal:
+    """One process's part in ``dealt``: job i is made by process i % ``width``.
+
+    This one is ``rank``; the caller (rank 0) reads its ``children``, ranks
+    1, 2, ..., and a child sends on its ``pipe``.  The default is the whole
+    work in one process.
+    """
+
+    def __init__(self, width: int = 1, rank: int = 0, children=(), pipe=None):
+        self.width = width
+        self.rank = rank
+        self.children = children
+        self.pipe = pipe
+
+    def value(self, i: int, make):
+        """Job i's value: ``make(i)`` where this process makes it, else, in the
+        caller, the next value job i's child sent (raised, where that is an
+        exception) and None in a child."""
+        maker = i % self.width
+        if maker != self.rank:
+            return None if self.rank else self.children[maker - 1].receive()
+        value = make(i)
+        if self.rank:
+            _send(self.pipe, value)
+        return value
 
 
 class Child:
@@ -128,9 +143,9 @@ def _widen(pipe: int):
         pass
 
 
-def _fork(body, k: int, children: list):
-    """Fork child k, which runs ``body(k, pipe)`` on the write end of a new
-    pipe and exits; append its ``Child`` to ``children``."""
+def _fork(run, width: int, k: int, children: list):
+    """Fork child k, which runs ``run`` on its ``Deal`` and exits; append its
+    ``Child`` to ``children``."""
     _flush_stdio()
     read, write = os.pipe()
     # SIGTERM stays blocked until the child has reset it to SIG_DFL, so one
@@ -152,33 +167,37 @@ def _fork(body, k: int, children: list):
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(read)
             with open(write, "wb") as pipe:
-                body(k, pipe)
+                try:
+                    run(Deal(width, k, pipe=pipe))
+                except Exception as exc:   # raised where the caller reaches it
+                    _send(pipe, exc)
             code = 0
         finally:
             os._exit(code)
     os.close(write)
     children.append(Child(pid, read))
     # after the append: a caller's handler that raises here leaves the
-    # child to ``forked``, which ends it
+    # child to ``dealt``, which ends it
     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 @contextmanager
-def forked(width: int, body):
-    """Fork children k = 1, ..., width - 1 that run ``body(k, pipe)``; yield
-    their ``Child``s, in k order.
+def dealt(jobs: int, run):
+    """Deal ``jobs`` jobs to W = ``stripes(jobs)`` processes; yield this one's ``Deal``.
 
-    ``pipe`` is the write end of the child's own pipe, a binary file.  Leaving
-    the block waits for each child and raises RuntimeError for one that
-    exited with a nonzero code.  No child outlives the block: when it raises,
-    an interrupt included, each child not yet reaped is sent SIGTERM and
-    waited for.
+    Children k = 1, ..., W - 1 are forked, each running ``run`` on its own
+    ``Deal``.  Leaving the block waits for each child and raises
+    RuntimeError for one that exited with a nonzero code.  No child outlives
+    the block: when it raises (at the first failing job the caller reaches,
+    or on an interrupt), each child not yet reaped is sent SIGTERM and waited
+    for.
     """
+    width = stripes(jobs)
     children = []
     try:
         for k in range(1, width):
-            _fork(body, k, children)
-        yield children
+            _fork(run, width, k, children)
+        yield Deal(width, children=children)
         for child in children:
             child.wait()
     finally:
@@ -194,26 +213,3 @@ def forked(width: int, body):
             os.waitpid(child.pid, 0)
         for child in children:
             child.pipe.close()
-
-
-def striped(fn, count: int) -> list:
-    """[fn(i) for i in range(count)], run in ``stripes(count)`` processes.
-
-    The values are those of one process, in index order.  When calls raise,
-    the exception of the lowest index is raised, with its type, message and
-    attributes: the one the one-process run meets first.  A stripe's values
-    stop at its first error while the other stripes run on.  No child
-    outlives the call (``forked``).
-    """
-    width = stripes(count)
-    with forked(width, lambda k, pipe: send(pipe, _stripe(fn, range(k, count, width)))) \
-            as children:
-        results = [_stripe(fn, range(0, count, width))]
-        results += [child.receive() for child in children]
-    errors = [err for _, err in results if err is not None]
-    if errors:
-        raise min(errors, key=lambda err: err[0])[1]
-    values = [None] * count
-    for k, (done, _) in enumerate(results):
-        values[k::width] = done
-    return values

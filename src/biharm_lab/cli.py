@@ -458,8 +458,8 @@ def _cmd_sweep(cfg: RunConfig) -> tuple[int, list[Artifact]]:
                                    r_max=r_max, intervals=intervals)
     # no list is empty, so there is a first row; its keys are the CSV columns
     header = list(rows[0])
-    verdicts = [r for r in rows if r.get("weak_pass") is False
-                or r.get("comparison_pass") is False or r.get("concavity_pass") is False]
+    # a row's verdicts are its "_pass" fields; None where the check did not apply
+    verdicts = [r for r in rows if any(v is False for k, v in r.items() if k.endswith("_pass"))]
     _print(f"sweep {module}: {len(rows)} cases, {len(verdicts)} failures")
     return EXIT_VERIFICATION if verdicts else EXIT_OK, [Artifact(
         f"sweep-{module}", rows,

@@ -16,14 +16,16 @@ block, into the text around it.  ``json_text`` joins the JSON pieces into the
 one string a summary prints.
 
 A run's artifacts are data (``Artifact``), and ``write_artifacts`` puts them
-on disk with the work dealt by row block: block b of every table and of
-every JSON array is made by process b % W, one per CPU of the affinity mask
-(``FloatTexts``).  The calling process writes every file, in order, from the
-blocks it makes and those it reads, in turn, from each forked child's pipe.
-A process keeps the cells of its own blocks of each float column that recurs
-in the run's files, so each column is formatted once per run.  A block is
-made by the same code from the same data in whichever process makes it, so
-the files' bytes do not depend on W.
+on disk with the work dealt by row block to one process per CPU of the
+affinity mask, by the rule that deals the sweeps' families
+(``_stripes.dealt``): block b of every table and of every JSON array is job
+b.  The calling process writes every file, in order, from the blocks it
+makes and those it reads, in turn, from each forked child's pipe, and stops
+at the first block that fails, as one process does.  A process keeps the
+cells of its own blocks of each float column that recurs in the run's
+files, so each column is formatted once per run.  A block is made by the
+same code from the same data in whichever process makes it, so the files'
+bytes do not depend on the number of processes.
 """
 from __future__ import annotations
 
@@ -72,15 +74,13 @@ def _blocks(rows: int) -> int:
 
 
 class FloatTexts:
-    """The text one of the W processes writing a run's files makes.
+    """The text one of the processes writing a run's files makes.
 
     Block b of a float array, a table or a JSON array (its rows or values
-    b * CSV_BLOCK_ROWS up to (b + 1) * CSV_BLOCK_ROWS) is made by process
-    b % ``width``; this one is ``rank``.  ``piece(b, make)`` is the text of
-    block b: ``make(b)`` where this process makes it, and otherwise, in the
-    writing process (rank 0), the next text the block's maker sent
-    (``children``, ranks 1, 2, ...).  A child sends the text of its blocks on
-    its ``sink`` and gives "" for every block.
+    b * CSV_BLOCK_ROWS up to (b + 1) * CSV_BLOCK_ROWS) is job b of ``deal``
+    (a ``_stripes.Deal``; one process by default): ``deal.value(b, make)``
+    is its text, made here or, in the writing process, read from the child
+    that made it.
 
     ``blocks(a, csv)`` gives the reprs of a float array block by block, for
     a CSV (``csv``) or a JSON.  ``uses`` counts, by the hash of a column's
@@ -94,12 +94,9 @@ class FloatTexts:
     in a CSV; the JSON writer turns it into ``null`` in its own text.
     """
 
-    def __init__(self, uses=(), width: int = 1, rank: int = 0, children=(), sink=None):
+    def __init__(self, uses=(), deal: _stripes.Deal | None = None):
         self.uses = Counter(uses)
-        self.width = width
-        self.rank = rank
-        self.children = children
-        self.sink = sink
+        self.deal = deal or _stripes.Deal()
         self._kept = {}
 
     def blocks(self, a, csv: bool) -> Callable[[int], list[str] | str]:
@@ -126,15 +123,6 @@ class FloatTexts:
                     kept[b] = made
             return made
         return block
-
-    def piece(self, b: int, make: Callable[[int], str]) -> str:
-        """The text of block b, ``make(b)``, from the process that makes it."""
-        maker = b % self.width
-        if self.sink is None:
-            return make(b) if maker == self.rank else self.children[maker - 1].receive()
-        if maker == self.rank:
-            _stripes.send(self.sink, make(b))
-        return ""
 
 
 def atomic_write_pieces(path: str | Path, pieces: Iterable[str]) -> Path:
@@ -202,7 +190,7 @@ def _json_array(a: np.ndarray, indent: int, texts: FloatTexts) -> Iterator[str]:
         return (sep if b else "[" + pad) + text
 
     for b in range(_blocks(a.size)):
-        yield texts.piece(b, block)
+        yield texts.deal.value(b, block)
     yield "\n" + " " * indent + "]"
 
 
@@ -266,7 +254,7 @@ def column_pieces(columns: dict, texts: FloatTexts | None = None) -> Iterator[st
 
     yield ",".join(columns) + "\n"
     for b in range(_blocks(rows)):
-        yield texts.piece(b, block)
+        yield texts.deal.value(b, block)
 
 
 def _list_block(cells: list, b: int) -> list:
@@ -298,11 +286,11 @@ def write_artifacts(outdir: str | Path, formats, config_text: str, artifacts: li
 
     This process writes every file, in that order, and stops at the first it
     cannot write: that file's error is raised, and no later file is written.
-    The files' row blocks are dealt to W = ``_stripes.stripes`` processes
-    (``FloatTexts``): this process makes blocks 0, W, 2W, ... of each table
-    and JSON array, and forked child k blocks k, k + W, ..., which it sends
-    on its pipe as it makes them, the pipe's capacity holding it back.  A
-    file's bytes do not depend on W.
+    The files' row blocks are dealt to forked processes by ``_stripes.dealt``,
+    block b of each table and JSON array being job b: a child sends the text
+    of its blocks on its pipe as it makes them, the pipe's capacity holding
+    it back, and a block that fails there is raised where this process
+    reaches it.  A file's bytes do not depend on the number of processes.
 
     A float column that occurs more than once in the files (a JSON array and
     a CSV column, or columns of several tables) is formatted once: each
@@ -326,18 +314,14 @@ def write_artifacts(outdir: str | Path, formats, config_text: str, artifacts: li
             columns += table.values()
     uses = Counter(hash(np.asarray(c, dtype=float).tobytes())
                    for c in columns if not isinstance(c, list))
-    width = _stripes.stripes(_blocks(max(map(len, columns), default=0)))
 
-    def make_blocks(rank, pipe):   # in a forked child
-        texts = FloatTexts(uses, width, rank, sink=pipe)
-        try:
-            for _, pieces in files:
-                for _ in pieces(texts):
-                    pass
-        except Exception as exc:   # raised where the writing process reaches it
-            _stripes.send(pipe, exc)
+    def make_blocks(deal):   # in a forked child
+        texts = FloatTexts(uses, deal)
+        for _, pieces in files:
+            for _ in pieces(texts):
+                pass
 
-    with _stripes.forked(width, make_blocks) as children:
-        texts = FloatTexts(uses, width, children=children)
+    with _stripes.dealt(_blocks(max(map(len, columns), default=0)), make_blocks) as deal:
+        texts = FloatTexts(uses, deal)
         for path, pieces in files:
             atomic_write_pieces(path, pieces(texts))

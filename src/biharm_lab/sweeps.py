@@ -12,11 +12,13 @@ every member's row from it (_family_profiles).  Every sweep returns its rows
 in sorted key order, so rows come out in the same order whatever order the
 inputs were given in.
 
-The families run in one stripe per CPU of the process's affinity mask: the
-caller runs the first stripe and forked children run the others
-(``_stripes.striped``).  A row is computed by the same code on the same
-inputs in whichever process runs it, so the rows are bitwise those of one
-process.
+The families are dealt to one process per CPU of the process's affinity
+mask, the caller and forked children, by the rule that also deals the
+artifact writer's row blocks (``_stripes.dealt``).  A row is computed by
+the same code on the same inputs in whichever process runs it, so the rows
+are bitwise those of one process.  The caller reads the families in order
+and raises at the first that fails, as one process does, and the children
+are then sent SIGTERM.
 There is no setting: a single family, a daemonic caller, a caller with
 other threads and a platform without fork run one process.
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import biharmonic, system, verify
 from ._backend import RTOL, fill, integrate, series_start
-from ._stripes import striped
+from ._stripes import dealt
 from .biharmonic import _profile_from_arrays, shooting_grid
 from .errors import DomainError, IntegratorError, require_above, require_power
 from .params import (ParamSet, _beta_max_or_zero, _coefficients, _gamma_star, _half_p,
@@ -119,8 +121,8 @@ def _family_sweep(keys, families, r_max, intervals, make_row):
 
     families maps the start (n, q, rexp, v0) of a family's base shot to its
     members, {key: (u0, v0)}; make_row(key, profile) gives a member's row.
-    Every family's guards run before the first shot, and the families then
-    run in stripes (``_stripes.striped``).
+    Every family's guards run before the first shot, and the families are
+    then dealt to forked processes (``_stripes.dealt``).
     """
     bases = sorted(families)
     plans = [_family_plan(*base[:3], families[base].values(), r_max, intervals)
@@ -130,9 +132,13 @@ def _family_sweep(keys, families, r_max, intervals, make_row):
         return [make_row(key, prof) for key, prof in
                 zip(families[bases[i]], _family_profiles(*bases[i], plans[i], intervals))]
 
+    def sweep(deal):
+        return [deal.value(i, family_rows) for i in range(len(bases))]
+
     rows = {}
-    for base, base_rows in zip(bases, striped(family_rows, len(bases))):
-        rows.update(zip(families[base], base_rows))
+    with dealt(len(bases), sweep) as deal:
+        for base, base_rows in zip(bases, sweep(deal)):
+            rows.update(zip(families[base], base_rows))
     return [rows[key] for key in sorted(keys)]
 
 

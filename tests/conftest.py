@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biharm_lab import biharmonic
+from biharm_lab import _stripes, biharmonic
 from biharm_lab.grids import RadialGrid
 
 # Golden values computed with a 50-digit arbitrary-precision oracle
@@ -14,6 +14,15 @@ GOLD_WEAK_MARGIN0 = 0.5445569532745037834657808630347503707821
 GOLD_CMP_MARGIN0 = 1.0162654963092294725604104867569551435054
 GOLD_SCAL0 = -23.6158760551851650224707264513782814932772    # -12 * 15^(1/4)
 GOLD_CONCAVITY_HALF = 0.0606601717798212866012665431572735589273
+
+
+@pytest.fixture
+def force_stripes(monkeypatch):
+    """force(w) deals forked work (sweep families, artifact row blocks) to w
+    processes, one a job at most, whatever the CPUs."""
+    def force(w):
+        monkeypatch.setattr(_stripes, "stripes", lambda jobs: min(w, jobs))
+    return force
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biharm_lab import biharmonic, cli, verify
+from biharm_lab import biharmonic, cli, sweeps, verify
 
 
 def run_cli(argv):
@@ -599,6 +599,28 @@ class TestSweepDeterminism:
         assert run_cli(["sweep", "--module", "region"] + flags) == 1
         err = capsys.readouterr().err
         assert "not a comma list of" in err and "Traceback" not in err
+
+
+class TestSweepVerdicts:
+    """A shooting sweep exits 3 when any row fails any of its "_pass" verdicts."""
+
+    PASSED = {"biharmonic": ("weak_bound_sweep", {"weak_pass": True}),
+              "lane-emden": ("system_sweep", {"comparison_pass": True, "concavity_pass": True})}
+
+    @pytest.mark.parametrize("module,field", [
+        ("biharmonic", "weak_pass"),
+        ("lane-emden", "comparison_pass"),
+        ("lane-emden", "concavity_pass"),
+    ])
+    @pytest.mark.parametrize("verdict,code", [(True, 0), (None, 0), (False, 3)])
+    def test_a_failed_verdict_exits_3(self, module, field, verdict, code, monkeypatch, capsys):
+        sweep, passed = self.PASSED[module]
+        rows = [{"n": 3, "q": 3.0, "classification": "positive-on-window", **passed},
+                {"n": 3, "q": 3.0, "classification": "positive-on-window", **passed,
+                 field: verdict}]
+        monkeypatch.setattr(sweeps, sweep, lambda **kw: rows)
+        assert run_cli(["sweep", "--module", module, "--n", "3", "--q", "3"]) == code
+        assert capsys.readouterr().out == f"sweep {module}: 2 cases, {code // 3} failures\n"
 
 
 class TestArtifactRunList:

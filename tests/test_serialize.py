@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biharm_lab import _stripes, biharmonic, cli, serialize
+from biharm_lab import biharmonic, cli, serialize
 from biharm_lab.grids import Field, RadialGrid
 
 
@@ -316,15 +316,10 @@ def test_failed_stream_leaves_no_file(existing, tmp_path):
         assert target.read_text() == "old\n"
 
 
-def force_stripes(monkeypatch, w):
-    """Run the writers (and sweeps) in w stripes, whatever the CPUs."""
-    monkeypatch.setattr(_stripes, "stripes", lambda jobs: min(w, jobs))
-
-
 @pytest.fixture
-def one_stripe(monkeypatch):
+def one_stripe(force_stripes):
     """Every file written by this process, where a spy's records are kept."""
-    force_stripes(monkeypatch, 1)
+    force_stripes(1)
 
 
 @pytest.mark.parametrize("formats,names", [
@@ -446,8 +441,8 @@ def small_blocks(monkeypatch):
     ("solve-system", 9, 41),       # JSON u, du, v, dv; CSV r, w, margin, two residuals
     ("verify", 8, 101),            # r and seven distinct margins of eight
 ])
-def test_each_column_formatted_once(name, columns, nodes, tmp_path, monkeypatch, capsys,
-                                    small_blocks):
+def test_each_column_formatted_once(name, columns, nodes, tmp_path, monkeypatch, force_stripes,
+                                    capsys, small_blocks):
     """Once per run in all, the child's share counted too: half each, within a block a column."""
     log = tmp_path / "formatted"
     format_floats = serialize.format_floats
@@ -459,7 +454,7 @@ def test_each_column_formatted_once(name, columns, nodes, tmp_path, monkeypatch,
 
     monkeypatch.setattr(serialize, "format_floats", counted)
     for w in (1, 2):
-        force_stripes(monkeypatch, w)
+        force_stripes(w)
         log.write_text("")
         _run(COMMANDS[name], tmp_path / f"w{w}", capsys)
         shares = {}
@@ -484,10 +479,11 @@ def _files(out: Path) -> dict:
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_two_stripes_write_the_bytes_of_one(name, tmp_path, monkeypatch, capsys, small_blocks):
+def test_two_stripes_write_the_bytes_of_one(name, tmp_path, monkeypatch, force_stripes,
+                                            capsys, small_blocks):
     runs, files = [], []
     for w in (1, 2):
-        force_stripes(monkeypatch, w)
+        force_stripes(w)
         runs.append(_run(COMMANDS[name], tmp_path / f"w{w}", capsys))
         files.append(_files(tmp_path / f"w{w}"))
     assert runs[0] == runs[1]
@@ -517,12 +513,12 @@ def _write_edges(out: Path):
     return _files(out)
 
 
-def test_block_edges_written_alike(tmp_path, monkeypatch, small_blocks):
+def test_block_edges_written_alike(tmp_path, monkeypatch, force_stripes, small_blocks):
     """Every edge of the block deal: the same bytes from two processes as from one,
     and those of the row-wise reference writers."""
     files = []
     for w in (1, 2):
-        force_stripes(monkeypatch, w)
+        force_stripes(w)
         files.append(_write_edges(tmp_path / f"w{w}"))
     assert files[0] == files[1]
     for art in _edge_artifacts():
@@ -532,12 +528,13 @@ def test_block_edges_written_alike(tmp_path, monkeypatch, small_blocks):
                     art.name)
 
 
-def test_written_alike_under_a_millisecond_timer(tmp_path, monkeypatch, capsys, small_blocks):
+def test_written_alike_under_a_millisecond_timer(tmp_path, monkeypatch, force_stripes,
+                                                 capsys, small_blocks):
     """A SIGALRM every millisecond while two processes write, as a sampling clock
     interrupts a timed run, changes no byte."""
-    force_stripes(monkeypatch, 1)
+    force_stripes(1)
     quiet = _write_edges(tmp_path / "quiet"), _run(COMMANDS["verify"], tmp_path / "quiet-v", capsys)
-    force_stripes(monkeypatch, 2)
+    force_stripes(2)
     previous = signal.signal(signal.SIGALRM, lambda signum, frame: None)
     signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
     try:
@@ -550,7 +547,8 @@ def test_written_alike_under_a_millisecond_timer(tmp_path, monkeypatch, capsys, 
     assert _files(tmp_path / "ticked-v") == _files(tmp_path / "quiet-v")
 
 
-def test_child_error_raised_as_one_process_raises(tmp_path, monkeypatch, small_blocks):
+def test_child_error_raised_as_one_process_raises(tmp_path, monkeypatch, force_stripes,
+                                                  small_blocks):
     """A block the child makes raises there, and this process raises it where it reaches
     that block, as one process does: the same type and message, no file after it."""
     cells = [f"{k}" if k != 10 else None for k in range(20)]   # join raises in block 1
@@ -559,7 +557,7 @@ def test_child_error_raised_as_one_process_raises(tmp_path, monkeypatch, small_b
                  serialize.Artifact("z", {"z": 1.5})]
     errors = []
     for w in (1, 2):
-        force_stripes(monkeypatch, w)
+        force_stripes(w)
         with pytest.raises(TypeError) as err:
             serialize.write_artifacts(tmp_path / f"w{w}", ["json", "csv"], "{}\n", artifacts)
         errors.append(str(err.value))
@@ -568,8 +566,8 @@ def test_child_error_raised_as_one_process_raises(tmp_path, monkeypatch, small_b
     assert errors[0] == errors[1]
 
 
-def test_child_death_raised(tmp_path, monkeypatch, small_blocks):
-    force_stripes(monkeypatch, 2)
+def test_child_death_raised(tmp_path, monkeypatch, force_stripes, small_blocks):
+    force_stripes(2)
     parent, format_floats = os.getpid(), serialize.format_floats
     monkeypatch.setattr(serialize, "format_floats",
                         lambda a: os._exit(3) if os.getpid() != parent else format_floats(a))
@@ -581,13 +579,14 @@ def test_child_death_raised(tmp_path, monkeypatch, small_blocks):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run-config.json"]
 
 
-def test_failed_child_file_reported_alike(tmp_path, monkeypatch, capsys, small_blocks):
+def test_failed_child_file_reported_alike(tmp_path, monkeypatch, force_stripes,
+                                          capsys, small_blocks):
     """A file whose blocks both processes make fails as it fails in one process:
     exit 1, one line, and no later file written."""
     argv = COMMANDS["verify"]   # reports.json, then eight margin CSVs
     runs = []
     for w in (1, 2):
-        force_stripes(monkeypatch, w)
+        force_stripes(w)
         out = tmp_path / f"w{w}"
         (out / "margin-laplacian-lower-bound.csv").mkdir(parents=True)
         code, stdout, err = _run(argv, out, capsys)
@@ -601,9 +600,10 @@ def test_failed_child_file_reported_alike(tmp_path, monkeypatch, capsys, small_b
     assert code == cli.EXIT_USAGE and err.startswith("error: --out ") and err.count("\n") == 1
 
 
-def test_interrupt_leaves_no_child_and_no_temporary(tmp_path, monkeypatch, capsys, small_blocks):
+def test_interrupt_leaves_no_child_and_no_temporary(tmp_path, monkeypatch, force_stripes,
+                                                    capsys, small_blocks):
     """An interrupt while this process writes a file ends the child making its blocks."""
-    force_stripes(monkeypatch, 2)
+    force_stripes(2)
     parent, format_floats = os.getpid(), serialize.format_floats
     started = tmp_path / "child-started"
 

@@ -268,15 +268,16 @@ def _reaped(pid):
     return False
 
 
+def _dealt(jobs, make):
+    """[make(i) for i in range(jobs)], dealt to forked processes by ``_stripes.dealt``."""
+    def run(deal):
+        return [deal.value(i, make) for i in range(jobs)]
+    with _stripes.dealt(jobs, run) as deal:
+        return run(deal)
+
+
 class TestStripes:
     """Families run in forked stripes; rows and errors are those of one process."""
-
-    @pytest.fixture
-    def stripes(self, monkeypatch):
-        """force(w) runs the sweeps in w stripes, whatever the CPUs."""
-        def force(w):
-            monkeypatch.setattr(_stripes, "stripes", lambda families: min(w, families))
-        return force
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -295,15 +296,15 @@ class TestStripes:
         lambda: sweeps.weak_bound_sweep(n_values=(3,), q_values=(2.0, 7.0)),
         lambda: sweeps.system_sweep(n_values=(3,), q_values=(2.0, 7.0), rexp_values=(0.5, 2.0)),
     ], ids=["weak", "lane_emden"])
-    def test_rows_bitwise_one_process(self, sweep, stripes, forks, monkeypatch):
+    def test_rows_bitwise_one_process(self, sweep, force_stripes, forks, monkeypatch):
         # 120 attempted steps stop the longest base shots as max-steps, so
         # the table holds failed, touched and positive families
         monkeypatch.setattr(_backend, "MAX_STEPS", 120)
         default = sweep()
         default_forks = len(forks)
-        stripes(1)
+        force_stripes(1)
         one = sweep()
-        stripes(3)
+        force_stripes(3)
         three = sweep()
         assert len(forks) == default_forks + 2
         assert {row["classification"] for row in one} == {
@@ -311,7 +312,7 @@ class TestStripes:
         assert _bits(default) == _bits(one) == _bits(three)
 
     @pytest.mark.parametrize("case", ["stub", "underflow"])
-    def test_child_error_is_raised_alike(self, case, stripes, monkeypatch):
+    def test_child_error_is_raised_alike(self, case, force_stripes, monkeypatch):
         if case == "stub":
             # the sorted families at q = 7 run kappa = 0.5, 0.9, 1.6, ...: the
             # second and third fail at their third member, in different stripes
@@ -329,7 +330,7 @@ class TestStripes:
             error, kw = DomainError, dict(n_values=(3,), q_values=(2.0, 100.0))
         raised = []
         for w in (1, 2, 3):
-            stripes(w)
+            force_stripes(w)
             with pytest.raises(error) as info:
                 sweeps.weak_bound_sweep(**kw)
             raised.append((type(info.value), str(info.value),
@@ -340,8 +341,8 @@ class TestStripes:
             assert raised[0][1:] == ("stub failure at kappa = 0.9", z0)
 
     @pytest.mark.parametrize("fail", [None, "child", "parent", "interrupt", "exit"])
-    def test_no_child_remains(self, fail, stripes, forks, monkeypatch):
-        stripes(3)
+    def test_no_child_remains(self, fail, force_stripes, forks, monkeypatch):
+        force_stripes(3)
         parent, weak_row = os.getpid(), sweeps._weak_row
 
         def make_row(key, prof):
@@ -368,11 +369,11 @@ class TestStripes:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_child_ignores_the_callers_sigterm_handler(self, stripes, forks, monkeypatch,
+    def test_child_ignores_the_callers_sigterm_handler(self, force_stripes, forks, monkeypatch,
                                                        tmp_path):
         # a child the handler ran in would touch the marker and sleep on,
         # until its stripe stops at its first row
-        stripes(3)
+        force_stripes(3)
         parent, marker = os.getpid(), tmp_path / "marker"
 
         def make_row(key, prof):
@@ -394,12 +395,12 @@ class TestStripes:
             os.waitpid(-1, os.WNOHANG)
         assert not marker.exists()
 
-    def test_sigterm_as_fork_returns_ends_the_child(self, stripes, forks, monkeypatch,
+    def test_sigterm_as_fork_returns_ends_the_child(self, force_stripes, forks, monkeypatch,
                                                     tmp_path):
         # the child signals itself before it can reset SIGTERM: a handler of
         # the caller's that ran there would touch the marker, and the child
         # would send its values
-        stripes(2)
+        force_stripes(2)
         marker, recorded = tmp_path / "marker", os.fork
 
         def signalled():
@@ -411,14 +412,42 @@ class TestStripes:
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: marker.touch())
         try:
             with pytest.raises(RuntimeError, match="exited with code -15"):
-                _stripes.striped(lambda i: i, 2)
+                _dealt(2, lambda i: i)
         finally:
             signal.signal(signal.SIGTERM, previous)
         assert len(forks) == 1 and all(map(_reaped, forks))
         assert not marker.exists()
 
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    @pytest.mark.parametrize("jobs", [0, 1, 2, 5])
+    def test_values_in_job_order(self, jobs, w, force_stripes, forks):
+        # job i is made by process i % W: this one, or the (i % W)-th child
+        force_stripes(w)
+        made = _dealt(jobs, lambda i: (i, os.getpid()))
+        width = max(min(w, jobs), 1)
+        assert len(forks) == width - 1 and all(map(_reaped, forks))
+        makers = [os.getpid()] + forks
+        assert made == [(i, makers[i % width]) for i in range(jobs)]
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    @pytest.mark.parametrize("first", range(5))
+    def test_first_failing_job_raised(self, first, w, force_stripes, forks):
+        # every job from the first on fails, in whichever process makes it
+        def make(i):
+            if i >= first:
+                raise IntegratorError(f"stub failure at job {i}", location=float(i))
+            return i
+        force_stripes(w)
+        with pytest.raises(IntegratorError) as info:
+            _dealt(5, make)
+        assert type(info.value) is IntegratorError
+        assert (str(info.value), info.value.location) == (f"stub failure at job {first}", first)
+        assert len(forks) == w - 1 and all(map(_reaped, forks))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("caller", ["daemon", "thread"])
-    def test_one_process_callers(self, caller, stripes, forks):
+    def test_one_process_callers(self, caller, force_stripes, forks):
         kw = dict(n_values=(3,), q_values=(7.0,))
         if caller == "daemon":
             recv, send = multiprocessing.Pipe(duplex=False)
@@ -445,5 +474,5 @@ class TestStripes:
                 thread.join(60)
             assert not thread.is_alive()
         assert children == 0
-        stripes(1)
+        force_stripes(1)
         assert _bits(rows) == _bits(sweeps.weak_bound_sweep(**kw))
