@@ -5,11 +5,16 @@ simulate-parabolic, sweep.  Exit codes: 0 success (all requested
 verifications pass), 1 usage error, 2 precondition violation,
 3 verification failure, 4 integrator failure.
 
+OPTIONS holds each flag's type or choices, default and help, which make the
+parser, the --help text and a run's parameters: the flags given over the
+defaults.  A subcommand's help is its function's docstring.
+
 A --config file stands for the flags it holds, parsed before the command
 line's, which override them.  Each subcommand prints its results and returns
 its exit code and artifacts; with --out, ``run`` writes them in one
-``serialize.write_artifacts`` call, after its resolved configuration in
-run-config.json, which round-trips losslessly through JSON and replays the run.
+``serialize.write_artifacts`` call, after its configuration in
+run-config.json, which records the flags given, round-trips losslessly
+through JSON and replays the run.
 """
 from __future__ import annotations
 
@@ -38,13 +43,11 @@ EXIT_PRECONDITION = 2
 EXIT_VERIFICATION = 3
 EXIT_INTEGRATOR = 4
 
-#: --rtol help of the two shooting subcommands
-RTOL_HELP = (f"upper bound on the integrator's relative tolerance (default {RTOL:g}); "
-             f"the kernel runs at min(rtol, {TOL_PER_H2:g}*h^2)")
-
-#: verify subcommand checks on the closed-form reference profile
-CHECKS = ("pointwise", "sharp", "weak", "gradient", "aux-ineq", "weighted",
-          "identity", "curvature", "all")
+#: the default of a flag the run cannot do without
+REQUIRED = object()
+#: checks that difference a derived field twice run, unless --h is given, on a
+#: grid this many times finer than the default
+FINE_GRID = 8
 
 
 @dataclass
@@ -58,7 +61,7 @@ class RunConfig:
     tol: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return serialize.json_text(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -84,10 +87,6 @@ def _is_number(value) -> bool:
     return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
 
 
-#: dests that are RunConfig fields (or help), not command parameters
-_NOT_PARAMETERS = ("command", "out", "format", "config", "tol", "help")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; contract says 1
         self.print_usage(sys.stderr)
@@ -95,98 +94,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="biharm-lab",
                 description="Solvers and pointwise-inequality verifiers for "
                             "singular biharmonic and coupled Lane-Emden type problems")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    # a flag left unset is absent from the namespace: each run reads its own default
+    # a flag left unset is absent from the namespace: the run reads its default from OPTIONS
     sub = p.add_subparsers(dest="command", required=True,
                            parser_class=partial(_Parser, argument_default=argparse.SUPPRESS))
     p.commands = sub.choices
-
-    def common(sp):
-        sp.add_argument("--out", help="output directory for artifacts")
-        sp.add_argument("--format",
-                        help="comma-separated artifact formats (default json): json,csv")
-        sp.add_argument("--config", help="JSON config file; flags override it")
-
-    # only where the printed reports carry the scale their verdict derives from
-    def tol_option(sp):
-        sp.add_argument("--tol", type=float,
-                        help="override the pass tolerance of the verification reports")
-
-    def radial_options(sp, h_help="grid spacing (default 20/4096)"):
-        sp.add_argument("--n", type=int, help="dimension (default 3)")
-        sp.add_argument("--q", type=float, help="singular exponent (default 7)")
-        sp.add_argument("--r-max", type=float, help="window end (default 20)")
-        sp.add_argument("--h", type=float, help=h_help)
-
-    sp = sub.add_parser("region", help="admissibility and derived coefficients")
-    sp.add_argument("--n", type=int, help="dimension (default 3)")
-    sp.add_argument("--q", type=float, required=True)
-    sp.add_argument("--alpha", type=float, help="gradient coefficient (default 0.5)")
-    sp.add_argument("--beta", type=float, help="defaults to beta_max(alpha, q, n)")
-    common(sp)
-
-    sp = sub.add_parser("solve-biharmonic", help="shoot the fourth-order problem")
-    radial_options(sp)
-    sp.add_argument("--u0", type=float, required=True)
-    sp.add_argument("--z0", type=float, required=True)
-    sp.add_argument("--rtol", type=float, help=RTOL_HELP)
-    common(sp)
-
-    sp = sub.add_parser("verify", help="pointwise checks on a profile")
-    sp.add_argument("--exact", action="store_true",
-                    help="use the closed-form n=3, q=7 reference solution")
-    sp.add_argument("--u0", type=float, help="shooting start when not --exact")
-    sp.add_argument("--z0", type=float)
-    radial_options(sp, "grid spacing; default 20/4096 for first-order checks, "
-                       "20/32768 for checks differencing derived fields")
-    sp.add_argument("--check", choices=CHECKS, help="which inequality to verify (default all)")
-    sp.add_argument("--alpha", type=float, help="gradient coefficient (default 0.5)")
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--gamma", type=float)
-    common(sp)
-    tol_option(sp)
-
-    sp = sub.add_parser("solve-system", help="shoot the coupled radial system")
-    radial_options(sp)
-    sp.add_argument("--r-exp", type=float, help="coupling exponent (default 1)")
-    sp.add_argument("--u0", type=float, required=True)
-    sp.add_argument("--v0", type=float, required=True)
-    sp.add_argument("--rtol", type=float, help=RTOL_HELP)
-    common(sp)
-    tol_option(sp)
-
-    sp = sub.add_parser("simulate-parabolic", help="method-of-lines run")
-    sp.add_argument("--p-exp", type=float, required=True)
-    sp.add_argument("--r-exp", type=float, required=True)
-    sp.add_argument("--geometry", choices=("periodic", "radial"), help="default periodic")
-    sp.add_argument("--nodes", type=int, help="spatial nodes (default 512)")
-    sp.add_argument("--length", type=float, help="periodic box length")
-    sp.add_argument("--radius", type=float, help="radial ball radius (default pi)")
-    sp.add_argument("--n", type=int, help="dimension for radial geometry (default 3)")
-    sp.add_argument("--u0", type=float, help="initial level of u (default 1)")
-    sp.add_argument("--v0", type=float, help="initial level of v (default 1.2)")
-    sp.add_argument("--perturb", type=float, help="amplitude of a one-mode spatial perturbation")
-    sp.add_argument("--t-final", type=float, help="simulated time (default 1)")
-    sp.add_argument("--snapshots", type=int, help="snapshot count (default 64)")
-    sp.add_argument("--blowup-factor", type=float)
-    common(sp)
-
-    sp = sub.add_parser("sweep", help="deterministic parameter sweeps")
-    sp.add_argument("--module", choices=("region", "biharmonic", "lane-emden"),
-                    required=True)
-    sp.add_argument("--n", help="comma list of dimensions (default 3,4,5)")
-    sp.add_argument("--q", help="comma list of exponents q (default 2,3,5,7)")
-    sp.add_argument("--r-exp", "--r", dest="r_exp",
-                    help="comma list of exponents r (lane-emden; default 0.5,1,2)")
-    sp.add_argument("--alpha", help="comma list of alphas (region)")
-    sp.add_argument("--r-max", type=float, help="window end (default 20)")
-    sp.add_argument("--h", type=float, help="grid spacing (default 20/1024)")
-    common(sp)
-
+    for command, options in OPTIONS.items():
+        sp = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        # --tol only where the printed reports carry the scale their verdicts derive from
+        tol = _TOL if command in ("verify", "solve-system") else {}
+        for dest, (kind, default, text) in {**options, **_RUN_OPTIONS, **tol}.items():
+            if kind is bool:
+                sp.add_argument(_flag(dest), action="store_true", help=text)
+                continue
+            if default is not None and default is not REQUIRED:
+                text += f" (default {default})"
+            sp.add_argument(_flag(dest), *_ALIASES.get((command, dest), ()), help=text,
+                            required=default is REQUIRED,
+                            **{"choices" if isinstance(kind, tuple) else "type": kind})
     return p
 
 
@@ -215,21 +148,21 @@ def _with_config(parser: _Parser, argv: list[str]) -> list[str]:
         raise UsageError(f"malformed config {path}: {exc}")
     if base.command != argv[0]:
         raise UsageError(f"config command {base.command!r} does not match {argv[0]!r}")
-    flags = {a.dest: a for a in sub._actions if a.dest not in _NOT_PARAMETERS}
+    options = OPTIONS[argv[0]]
     tokens = []
     for key, value in base.parameters.items():
-        action = flags.get(key)
-        if action is None:
+        if key not in options:
             raise UsageError(f"config {path}: unknown parameter {key!r}")
-        if action.nargs == 0:   # a flag without a value, such as --exact
+        kind = options[key][0]
+        if kind is bool:   # a flag without a value, such as --exact
             if value is not None and type(value) is not bool:
                 raise UsageError(f"config {path}: {key} must be true, false or null, got {value!r}")
-            tokens += [action.option_strings[0]] if value else []
+            tokens += [_flag(key)] if value else []
         elif value is not None:
             # text and booleans would parse as a flag's text does; the JSON must hold a number
-            if action.type in (int, float) and not _is_number(value):
+            if kind in (int, float) and not _is_number(value):
                 raise UsageError(f"config {path}: {key} must be a number, got {value!r}")
-            tokens.append(f"{action.option_strings[0]}={value}")
+            tokens.append(f"{_flag(key)}={value}")
     top = {"--out": base.out, "--tol": base.tol, "--format": ",".join(map(str, base.formats))}
     return argv[:1] + tokens + [f"{k}={v}" for k, v in top.items() if v is not None] + argv[1:]
 
@@ -237,7 +170,13 @@ def _with_config(parser: _Parser, argv: list[str]) -> list[str]:
 def _refuse_unread(p: dict, keys, run: str):
     """A parameter the run would not read is a usage error, not dropped silently."""
     if given := [k for k in keys if k in p]:
-        raise UsageError(f"{run} does not read " + ", ".join("--" + k.replace("_", "-") for k in given))
+        raise UsageError(f"{run} does not read " + ", ".join(map(_flag, given)))
+
+
+def _resolved(cfg: RunConfig) -> dict:
+    """The run's parameters: the flags given over the defaults of OPTIONS."""
+    return {**{dest: default for dest, (_, default, _) in OPTIONS[cfg.command].items()
+               if default is not None and default is not REQUIRED}, **cfg.parameters}
 
 
 class UsageError(BiharmLabError):
@@ -261,9 +200,10 @@ def _print(text: str) -> None:
 
 
 def _cmd_region(cfg: RunConfig) -> tuple[int, list[Artifact]]:
-    p = cfg.parameters
+    """Admissibility and derived coefficients."""
+    p = _resolved(cfg)
     # the default beta is a formula in (n, q, alpha): validate them first
-    params = ParamSet(n=p.get("n", 3), q=p["q"], alpha=p.get("alpha", 0.5))
+    params = ParamSet(n=p["n"], q=p["q"], alpha=p["alpha"])
     n, q, alpha = params.n, params.q, params.alpha
     beta = p.get("beta", beta_max_or_zero(alpha, q, n))
     params = replace(params, beta=beta)
@@ -298,25 +238,27 @@ def _verdict(cfg: RunConfig, reports) -> int:
     return EXIT_VERIFICATION if any(rep.passed is False for rep in reports) else EXIT_OK
 
 
-def _window(p, default_h) -> tuple[float, int]:
-    """(r_max, interval count) of the radial grid from --r-max and --h."""
-    r_max = require_above("r_max", p.get("r_max", 20.0))
-    h = require_above("h", p.get("h", default_h))
+def _window(p) -> tuple[float, int]:
+    """(r_max, interval count) of the radial grid from --r-max and --h: round(r_max/h), but at
+    least the 16 a verification grid takes, so --h 0.5 --r-max 2 runs on h = 0.125."""
+    r_max = require_above("r_max", p["r_max"])
+    h = require_above("h", p["h"])
     if not r_max / h <= MAX_COUNT:   # refused before round() or any allocation
         raise SizeError(f"r_max/h = {r_max / h:g} exceeds {MAX_COUNT} intervals")
     return r_max, max(16, round(r_max / h))
 
 
-def _shoot(p, default_h: float) -> biharmonic.SolutionProfile:
-    """The shot of solve-biharmonic and verify from --u0 and --z0."""
-    r_max, intervals = _window(p, default_h)
-    return biharmonic.shoot(p.get("n", 3), p.get("q", 7.0), p["u0"], p["z0"], r_max,
-                            num_intervals=intervals, rtol=p.get("rtol", RTOL))
+def _shoot(p, **kwargs) -> biharmonic.SolutionProfile:
+    """The shot of solve-biharmonic and verify from --u0 and --z0; ``kwargs`` go to the shot."""
+    r_max, intervals = _window(p)
+    return biharmonic.shoot(p["n"], p["q"], p["u0"], p["z0"], r_max,
+                            num_intervals=intervals, **kwargs)
 
 
 def _cmd_solve_biharmonic(cfg: RunConfig) -> tuple[int, list[Artifact]]:
-    p = cfg.parameters
-    prof = _shoot(p, 20.0 / 4096)
+    """Shoot the fourth-order problem."""
+    p = _resolved(cfg)
+    prof = _shoot(p, rtol=p["rtol"])
     out = prof.to_dict()
     out["residual_max"] = float(np.abs(
         biharmonic.residual(prof).values[prof.grid.trim_slice()]).max()) \
@@ -324,14 +266,6 @@ def _cmd_solve_biharmonic(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     _print(serialize.json_text({"classification": out["classification"], "meta": out["meta"],
                                 "residual_max": out["residual_max"]}))
     return EXIT_OK, [Artifact("profile", out, prof.columns)]
-
-
-def _profile_for_verify(p) -> biharmonic.SolutionProfile:
-    aux_checks = p.get("check", "all") in ("aux-ineq", "weighted", "identity", "all")
-    default_h = 20.0 / 32768 if aux_checks else 20.0 / 4096
-    if p.get("exact"):
-        return biharmonic.exact_solution(RadialGrid.uniform(3, *_window(p, default_h)))
-    return _shoot(p, default_h)
 
 
 def _aux_report(prof, alpha: float, beta: float, exact: bool):
@@ -348,40 +282,50 @@ def _aux_report(prof, alpha: float, beta: float, exact: bool):
     return rep
 
 
+#: verify's checks in report order: the maker of its report from the profile and the
+#: parameters, the coefficient flags it reads, and whether it differences a derived field
+#: twice.  Only the reports asked for are made, as some refuse inputs the others take.
+_CHECKS = {
+    "pointwise": (lambda prof, p: verify.verify_pointwise_bound(prof, p["alpha"], p["beta"]),
+                  ("alpha", "beta"), False),
+    "sharp": (lambda prof, p: verify.verify_sharp_bound(prof), (), False),
+    "weak": (lambda prof, p: verify.verify_weak_bound(prof), (), False),
+    "gradient": (lambda prof, p: verify.verify_gradient_bound(prof), (), False),
+    "aux-ineq": (lambda prof, p: _aux_report(prof, p["alpha"], p["beta"], p["exact"]),
+                 ("alpha", "beta"), True),
+    "identity": (lambda prof, p: verify.laplacian_identity_defect(prof, p["alpha"], p["beta"]),
+                 ("alpha", "beta"), True),
+    "weighted": (lambda prof, p: verify.verify_weighted_aux_inequality(
+        prof, p["alpha"], p["beta"], p["gamma"] if "gamma" in p
+        else 0.5 * gamma_interval(p["alpha"], prof.q, prof.n).gamma_star),
+        ("alpha", "beta", "gamma"), True),
+    "curvature": (lambda prof, p: verify.scalar_curvature(prof), (), False),
+}
+
+
 def _cmd_verify(cfg: RunConfig) -> tuple[int, list[Artifact]]:
-    p = cfg.parameters
-    check = p.get("check", "all")
-    if check in ("sharp", "weak", "gradient", "curvature"):
-        _refuse_unread(p, ("alpha", "beta", "gamma"), f"verify --check {check}")
-    elif check not in ("weighted", "all"):
-        _refuse_unread(p, ("gamma",), f"verify --check {check}")
-    if p.get("exact"):
-        if p.get("q", 7.0) != 7.0 or p.get("n", 3) != 3:
+    """Pointwise checks on a profile."""
+    given, p = cfg.parameters, _resolved(cfg)
+    names = [name for name in _CHECKS if p["check"] in (name, "all")]
+    reads = {flag for name in names for flag in _CHECKS[name][1]}
+    _refuse_unread(given, dict.fromkeys(flag for _, flags, _ in _CHECKS.values()
+                                        for flag in flags if flag not in reads),
+                   f"verify --check {p['check']}")
+    if p["exact"]:
+        if (p["n"], p["q"]) != (3, 7.0):
             raise UsageError("--exact pins (n, q) = (3, 7); drop --n/--q or --exact")
-        _refuse_unread(p, ("u0", "z0"), "verify --exact")
-    elif p.get("u0") is None or p.get("z0") is None:
+        _refuse_unread(given, ("u0", "z0"), "verify --exact")
+    elif "u0" not in p or "z0" not in p:
         raise UsageError("verify needs --exact or both --u0 and --z0")
     _require_tol(cfg)
-    alpha = p.get("alpha", 0.5)
-    gamma = p.get("gamma")
     # the run's parameter domains, refused before the shot as --tol is
-    ParamSet(n=p.get("n", 3), q=p.get("q", 7.0), alpha=alpha, beta=p.get("beta", 0.0),
-             gamma=gamma)
-    prof = _profile_for_verify(p)
-    beta = p.get("beta", beta_max_or_zero(alpha, prof.q, prof.n))
-    checks = {   # in report order; built lazily, as some refuse inputs the others take
-        "pointwise": lambda: verify.verify_pointwise_bound(prof, alpha, beta),
-        "sharp": lambda: verify.verify_sharp_bound(prof),
-        "weak": lambda: verify.verify_weak_bound(prof),
-        "gradient": lambda: verify.verify_gradient_bound(prof),
-        "aux-ineq": lambda: _aux_report(prof, alpha, beta, bool(p.get("exact"))),
-        "identity": lambda: verify.laplacian_identity_defect(prof, alpha, beta),
-        "weighted": lambda: verify.verify_weighted_aux_inequality(
-            prof, alpha, beta, gamma if gamma is not None
-            else 0.5 * gamma_interval(alpha, prof.q, prof.n).gamma_star),
-        "curvature": lambda: verify.scalar_curvature(prof),
-    }
-    reports = [make() for name, make in checks.items() if check in (name, "all")]
+    ParamSet(n=p["n"], q=p["q"], alpha=p["alpha"], beta=p.get("beta", 0.0), gamma=p.get("gamma"))
+    if "h" not in given and any(_CHECKS[name][2] for name in names):
+        p["h"] /= FINE_GRID
+    prof = (biharmonic.exact_solution(RadialGrid.uniform(3, *_window(p))) if p["exact"]
+            else _shoot(p))
+    p["beta"] = p.get("beta", beta_max_or_zero(p["alpha"], prof.q, prof.n))
+    reports = [_CHECKS[name][0](prof, p) for name in names]
 
     code = _verdict(cfg, reports)
     payload = [rep.to_dict() for rep in reports]
@@ -392,12 +336,12 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, list[Artifact]]:
 
 
 def _cmd_solve_system(cfg: RunConfig) -> tuple[int, list[Artifact]]:
+    """Shoot the coupled radial system."""
     _require_tol(cfg)
-    p = cfg.parameters
-    r_max, intervals = _window(p, 20.0 / 4096)
-    prof = system.solve_radial_system(
-        p.get("n", 3), p.get("q", 7.0), p.get("r_exp", 1.0), p["u0"], p["v0"], r_max,
-        num_intervals=intervals, rtol=p.get("rtol", RTOL))
+    p = _resolved(cfg)
+    r_max, intervals = _window(p)
+    prof = system.solve_radial_system(p["n"], p["q"], p["r_exp"], p["u0"], p["v0"], r_max,
+                                      num_intervals=intervals, rtol=p["rtol"])
     reports = []
     if prof.conforming:
         reports = [system.verify_component_comparison(prof),
@@ -412,50 +356,52 @@ def _cmd_solve_system(cfg: RunConfig) -> tuple[int, list[Artifact]]:
 
 
 def _cmd_simulate_parabolic(cfg: RunConfig) -> tuple[int, list[Artifact]]:
-    p = cfg.parameters
-    geometry = p.get("geometry", "periodic")
-    _refuse_unread(p, ("length",) if geometry == "radial" else ("radius", "n"),
+    """Method-of-lines run."""
+    p = _resolved(cfg)
+    geometry = p["geometry"]
+    _refuse_unread(cfg.parameters, ("length",) if geometry == "radial" else ("radius", "n"),
                    f"the {geometry} geometry")
     if geometry == "radial":
-        geom = parabolic.RadialBall(n=p.get("n", 3), radius=p.get("radius", np.pi),
-                                    num_intervals=p.get("nodes", 512))
+        geom = parabolic.RadialBall(n=p["n"], radius=p["radius"], num_intervals=p["nodes"])
     else:
-        geom = parabolic.PeriodicBox(length=p.get("length", 2.0 * np.pi),
-                                     num_nodes=p.get("nodes", 512))
-    eps = p.get("perturb", 0.0)
+        geom = parabolic.PeriodicBox(length=p["length"], num_nodes=p["nodes"])
+    eps = p["perturb"]
     x = geom.x
     # one period over the box, or over [0, R]: cos(k r) then has zero slope
     # at the axis and at the zero-flux wall
     scale_x = 2.0 * np.pi / (geom.radius if geometry == "radial" else x[-1] + geom.h)
     with np.errstate(invalid="ignore"):   # -inf + inf: simulate refuses the NaN start
-        u_init = p.get("u0", 1.0) + eps * np.cos(scale_x * x)
-        v_init = p.get("v0", 1.2) + eps * np.cos(2.0 * scale_x * x)
-    fld = parabolic.simulate(
-        geom, p["p_exp"], p["r_exp"], u_init, v_init, p.get("t_final", 1.0),
-        num_snapshots=p.get("snapshots", 64),
-        blowup_factor=p.get("blowup_factor", parabolic.BLOWUP_FACTOR))
+        u_init = p["u0"] + eps * np.cos(scale_x * x)
+        v_init = p["v0"] + eps * np.cos(2.0 * scale_x * x)
+    fld = parabolic.simulate(geom, p["p_exp"], p["r_exp"], u_init, v_init, p["t_final"],
+                             num_snapshots=p["snapshots"], blowup_factor=p["blowup_factor"])
     manifest = fld.manifest()
     _print(serialize.json_text(manifest))
     return EXIT_OK, [Artifact("run-manifest", manifest, fld.columns)]
 
 
+#: sweep --module: its sweep, looked up when called, and the flags it does not read
+_SWEEPS = {
+    "region": (lambda **kw: sweeps.region_sweep(**kw), ("r_exp", "r_max", "h")),
+    "biharmonic": (lambda **kw: sweeps.weak_bound_sweep(**kw), ("r_exp", "alpha")),
+    "lane-emden": (lambda **kw: sweeps.system_sweep(**kw), ("alpha",)),
+}
+
+
 def _cmd_sweep(cfg: RunConfig) -> tuple[int, list[Artifact]]:
-    p = cfg.parameters
-    module = p["module"]
-    _refuse_unread(p, {"region": ("r_exp", "r_max", "h"), "biharmonic": ("r_exp", "alpha"),
-                       "lane-emden": ("alpha",)}[module], f"sweep --module {module}")
-    lists = {"n_values": _numbers(int, p.get("n", "3,4,5")),
-             "q_values": _numbers(float, p.get("q", "2,3,5,7"))}
-    if module == "region":
-        alphas = _numbers(float, p["alpha"]) if "alpha" in p else tuple(np.linspace(0, 0.5, 21))
-        rows = sweeps.region_sweep(**lists, alpha_values=alphas)
-    elif module == "biharmonic":
-        r_max, intervals = _window(p, 20.0 / 1024)
-        rows = sweeps.weak_bound_sweep(**lists, r_max=r_max, intervals=intervals)
-    else:   # lane-emden; argparse restricts the choices
-        r_max, intervals = _window(p, 20.0 / 1024)
-        rows = sweeps.system_sweep(**lists, rexp_values=_numbers(float, p.get("r_exp", "0.5,1,2")),
-                                   r_max=r_max, intervals=intervals)
+    """Deterministic parameter sweeps."""
+    module = cfg.parameters["module"]
+    sweep, unread = _SWEEPS[module]
+    _refuse_unread(cfg.parameters, unread, f"sweep --module {module}")
+    p = _resolved(cfg)
+    kw = {"n_values": _numbers(int, p["n"]), "q_values": _numbers(float, p["q"])}
+    if "alpha" in p:   # else region_sweep's own 21 alphas over [0, 1/2]
+        kw["alpha_values"] = _numbers(float, p["alpha"])
+    if "h" not in unread:
+        kw["r_max"], kw["intervals"] = _window(p)
+    if "r_exp" not in unread:
+        kw["rexp_values"] = _numbers(float, p["r_exp"])
+    rows = sweep(**kw)
     # no list is empty, so there is a first row; its keys are the CSV columns
     header = list(rows[0])
     # a row's verdicts are its "_pass" fields; None where the check did not apply
@@ -474,6 +420,57 @@ _COMMANDS = {
     "simulate-parabolic": _cmd_simulate_parabolic,
     "sweep": _cmd_sweep,
 }
+
+_N, _R_MAX = (int, 3, "dimension"), (float, 20.0, "window end")
+_H_HELP = "grid spacing; the window has round(r_max/h) intervals, but at least 16"
+_RADIAL = {"n": _N, "q": (float, 7.0, "singular exponent"), "r_max": _R_MAX,
+           "h": (float, 20.0 / 4096, _H_HELP)}
+_ALPHA = (float, 0.5, "gradient coefficient")
+_BETA = (float, None, "coefficient of u^(-(q-1)/2) (default beta_max(alpha, q, n), or 0)")
+_RTOL = (float, RTOL, f"relative tolerance; the kernel runs at min(rtol, {TOL_PER_H2:g}*h^2)")
+
+#: each subcommand's parameters: dest -> (type, choices, or bool for a flag without a value;
+#: default, REQUIRED, or None where the run works one out or needs none; help)
+OPTIONS = {
+    "region": {"n": _N, "q": (float, REQUIRED, "singular exponent"), "alpha": _ALPHA,
+               "beta": _BETA},
+    "solve-biharmonic": {**_RADIAL, "u0": (float, REQUIRED, "u(0)"),
+                         "z0": (float, REQUIRED, "lap u(0)"), "rtol": _RTOL},
+    "verify": {"exact": (bool, False, "use the closed-form n=3, q=7 reference solution"),
+               "u0": (float, None, "u(0) of the shot when not --exact"),
+               "z0": (float, None, "lap u(0) of the shot when not --exact"), **_RADIAL,
+               "check": ((*_CHECKS, "all"), "all", "which inequality to verify; without --h, "
+                         + ", ".join(name for name, spec in _CHECKS.items() if spec[2])
+                         + f" and all run on a grid {FINE_GRID} times finer"),
+               "alpha": _ALPHA, "beta": _BETA,
+               "gamma": (float, None, "weight exponent of weighted (default gamma_star/2)")},
+    "solve-system": {**_RADIAL, "r_exp": (float, 1.0, "coupling exponent"),
+                     "u0": (float, REQUIRED, "u(0)"), "v0": (float, REQUIRED, "v(0)"),
+                     "rtol": _RTOL},
+    "simulate-parabolic": {
+        "p_exp": (float, REQUIRED, "exponent p of v_t - lap v = u^p"),
+        "r_exp": (float, REQUIRED, "exponent r of u_t - lap u = v^r"),
+        "geometry": (("periodic", "radial"), "periodic", "periodic box or radial ball"),
+        "nodes": (int, 512, "spatial nodes"), "length": (float, 2.0 * np.pi, "box length"),
+        "radius": (float, np.pi, "ball radius"), "n": _N,
+        "u0": (float, 1.0, "initial level of u"), "v0": (float, 1.2, "initial level of v"),
+        "perturb": (float, 0.0, "amplitude of a one-mode spatial perturbation"),
+        "t_final": (float, 1.0, "simulated time"), "snapshots": (int, 64, "snapshot count"),
+        "blowup_factor": (float, parabolic.BLOWUP_FACTOR,
+                          "stop once max(u, v) passes this factor times its initial scale")},
+    "sweep": {"module": (tuple(_SWEEPS), REQUIRED, "which sweep"),
+              "n": (str, "3,4,5", "comma list of n"), "q": (str, "2,3,5,7", "comma list of q"),
+              "r_exp": (str, "0.5,1,2", "comma list of exponents r (lane-emden)"),
+              "alpha": (str, None, "comma list of alphas (region; default 21 over [0, 0.5])"),
+              "r_max": _R_MAX, "h": (float, 20.0 / 1024, _H_HELP)},
+}
+#: the flags of every subcommand that are RunConfig fields, not parameters
+_RUN_OPTIONS = {"out": (str, None, "output directory for artifacts"),
+                "format": (str, "json", "comma-separated artifact formats: json,csv"),
+                "config": (str, None, "JSON config file; flags override it")}
+_TOL = {"tol": (float, None, "override the pass tolerance of the verification reports")}
+#: second spellings of a flag
+_ALIASES = {("sweep", "r_exp"): ("--r",)}
 
 
 def _require_directory(out: str) -> str:
@@ -518,16 +515,17 @@ def main(argv=None) -> int:
     try:
         args = vars(parser.parse_args(
             _with_config(parser, list(sys.argv[1:] if argv is None else argv))))
-        text = args.get("format", "json")
+        text = args.get("format", _RUN_OPTIONS["format"][1])
         formats = [f.strip() for f in text.split(",") if f.strip()]
         if not formats or not set(formats) <= {"json", "csv"}:
             raise UsageError(f"formats must be a comma list of json and csv, got {text!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    params = {k: v for k, v in args.items() if k not in _NOT_PARAMETERS}
-    return run(RunConfig(command=args["command"], parameters=params, out=args.get("out"),
-                         formats=formats, tol=args.get("tol")))
+    options = OPTIONS[args["command"]]
+    return run(RunConfig(command=args["command"],
+                         parameters={k: v for k, v in args.items() if k in options},
+                         out=args.get("out"), formats=formats, tol=args.get("tol")))
 
 
 if __name__ == "__main__":

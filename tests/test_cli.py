@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,15 @@ class TestGridSpacing:
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
         assert "exceeds 4194304 intervals" in err and "Traceback" not in err
+
+    def test_fewer_than_16_intervals_run_on_16(self, tmp_path, capsys):
+        """round(r_max/h) = 4 intervals are raised to 16; run-config.json keeps the --h given."""
+        assert run_cli(["solve-biharmonic", "--u0", "1", "--z0", "2", "--h", "0.5",
+                        "--r-max", "2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        grid = json.loads((tmp_path / "profile.json").read_text())["grid"]
+        assert (grid["N"], grid["h"]) == (16, 0.125)
+        assert json.loads((tmp_path / "run-config.json").read_text())["parameters"]["h"] == 0.5
 
 
 class TestTolOverride:
@@ -642,6 +652,89 @@ class TestArtifactRunList:
             assert "out" not in args and "config" not in args, line
             commands.add(args["command"])
         assert commands == set(cli._build_parser().commands)
+
+    def test_one_command_list(self):
+        assert set(cli.OPTIONS) == set(cli._COMMANDS) == set(cli._build_parser().commands)
+
+    def test_run_config_spelled_as_json_dumps(self, monkeypatch, tmp_path):
+        """run-config.json is the json.dumps text it was before serialize.json_text wrote it."""
+        configs = []
+        monkeypatch.setattr(cli, "run", configs.append)
+        runs = [line.split() for line in self.LIST.read_text().splitlines()
+                if line.strip() and not line.startswith("#")]
+        for argv in runs:
+            cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert len(configs) == len(runs)
+        configs.append(cli.RunConfig(command="verify", parameters={"exact": True},
+                                     out="\u00e4", tol=1e-3))
+        for cfg in configs:
+            assert cfg.to_json() == json.dumps(asdict(cfg), sort_keys=True, indent=2)
+
+
+def literal_defaults(command):
+    """(dest, default) of each valued option of ``command`` whose default OPTIONS writes out."""
+    return [(dest, default) for dest, (kind, default, _) in cli.OPTIONS[command].items()
+            if default is not None and default is not cli.REQUIRED and kind is not bool]
+
+
+class TestHelp:
+    """--help is rendered from OPTIONS: it exits 0 and shows each option's default."""
+
+    @pytest.mark.parametrize("command", [None, *cli.OPTIONS])
+    def test_exits_0_with_each_default(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        if command is None:
+            assert all(name in text for name in cli.OPTIONS)
+            return
+        for dest, default in literal_defaults(command):
+            rendered = f"{cli.OPTIONS[command][dest][2]} (default {default})"
+            assert " ".join(rendered.split()) in text, dest
+
+
+class TestTableDefaults:
+    """A run without a flag runs as one given the flag at its OPTIONS default."""
+
+    #: flags of a cheap run of each subcommand; the flag under test is dropped from them
+    CHEAP = {
+        "region": {"q": "7"},
+        "solve-biharmonic": {"u0": "1", "z0": "2", "h": "0.5"},
+        "verify": {"u0": "1", "z0": "2", "check": "weak", "h": "0.5"},
+        "solve-system": {"u0": "0.71", "v0": "2.14", "h": "0.05", "r_max": "5"},
+        "simulate-parabolic": {"p_exp": "2", "r_exp": "1", "nodes": "16", "t_final": "0.01",
+                               "snapshots": "2"},
+        "sweep": {"module": "region", "n": "3", "q": "3"},
+    }
+    #: the selector values under which a flag's default is read; None drops a flag
+    READ_UNDER = {
+        ("verify", "alpha"): {"check": "pointwise"},
+        ("verify", "check"): {"exact": True, "u0": None, "z0": None, "r_max": "5", "h": "0.05"},
+        ("simulate-parabolic", "radius"): {"geometry": "radial"},
+        ("simulate-parabolic", "n"): {"geometry": "radial"},
+        ("sweep", "r_exp"): {"module": "lane-emden", "h": "0.5"},
+        ("sweep", "r_max"): {"module": "biharmonic", "h": "0.5"},
+        ("sweep", "h"): {"module": "biharmonic"},
+    }
+
+    def outputs(self, argv, out, capsys):
+        code = run_cli(argv + ["--format", "json,csv", "--out", str(out)])
+        return code, capsys.readouterr().out, {
+            path.name: path.read_bytes() for path in out.iterdir() if path.name != "run-config.json"}
+
+    @pytest.mark.parametrize("command,dest,default", [
+        (command, dest, default) for command in cli.OPTIONS
+        for dest, default in literal_defaults(command)])
+    def test_default_is_the_run_default(self, command, dest, default, tmp_path, capsys):
+        flags = {**self.CHEAP[command], **self.READ_UNDER.get((command, dest), {})}
+        flags.pop(dest, None)
+        argv = [command] + [cli._flag(k) if v is True else f"{cli._flag(k)}={v}"
+                            for k, v in flags.items() if v is not None]
+        without = self.outputs(argv, tmp_path / "without", capsys)
+        given = self.outputs(argv + [f"{cli._flag(dest)}={default}"], tmp_path / "given", capsys)
+        assert without[0] in (0, 3) and without[2]
+        assert given == without
 
 
 class TestSimulateParabolic:
