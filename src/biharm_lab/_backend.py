@@ -24,14 +24,17 @@ value, or after MAX_STEPS attempted steps.
 The stage arithmetic is deliberately unrolled onto scalars: every shot runs
 hundreds of steps on a four-component state, where per-step array and
 tableau-loop overhead would dominate the arithmetic.  For the same reason
-stages 2-7 compute the right-hand side inline instead of calling _rhs, and
-the error norm and step factor use conditionals instead of abs, max and min:
-those calls and their result tuples were about a third of a step.  A step
-takes about 8.3 us against 12.3 us with the calls (Python 3.11, one core of
-a shared 2-core x86-64 machine, 108 shots at N = 1024).  Each inline stage
-keeps _rhs's operand order, so the results are bitwise those of the call
-form; an undefined or non-finite power raises _Undefined, which the step
-catches once as a rejection, as it does an error norm past the float range.
+every stage, the first slope included, computes the right-hand side inline
+instead of calling a function, and the error norm and step factor use
+conditionals instead of abs, max and min: those calls and their result
+tuples were about a third of a step.  A step takes about 8.3 us against
+12.3 us with the calls (Python 3.11, one core of a shared 2-core x86-64
+machine, 108 shots at N = 1024).  The plain form, one right-hand-side call
+per stage and a loop over the tableau, lives in the tests (TestPlainForm),
+which pin this kernel's output bitwise to it.  An undefined or non-finite
+power raises _Undefined: a stage catches it once as a rejection, as it does
+an error norm past the float range, and the first slope as an undefined
+start.
 
 Status codes: 0 = reached the window end, 1 = a component touched its
 positivity floor, 2 = integrator failure; stats["stop"] names the cause
@@ -103,21 +106,6 @@ _pack_step = struct.Struct(f"{_STEP_WIDTH}d").pack
 
 class _Undefined(ArithmeticError):
     """A stage power is undefined or not finite: the step is rejected."""
-
-
-def _rhs(r, u, du, v, dv, n, q, rexp):
-    """Returns (ok, u', du', v', dv'); ok=False when powers are undefined."""
-    if u <= 0.0 or v < 0.0:
-        return False, 0.0, 0.0, 0.0, 0.0
-    try:
-        vr = v**rexp
-        uq = u**-q
-    except (OverflowError, ValueError, ZeroDivisionError):
-        return False, 0.0, 0.0, 0.0, 0.0
-    if not (math.isfinite(vr) and math.isfinite(uq)):
-        return False, 0.0, 0.0, 0.0, 0.0
-    c = (n - 1.0) / r
-    return True, du, vr - c * du, dv, -uq - c * dv
 
 
 def _last_node(r, h, N):
@@ -294,21 +282,30 @@ def integrate(n, q, rexp, u0, v0, h, r_end, rtol=RTOL) -> Shot:
     dt = 0.5 * min(h, 1e-3)
     dt_floor = 1e-13 * max(h, 1.0)
     dt_lo, dt_hi = math.inf, 0.0
-    nfev = 1
-    ok, k1_0, k1_1, k1_2, k1_3 = _rhs(r, u, du, v, dv, n, q, rexp)
-    accepted = rejected = 0
-    if not ok:
-        return finish("undefined-start", r, r, accepted, rejected, nfev, dt_lo, dt_hi)
-
     # loop constants as fast locals; each has the value of the expression it replaces
     inf = math.inf
     sqrt = math.sqrt
     nm1 = n - 1.0
     mq = -q
+
+    # the right-hand side k = (du, v^rexp - c du, dv, -u^-q - c dv), c = (n - 1)/r,
+    # at the start: the first slope, guarded as each stage below is
+    nfev = 1
+    try:
+        if u <= 0.0 or v < 0.0:
+            raise _Undefined
+        vr = v**rexp
+        uq = u**mq
+        if not (vr < inf and uq < inf):
+            raise _Undefined
+    except ArithmeticError:   # the guards leave pow no ValueError to raise
+        return finish("undefined-start", r, r, nfev=nfev)
+    c = nm1 / r
+    k1_0, k1_1, k1_2, k1_3 = du, vr - c * du, dv, -uq - c * dv
+
+    accepted = rejected = 0
     while accepted + rejected < MAX_STEPS:
-        # stages 2-7, each the stage state followed by the right-hand side at
-        # it, as _rhs computes it: k = (du, v^rexp - c du, dv, -u^-q - c dv)
-        # with c = (n - 1)/r; _Undefined stands for _rhs's ok = False
+        # stages 2-7, each the stage state followed by the right-hand side at it
         try:
             nfev += 1
             d = dt * _A21

@@ -32,7 +32,7 @@ from . import __version__, biharmonic, parabolic, serialize, system, sweeps, ver
 from ._backend import RTOL, TOL_PER_H2
 from .errors import (MAX_COUNT, BiharmLabError, DomainError, IntegratorError,
                      PreconditionError, SizeError, require_above, require_in)
-from .grids import TRIM_NODES, RadialGrid, self_convergence_order
+from .grids import MIN_INTERVALS, TRIM_NODES, RadialGrid, self_convergence_order
 from .params import (ParamSet, beta_max_or_zero, check_admissible, gamma_interval,
                      growth_exponent, tau)
 from .serialize import Artifact
@@ -240,12 +240,12 @@ def _verdict(cfg: RunConfig, reports) -> int:
 
 def _window(p) -> tuple[float, int]:
     """(r_max, interval count) of the radial grid from --r-max and --h: round(r_max/h), but at
-    least the 16 a verification grid takes, so --h 0.5 --r-max 2 runs on h = 0.125."""
+    least the MIN_INTERVALS a verification grid takes, so --h 0.5 --r-max 2 runs on h = 0.125."""
     r_max = require_above("r_max", p["r_max"])
     h = require_above("h", p["h"])
     if not r_max / h <= MAX_COUNT:   # refused before round() or any allocation
         raise SizeError(f"r_max/h = {r_max / h:g} exceeds {MAX_COUNT} intervals")
-    return r_max, max(16, round(r_max / h))
+    return r_max, max(MIN_INTERVALS, round(r_max / h))
 
 
 def _shoot(p, **kwargs) -> biharmonic.SolutionProfile:
@@ -269,10 +269,11 @@ def _cmd_solve_biharmonic(cfg: RunConfig) -> tuple[int, list[Artifact]]:
 
 
 def _aux_report(prof, alpha: float, beta: float, exact: bool):
-    """The aux-inequality report; on the closed form, with its observed order over three grids."""
+    """The aux-inequality report; on the closed form, with its observed order over three grids
+    nested in the report's, N/4, N/2 and N intervals, when N/4 is a verification grid."""
     rep = verify.verify_aux_inequality(prof, alpha, beta)
     n_fine = prof.grid.num_intervals
-    if exact and (n_fine % 4 or n_fine < 64):
+    if exact and (n_fine % 4 or n_fine // 4 < MIN_INTERVALS):
         rep.refinement_order = float("nan")
     elif exact:
         rep.refinement_order = self_convergence_order([
@@ -422,7 +423,7 @@ _COMMANDS = {
 }
 
 _N, _R_MAX = (int, 3, "dimension"), (float, 20.0, "window end")
-_H_HELP = "grid spacing; the window has round(r_max/h) intervals, but at least 16"
+_H_HELP = f"grid spacing; the window has round(r_max/h) intervals, but at least {MIN_INTERVALS}"
 _RADIAL = {"n": _N, "q": (float, 7.0, "singular exponent"), "r_max": _R_MAX,
            "h": (float, 20.0 / 4096, _H_HELP)}
 _ALPHA = (float, 0.5, "gradient coefficient")
@@ -455,7 +456,8 @@ OPTIONS = {
         "radius": (float, np.pi, "ball radius"), "n": _N,
         "u0": (float, 1.0, "initial level of u"), "v0": (float, 1.2, "initial level of v"),
         "perturb": (float, 0.0, "amplitude of a one-mode spatial perturbation"),
-        "t_final": (float, 1.0, "simulated time"), "snapshots": (int, 64, "snapshot count"),
+        "t_final": (float, 1.0, "simulated time"),
+        "snapshots": (int, 64, "snapshots after the one at t = 0"),
         "blowup_factor": (float, parabolic.BLOWUP_FACTOR,
                           "stop once max(u, v) passes this factor times its initial scale")},
     "sweep": {"module": (tuple(_SWEEPS), REQUIRED, "which sweep"),

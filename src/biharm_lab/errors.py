@@ -56,7 +56,7 @@ def require_power(name: str, x: float, y: float) -> float:
                           f"which overflows") from None
 
 
-def require_spacing(name: str, h: float, weight: float = 1.0) -> float:
+def require_spacing(name: str, h: float, weight: float) -> float:
     """Refuse (DomainError) a spacing unless h^2 and weight/h^2 are finite and > 0; returns h.
 
     Difference stencils divide by h^2 with weights up to ``weight``, and the

@@ -24,6 +24,8 @@ from .errors import DomainError, SizeError, require_above, require_count, requir
 TRIM_NODES = 4
 #: the fewest nodes the stencils take (the wall row reaches three nodes in)
 STENCIL_NODES = 4
+#: the fewest intervals of a verification grid (RadialGrid.uniform)
+MIN_INTERVALS = 16
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,8 @@ class RadialGrid:
 
     @classmethod
     def uniform(cls, n: int, r_max: float, num_intervals: int) -> "RadialGrid":
-        """Standard verification grid over [0, r_max]; enforces N >= 16."""
-        require_count("num_intervals", num_intervals, 16)
+        """Standard verification grid over [0, r_max]; enforces N >= MIN_INTERVALS."""
+        require_count("num_intervals", num_intervals, MIN_INTERVALS)
         return cls(n=n, h=require_above("r_max", r_max) / num_intervals,
                    num_intervals=num_intervals)
 

@@ -428,15 +428,9 @@ def verify_heat_diff_inequality(fld: SpaceTimeField) -> VerificationReport:
         tol=TOL_SECOND_ORDER, scale=max(1.0, *maxima), **worst)
 
 
-def _comparison_terms(fld: SpaceTimeField,
-                      rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+def _comparison_terms(fld: SpaceTimeField, rows: slice) -> tuple[np.ndarray, np.ndarray]:
     return (fld.v[rows] ** (fld.r_exp + 1.0) / (fld.r_exp + 1.0),
             fld.u[rows] ** (fld.p_exp + 1.0) / (fld.p_exp + 1.0))
-
-
-def comparison_margin(fld: SpaceTimeField) -> np.ndarray:
-    v_term, u_term = _comparison_terms(fld)
-    return v_term - u_term
 
 
 def verify_component_comparison(fld: SpaceTimeField) -> VerificationReport:

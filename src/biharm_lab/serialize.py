@@ -1,19 +1,19 @@
-"""Artifact emission: atomic, deterministic JSON and CSV writers.
+"""Artifact emission: atomic, deterministic JSON and CSV text.
 
-Files are written to a temporary sibling and renamed into place, so readers
-never observe partial artifacts; a write that fails removes its temporary
-file.  Every float is written as its Python repr, JSON has sorted keys,
-two-space indentation and ``null`` for NaN/inf, and CSV rows keep the order of
-the columns' entries, which makes identical inputs produce byte-identical
-files.
+``json_text`` writes the JSON a summary prints, and ``write_artifacts`` writes
+a run's files.  Files are written to a temporary sibling and renamed into
+place, so readers never observe partial artifacts; a write that fails removes
+its temporary file.  Every float is written as its Python repr, JSON has
+sorted keys, two-space indentation and ``null`` for NaN/inf, and CSV rows keep
+the order of the columns' entries, which makes identical inputs produce
+byte-identical files.
 
-A file is written as a stream of bounded text pieces (``json_pieces``,
-``column_pieces``), so the writer's memory grows with a block of
+A file is written as a stream of bounded text pieces (``_spliced`` for JSON,
+``column_pieces`` for CSV), so the writer's memory grows with a block of
 ``CSV_BLOCK_ROWS`` rows, not with the file.  Float arrays are formatted by
 column, one ``float.__repr__`` per value with no per-cell dispatch: CSV one
 row block at a time, and JSON by splicing each 1-D float array, block by
-block, into the text around it.  ``json_text`` joins the JSON pieces into the
-one string a summary prints.
+block, into the text around it.
 
 A run's artifacts are data (``Artifact``), and ``write_artifacts`` puts them
 on disk with the work dealt by row block to one process per CPU of the
@@ -152,11 +152,11 @@ def atomic_write_text(path: str | Path, text: str):
     atomic_write_pieces(path, (text,))
 
 
-def sanitize_nan(obj, arrays: list | None = None):
+def sanitize_nan(obj, arrays: list):
     """Replace NaN/inf with None recursively (JSON has no such literals).
 
-    1-D float arrays are not walked.  With ``arrays`` given, each is appended
-    to it and replaced by the placeholder ``json_pieces`` splices it back into.
+    1-D float arrays are not walked: each is appended to ``arrays`` and
+    replaced by the placeholder ``_spliced`` splices it back into.
     """
     if isinstance(obj, dict):
         return {k: sanitize_nan(v, arrays) for k, v in obj.items()}
@@ -164,8 +164,7 @@ def sanitize_nan(obj, arrays: list | None = None):
         return [sanitize_nan(v, arrays) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if (arrays is not None and isinstance(obj, np.ndarray) and obj.ndim == 1
-            and obj.dtype.kind == "f"):
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
         arrays.append(obj)
         return f"\0{len(arrays) - 1}"
     return obj
@@ -194,17 +193,6 @@ def _json_array(a: np.ndarray, indent: int, texts: FloatTexts) -> Iterator[str]:
     yield "\n" + " " * indent + "]"
 
 
-def json_pieces(obj, texts: FloatTexts | None = None, end: str = "") -> Iterator[str]:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` with NaN/inf as null, then ``end``, in pieces.
-
-    NumPy scalars and arrays are accepted; 1-D float arrays are formatted by
-    column and spliced in block by block, so a piece is the structure text
-    between two arrays or one block of an array, made through ``texts``.
-    """
-    arrays = []
-    return _spliced(sanitize_nan(obj, arrays), arrays, texts or FloatTexts(), end)
-
-
 def _spliced(structure, arrays: list, texts: FloatTexts, end: str = "") -> Iterator[str]:
     """The JSON pieces of a ``sanitize_nan`` structure with the ``arrays`` spliced in."""
     text = json.dumps(structure, indent=2, sort_keys=True, allow_nan=False,
@@ -219,12 +207,13 @@ def _spliced(structure, arrays: list, texts: FloatTexts, end: str = "") -> Itera
 
 
 def json_text(obj) -> str:
-    """The ``json_pieces`` of ``obj`` joined into one string."""
-    return "".join(json_pieces(obj))
+    """``json.dumps(obj, indent=2, sort_keys=True)`` with NaN/inf as null: a summary's text.
 
-
-def write_json(path: str | Path, obj, texts: FloatTexts | None = None) -> Path:
-    return atomic_write_pieces(path, json_pieces(obj, texts, end="\n"))
+    NumPy scalars and arrays are accepted; 1-D float arrays are formatted by
+    column and spliced in, as in a file ``write_artifacts`` writes.
+    """
+    arrays = []
+    return "".join(_spliced(sanitize_nan(obj, arrays), arrays, FloatTexts()))
 
 
 def _json_default(x):
@@ -235,13 +224,12 @@ def _json_default(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
-def column_pieces(columns: dict, texts: FloatTexts | None = None) -> Iterator[str]:
+def column_pieces(columns: dict, texts: FloatTexts) -> Iterator[str]:
     """CSV text of named columns of equal length: the header line, then one row block a piece.
 
     A column is a float array, written as the repr of each value through
     ``texts``, or a list of strings already formatted (``table_columns``).
     """
-    texts = texts or FloatTexts()
     cols = list(columns.values())
     rows = len(cols[0]) if cols else 0
     if any(len(c) != rows for c in cols):
@@ -259,11 +247,6 @@ def column_pieces(columns: dict, texts: FloatTexts | None = None) -> Iterator[st
 
 def _list_block(cells: list, b: int) -> list:
     return cells[b * CSV_BLOCK_ROWS:(b + 1) * CSV_BLOCK_ROWS]
-
-
-def write_columns(path: str | Path, columns: dict, texts: FloatTexts | None = None) -> Path:
-    """Write ``column_pieces(columns, texts)`` to ``path``."""
-    return atomic_write_pieces(path, column_pieces(columns, texts))
 
 
 def table_columns(header: list[str], rows) -> dict:

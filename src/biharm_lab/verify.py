@@ -80,11 +80,16 @@ def _growth_guard_ok(profile: SolutionProfile) -> bool:
     return bool(np.all(d[len(d) // 2:] <= 1e-12))
 
 
+def _gradient_margin(profile: SolutionProfile, alpha: float, beta: float) -> np.ndarray:
+    """lap u - alpha u^(-1)|grad u|^2, the lower bounds' margin before its beta term."""
+    return profile.z.values - alpha * _gradient_term(profile, alpha, beta)
+
+
 @refusing_overflow
 def _lower_bound(profile: SolutionProfile, inequality: str, alpha: float, beta: float,
                  params: dict, caveats: list[str]) -> VerificationReport:
     """Report on the margin lap u - alpha u^(-1)|grad u|^2 - beta u^(-(q-1)/2) >= 0."""
-    margin = profile.z.values - alpha * _gradient_term(profile, alpha, beta)
+    margin = _gradient_margin(profile, alpha, beta)
     if beta:   # else B is not read, so an underflowing B refuses no gradient-only bound
         margin = margin - beta * _power_term(profile)
     scale = max(1.0, float(profile.z.values.max()))
@@ -229,8 +234,8 @@ def scalar_curvature(profile: SolutionProfile) -> VerificationReport:
     margin field.
     """
     n = profile.n
-    expr = profile.z.values - 0.5 * _gradient_term(profile, 0.5, 0.0)
-    scal = -(2.0 * (n - 1.0) / (n - 2.0)) * expr * profile.u.values ** (-n / (n - 2.0))
+    scal = (-(2.0 * (n - 1.0) / (n - 2.0)) * _gradient_margin(profile, 0.5, 0.0)
+            * profile.u.values ** (-n / (n - 2.0)))
     g = profile.grid
     fld, sl = Field(g, scal), g.trim_slice()
     scale = max(1.0, float(np.abs(scal[sl]).max()))

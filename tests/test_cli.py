@@ -656,6 +656,19 @@ class TestArtifactRunList:
     def test_one_command_list(self):
         assert set(cli.OPTIONS) == set(cli._COMMANDS) == set(cli._build_parser().commands)
 
+    def test_every_flag_given_on_some_line(self):
+        """Each flag of a subcommand's OPTIONS, and --tol where the subcommand offers it,
+        is given on one of its lines, so the checker compares the bytes it moves."""
+        parser = cli._build_parser()
+        given = {command: set() for command in parser.commands}
+        for line in self.LIST.read_text().splitlines():
+            if line.strip() and not line.startswith("#"):
+                args = vars(parser.parse_args(line.split()))
+                given[args["command"]] |= set(args)
+        for command, sub in parser.commands.items():
+            offered = set(cli.OPTIONS[command]) | ({"tol"} & {a.dest for a in sub._actions})
+            assert offered <= given[command], (command, sorted(offered - given[command]))
+
     def test_run_config_spelled_as_json_dumps(self, monkeypatch, tmp_path):
         """run-config.json is the json.dumps text it was before serialize.json_text wrote it."""
         configs = []
@@ -852,6 +865,19 @@ class TestRefinementOrderInReport:
         assert code == 0
         rep = json.loads(capsys.readouterr().out)[0]
         assert rep["refinement_order"] >= 1.5
+
+    @pytest.mark.parametrize("window,order", [
+        (["--h", "0.3"], None),                    # N = 67, not a multiple of 4
+        (["--r-max", "6", "--h", "0.1"], None),    # N = 60: N/4 below the 16-interval floor
+        (["--r-max", "6.4", "--h", "0.1"], 2.0),   # N = 64: N/4 on the floor
+    ])
+    def test_order_only_over_nested_verification_grids(self, window, order, capsys):
+        assert run_cli(["verify", "--exact", "--check", "aux-ineq"] + window) == 0
+        rep = json.loads(capsys.readouterr().out)[0]
+        if order is None:
+            assert rep["refinement_order"] is None
+        else:
+            assert rep["refinement_order"] == pytest.approx(order, abs=0.01)
 
 
 class TestTolScope:

@@ -92,6 +92,19 @@ B = serialize.CSV_BLOCK_ROWS
 LENGTHS = [0, 1, 2, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B + 3]
 
 
+def write_artifact(outdir: Path, name: str, obj=None, columns=None) -> Path:
+    """Write one artifact through write_artifacts, as JSON or, given columns, as CSV; its path."""
+    fmt = "json" if columns is None else "csv"
+    serialize.write_artifacts(outdir, [fmt], "{}\n",
+                              [serialize.Artifact(name, obj, columns and (lambda: columns))])
+    return outdir / f"{name}.{fmt}"
+
+
+def csv_text(columns: dict) -> str:
+    """The CSV text of ``columns``, each formatted on its own."""
+    return "".join(serialize.column_pieces(columns, serialize.FloatTexts()))
+
+
 def sample(n: int, seed: int) -> np.ndarray:
     """n floats: the edge values first, then normals over many decades."""
     rng = np.random.default_rng(seed)
@@ -119,40 +132,36 @@ class TestFieldFormats:
 
 class TestWriters:
     def test_atomic_json(self, tmp_path):
-        path = tmp_path / "sub" / "x.json"
-        serialize.write_json(path, {"b": 2, "a": [1.5, None]})
+        path = write_artifact(tmp_path / "sub", "x", {"b": 2, "a": [1.5, None]})
         data = json.loads(path.read_text())
         assert data == {"a": [1.5, None], "b": 2}
         # keys sorted on disk for determinism
         assert path.read_text().index('"a"') < path.read_text().index('"b"')
 
     def test_csv_formatting(self, tmp_path):
-        path = tmp_path / "t.csv"
-        serialize.write_columns(path, serialize.table_columns(
+        path = write_artifact(tmp_path, "t", columns=serialize.table_columns(
             ["a", "b", "c"], [(1.0, None, True), (0.1, "x", False),
                               (np.float64(0.25), np.int64(3), None)]))
         lines = path.read_text().splitlines()
         assert lines == ["a,b,c", "1.0,,true", "0.1,x,false", "0.25,3,"]
 
     def test_nan_sanitized(self):
-        out = serialize.sanitize_nan({"x": float("nan"), "y": [float("inf"), 1.0]})
+        out = json.loads(serialize.json_text({"x": float("nan"), "y": [float("inf"), 1.0]}))
         assert out == {"x": None, "y": [None, 1.0]}
 
     def test_numpy_scalars(self, tmp_path):
-        path = tmp_path / "n.json"
-        serialize.write_json(path, {"v": np.float64(1.5), "i": np.int64(3),
-                                    "arr": np.arange(3)})
+        path = write_artifact(tmp_path, "n", {"v": np.float64(1.5), "i": np.int64(3),
+                                              "arr": np.arange(3)})
         assert json.loads(path.read_text()) == {"arr": [0, 1, 2], "i": 3, "v": 1.5}
 
     def test_byte_identical_rewrites(self, tmp_path):
         obj = {"values": list(np.linspace(0, 1, 50))}
-        serialize.write_json(tmp_path / "a.json", obj)
-        serialize.write_json(tmp_path / "b.json", obj)
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        a, b = (write_artifact(tmp_path / name, "x", obj) for name in "ab")
+        assert a.read_bytes() == b.read_bytes()
 
     def test_profile_csv_parses(self, tmp_path):
         prof = biharmonic.shoot(3, 7.0, 1.0, 2.0, 5.0, num_intervals=64)
-        path = serialize.write_columns(tmp_path / "p.csv", prof.columns())
+        path = write_artifact(tmp_path, "p", columns=prof.columns())
         lines = path.read_text().splitlines()
         assert lines[0] == "r,u,du,z,dz,residual"
         assert len(lines) == 66
@@ -165,42 +174,37 @@ class TestAgainstRowWiseReference:
     """The columnar writers reproduce the row-wise writers byte for byte."""
 
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_float_columns(self, n, tmp_path):
+    def test_float_columns(self, n):
         cols = {"r": sample(n, 1), "u": sample(n, 2)[::-1].copy(), "w": -sample(n, 3)}
-        path = serialize.write_columns(tmp_path / "c.csv", cols)
-        assert_same(path.read_text(), ref_columns_csv(cols))
+        assert_same(csv_text(cols), ref_columns_csv(cols))
 
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_preformatted_column(self, n, tmp_path):
+    def test_preformatted_column(self, n):
         r = sample(n, 4)
         margin = sample(n, 5)
-        path = serialize.write_columns(tmp_path / "m.csv",
-                                       {"r": serialize.format_floats(r), "margin": margin})
-        assert_same(path.read_text(), ref_columns_csv({"r": r, "margin": margin}))
+        assert_same(csv_text({"r": serialize.format_floats(r), "margin": margin}),
+                    ref_columns_csv({"r": r, "margin": margin}))
 
-    def test_strided_column(self, tmp_path):
+    def test_strided_column(self):
         a = sample(3 * B + 5, 6)[::-1]   # views with negative and non-unit strides
         b = sample(2 * (3 * B + 5), 7)[::2]
-        path = serialize.write_columns(tmp_path / "s.csv", {"a": a, "b": b})
-        assert_same(path.read_text(), ref_columns_csv({"a": a, "b": b}))
+        assert_same(csv_text({"a": a, "b": b}), ref_columns_csv({"a": a, "b": b}))
 
     @pytest.mark.parametrize("n", [0, 1, 4 * B + 1])
-    def test_object_rows(self, n, tmp_path):
+    def test_object_rows(self, n):
         kinds = [None, True, False, "positive-on-window", 3, np.int64(7), np.float64(0.25),
                  float("nan"), -0.0, 5e-324, 1e16, 1e-05]
         rows = [tuple(kinds[(i + j) % len(kinds)] for j in range(4)) for i in range(n)]
         header = ["n", "kind", "pass", "margin"]
-        path = serialize.write_columns(tmp_path / "o.csv", serialize.table_columns(header, rows))
-        assert_same(path.read_text(), ref_csv(header, rows))
+        assert_same(csv_text(serialize.table_columns(header, rows)), ref_csv(header, rows))
 
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_json_arrays(self, n, tmp_path):
+    def test_json_arrays(self, n):
         obj = {"grid": {"n": 3, "h": 0.5, "N": n}, "u": sample(n, 8),
                "meta": {"r_stop": float("nan"), "q": np.float64(7.0), "k": np.int64(2)},
                "nested": [{"v": sample(n, 9), "pass": None}, [sample(n, 10)]],
                "ints": np.arange(3), "empty": np.zeros(0), "tail": -float("inf")}
-        path = serialize.write_json(tmp_path / "a.json", obj)
-        assert_same(path.read_text(), ref_json(obj))
+        assert_same(serialize.json_text(obj) + "\n", ref_json(obj))
 
     def test_json_top_level_array(self):
         a = sample(5, 11)
@@ -211,15 +215,16 @@ class TestAgainstRowWiseReference:
 class TestFloatTexts:
     """A shared FloatTexts changes no byte of what the writers write."""
 
-    def write_both(self, tmp_path, obj, columns, texts):
-        """write_json then write_columns, as the CLI writes an artifact; their texts."""
-        js = serialize.write_json(tmp_path / "a.json", obj, texts).read_text()
-        return js, serialize.write_columns(tmp_path / "a.csv", columns, texts).read_text()
+    def write_both(self, tmp_path, obj, columns):
+        """One artifact as JSON and CSV through write_artifacts, which counts the columns
+        they share, as the CLI writes it; their texts."""
+        serialize.write_artifacts(tmp_path, ["json", "csv"], "{}\n",
+                                  [serialize.Artifact("a", obj, lambda: columns)])
+        return (tmp_path / "a.json").read_text(), (tmp_path / "a.csv").read_text()
 
     def test_non_finite_spelled_per_format(self, tmp_path):
         a = np.array([float("nan"), 1.5, float("inf"), -float("inf"), -0.0, 1e-05])
-        js, csv = self.write_both(tmp_path, {"a": a}, {"a": a},
-                                  serialize.FloatTexts([hash(a.tobytes())] * 2))
+        js, csv = self.write_both(tmp_path, {"a": a}, {"a": a})
         assert_same(js, ref_json({"a": a}))
         assert_same(csv, ref_columns_csv({"a": a}))
         assert json.loads(js)["a"] == [None, 1.5, None, None, -0.0, 1e-05]
@@ -250,7 +255,7 @@ class TestFloatTexts:
         assert split == cells and texts.blocks(a, True)(1) is split
 
     @pytest.mark.parametrize("n", LENGTHS)
-    def test_shared_equals_unshared(self, n, tmp_path, monkeypatch):
+    def test_shared_equals_unshared(self, n, tmp_path, monkeypatch, one_stripe):
         u = sample(n, 13)
         strided = sample(3 * n, 14)[::-3]   # a reversed, strided view
         obj = {"u": u, "w": strided, "nested": [{"u2": u.copy()}], "empty": np.zeros(0)}
@@ -260,11 +265,10 @@ class TestFloatTexts:
         format_floats = serialize.format_floats
         monkeypatch.setattr(serialize, "format_floats",
                             lambda a: formatted.append(len(a)) or format_floats(a))
-        # the uses write_artifacts counts: u four times, w twice; r and z once
-        texts = serialize.FloatTexts([hash(u.tobytes())] * 4 + [hash(strided.tobytes())] * 2)
-        shared = self.write_both(tmp_path, obj, columns, texts)
+        # write_artifacts counts u four times, w twice, r and z once
+        shared = self.write_both(tmp_path, obj, columns)
         assert sum(formatted) == 4 * n
-        assert shared == self.write_both(tmp_path, obj, columns, None)
+        assert shared == (serialize.json_text(obj) + "\n", csv_text(columns))
         assert sum(formatted) == 4 * n + 8 * n
         assert_same(shared[0], ref_json(obj))
         assert_same(shared[1], ref_columns_csv(columns))
@@ -285,7 +289,7 @@ def _traced_peak(write):
 def test_write_columns_peak_memory(tmp_path):
     """The writer holds one block of rows at a time: about 0.27x of a 4.8 MB file."""
     columns = {f"c{k}": sample(32769, 20 + k) for k in range(7)}
-    peak, size = _traced_peak(lambda: serialize.write_columns(tmp_path / "big.csv", columns))
+    peak, size = _traced_peak(lambda: write_artifact(tmp_path, "big", columns=columns))
     assert peak <= 0.35 * size, f"peak {peak} B for a {size} B file ({peak / size:.2f}x)"
 
 
@@ -293,7 +297,7 @@ def test_write_json_peak_memory(tmp_path):
     """A four-array profile is written one block of an array at a time (0.06x of 3.2 MB)."""
     record = biharmonic.exact_solution(RadialGrid.uniform(3, 20.0, 32768)).to_dict()
     assert all(record[k].size == 32769 for k in ("u", "du", "z", "dz"))
-    peak, size = _traced_peak(lambda: serialize.write_json(tmp_path / "big.json", record))
+    peak, size = _traced_peak(lambda: write_artifact(tmp_path, "big", record))
     assert peak <= 0.1 * size, f"peak {peak} B for a {size} B file ({peak / size:.2f}x)"
 
 
