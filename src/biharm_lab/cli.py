@@ -7,7 +7,9 @@ verifications pass), 1 usage error, 2 precondition violation,
 
 OPTIONS holds each flag's type or choices, default and help, which make the
 parser, the --help text and a run's parameters: the flags given over the
-defaults.  A subcommand's help is its function's docstring.
+defaults, which are read from the library wherever it has one (a sweep's
+tables and window, the parabolic grids and snapshot count).  A subcommand's
+help is its function's docstring.
 
 A --config file stands for the flags it holds, parsed before the command
 line's, which override them.  Each subcommand prints its results and returns
@@ -121,6 +123,11 @@ def _build_parser() -> _Parser:
                             required=default is REQUIRED,
                             **{"choices" if isinstance(kind, tuple) else "type": kind})
     return p
+
+
+def _listed(values) -> str:
+    """A sweep table as the comma list that _numbers parses back to its values."""
+    return ",".join(map(str, values))
 
 
 def _numbers(kind: type, text: str) -> list:
@@ -422,9 +429,9 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
 }
 
-_N, _R_MAX = (int, 3, "dimension"), (float, 20.0, "window end")
+_N = (int, 3, "dimension")
 _H_HELP = f"grid spacing; the window has round(r_max/h) intervals, but at least {MIN_INTERVALS}"
-_RADIAL = {"n": _N, "q": (float, 7.0, "singular exponent"), "r_max": _R_MAX,
+_RADIAL = {"n": _N, "q": (float, 7.0, "singular exponent"), "r_max": (float, 20.0, "window end"),
            "h": (float, 20.0 / 4096, _H_HELP)}
 _ALPHA = (float, 0.5, "gradient coefficient")
 _BETA = (float, None, "coefficient of u^(-(q-1)/2) (default beta_max(alpha, q, n), or 0)")
@@ -452,19 +459,24 @@ OPTIONS = {
         "p_exp": (float, REQUIRED, "exponent p of v_t - lap v = u^p"),
         "r_exp": (float, REQUIRED, "exponent r of u_t - lap u = v^r"),
         "geometry": (("periodic", "radial"), "periodic", "periodic box or radial ball"),
-        "nodes": (int, 512, "spatial nodes"), "length": (float, 2.0 * np.pi, "box length"),
-        "radius": (float, np.pi, "ball radius"), "n": _N,
+        "nodes": (int, parabolic.NODES, "spatial nodes"),
+        "length": (float, parabolic.PeriodicBox.length, "box length"),
+        "radius": (float, parabolic.RadialBall.radius, "ball radius"),
+        "n": (int, parabolic.RadialBall.n, "dimension"),
         "u0": (float, 1.0, "initial level of u"), "v0": (float, 1.2, "initial level of v"),
         "perturb": (float, 0.0, "amplitude of a one-mode spatial perturbation"),
         "t_final": (float, 1.0, "simulated time"),
-        "snapshots": (int, 64, "snapshots after the one at t = 0"),
+        "snapshots": (int, parabolic.SNAPSHOTS, "snapshots after the one at t = 0"),
         "blowup_factor": (float, parabolic.BLOWUP_FACTOR,
                           "stop once max(u, v) passes this factor times its initial scale")},
     "sweep": {"module": (tuple(_SWEEPS), REQUIRED, "which sweep"),
-              "n": (str, "3,4,5", "comma list of n"), "q": (str, "2,3,5,7", "comma list of q"),
-              "r_exp": (str, "0.5,1,2", "comma list of exponents r (lane-emden)"),
+              "n": (str, _listed(sweeps.N_VALUES), "comma list of n"),
+              "q": (str, _listed(sweeps.Q_VALUES), "comma list of q"),
+              "r_exp": (str, _listed(sweeps.REXP_VALUES),
+                        "comma list of exponents r (lane-emden)"),
               "alpha": (str, None, "comma list of alphas (region; default 21 over [0, 0.5])"),
-              "r_max": _R_MAX, "h": (float, 20.0 / 1024, _H_HELP)},
+              "r_max": (float, sweeps.DEFAULT_R_MAX, "window end"),
+              "h": (float, sweeps.DEFAULT_R_MAX / sweeps.DEFAULT_INTERVALS, _H_HELP)},
 }
 #: the flags of every subcommand that are RunConfig fields, not parameters
 _RUN_OPTIONS = {"out": (str, None, "output directory for artifacts"),

@@ -41,6 +41,10 @@ from .reports import (RESIDUAL_THRESHOLD, TOL_FIRST_ORDER, TOL_SECOND_ORDER,
 REL_INCREMENT = 2e-3
 #: default blow-up factor over the initial scale
 BLOWUP_FACTOR = 1e6
+#: default grid of either geometry: a box's nodes, a ball's intervals
+NODES = 512
+#: default number of snapshots after the one at t = 0
+SNAPSHOTS = 64
 #: snapshots a check reduces at a time, so that a block's temporaries stay in cache
 CHECK_BLOCK_SNAPSHOTS = 16
 
@@ -52,7 +56,7 @@ class PeriodicBox:
     """1-D periodic box of length L with N nodes x_j = j L / N."""
 
     length: float = 2.0 * np.pi
-    num_nodes: int = 512
+    num_nodes: int = NODES
 
     def __post_init__(self):
         require_above("length", self.length)
@@ -79,11 +83,15 @@ class PeriodicBox:
 
 @dataclass(frozen=True)
 class RadialBall:
-    """Radial ball [0, R] in dimension n with zero-flux outer boundary."""
+    """Radial ball [0, R] in dimension n with zero-flux outer boundary.
+
+    By default the ball of radius pi in dimension 3 on NODES = 512 intervals,
+    the grid size of the default periodic box.
+    """
 
     n: int = 3
     radius: float = np.pi
-    num_intervals: int = 256
+    num_intervals: int = NODES
 
     def __post_init__(self):
         # n = 1 and n = 2 are valid radial Laplacians; n = 0 would flip the
@@ -247,7 +255,7 @@ def _truncation(S: np.ndarray, cap: float) -> str | None:
 
 
 def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
-             t_final: float, num_snapshots: int = 64,
+             t_final: float, num_snapshots: int = SNAPSHOTS,
              blowup_factor: float = BLOWUP_FACTOR) -> SpaceTimeField:
     """Run the split stepper on the stack S = [u, v] and record snapshots on a uniform mesh.
 

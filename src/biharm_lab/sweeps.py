@@ -44,6 +44,11 @@ SYSTEM_U0_GRID = (0.7, 1.0, 1.5)
 #: multiples of the comparison level for the system sweep
 KAPPA_V_GRID = (0.75, 1.4, 2.0, 3.0)
 
+#: the shooting sweeps' default tables of n, q and the coupling exponent r
+#: (system only), and their window: DEFAULT_INTERVALS intervals on [0, DEFAULT_R_MAX]
+N_VALUES = (3, 4, 5)
+Q_VALUES = (2.0, 3.0, 5.0, 7.0)
+REXP_VALUES = (0.5, 1.0, 2.0)
 DEFAULT_R_MAX = 20.0
 DEFAULT_INTERVALS = 1024
 
@@ -155,8 +160,7 @@ def _weak_row(key, prof):
     return row
 
 
-def weak_bound_sweep(n_values=(3, 4, 5), q_values=(2.0, 3.0, 5.0, 7.0),
-                     r_max: float = DEFAULT_R_MAX,
+def weak_bound_sweep(n_values=N_VALUES, q_values=Q_VALUES, r_max: float = DEFAULT_R_MAX,
                      intervals: int = DEFAULT_INTERVALS) -> list[dict]:
     """Shoot the target table and check the gradient-free bound on every
     positive-on-window profile.
@@ -192,9 +196,8 @@ def _system_row(key, prof):
     return row
 
 
-def system_sweep(n_values=(3, 4, 5), q_values=(2.0, 3.0, 5.0, 7.0),
-                 rexp_values=(0.5, 1.0, 2.0), r_max: float = DEFAULT_R_MAX,
-                 intervals: int = DEFAULT_INTERVALS) -> list[dict]:
+def system_sweep(n_values=N_VALUES, q_values=Q_VALUES, rexp_values=REXP_VALUES,
+                 r_max: float = DEFAULT_R_MAX, intervals: int = DEFAULT_INTERVALS) -> list[dict]:
     """Solve the coupled system over the sweep grid and verify the
     component comparison plus the concavity step on positive windows.
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biharm_lab import biharmonic, cli, sweeps, verify
+from biharm_lab import biharmonic, cli, parabolic, serialize, sweeps, verify
 
 
 def run_cli(argv):
@@ -685,7 +685,7 @@ class TestArtifactRunList:
 
 
 def literal_defaults(command):
-    """(dest, default) of each valued option of ``command`` whose default OPTIONS writes out."""
+    """(dest, default) of each valued option of ``command`` that has a default in OPTIONS."""
     return [(dest, default) for dest, (kind, default, _) in cli.OPTIONS[command].items()
             if default is not None and default is not cli.REQUIRED and kind is not bool]
 
@@ -748,6 +748,30 @@ class TestTableDefaults:
         given = self.outputs(argv + [f"{cli._flag(dest)}={default}"], tmp_path / "given", capsys)
         assert without[0] in (0, 3) and without[2]
         assert given == without
+
+    @pytest.mark.parametrize("dest,kind,table", [("n", int, sweeps.N_VALUES),
+                                                 ("q", float, sweeps.Q_VALUES),
+                                                 ("r_exp", float, sweeps.REXP_VALUES)])
+    def test_sweep_table_default_is_the_library_table(self, dest, kind, table):
+        assert repr(tuple(cli._numbers(kind, cli.OPTIONS["sweep"][dest][1]))) == repr(table)
+
+    @pytest.mark.parametrize("module,sweep", [("lane-emden", sweeps.system_sweep),
+                                              ("biharmonic", sweeps.weak_bound_sweep)])
+    def test_sweep_without_flags_is_the_library_sweep(self, module, sweep, tmp_path, capsys):
+        files = self.outputs(["sweep", "--module", module], tmp_path, capsys)[2]
+        assert files[f"sweep-{module}.json"].decode() == serialize.json_text(sweep()) + "\n"
+
+    def test_radial_run_without_nodes_is_the_library_ball(self, tmp_path, capsys):
+        code, _, files = self.outputs(["simulate-parabolic", "--geometry", "radial", "--p-exp",
+                                       "2", "--r-exp", "1", "--t-final", "0.01",
+                                       "--snapshots", "2"], tmp_path, capsys)
+        fld = parabolic.simulate(parabolic.RadialBall(), 2.0, 1.0, 1.0, 1.2, 0.01,
+                                 num_snapshots=2)
+        assert code == 0
+        assert json.loads(files["run-manifest.json"])["geometry"] == fld.geometry.to_dict()
+        rows = list(csv.DictReader(files["run-manifest.csv"].decode().splitlines()))
+        for name in ("u", "v"):
+            assert [float(row[name]) for row in rows] == getattr(fld, name).ravel().tolist()
 
 
 class TestSimulateParabolic:
