@@ -30,7 +30,7 @@ class Classification:
     r_stop: float | None = None
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "r_stop": self.r_stop}
+        return dict(vars(self))
 
 
 @dataclass
@@ -85,6 +85,8 @@ class SolutionProfile:
 
 
 EXACT_AMPLITUDE = 15.0 ** -0.125   # normalizes lap^2 u = -u^(-7) for sqrt(1+r^2)
+#: the (n, q) of the closed-form reference solution
+EXACT_N, EXACT_Q = 3, 7.0
 
 
 def exact_fields(r: np.ndarray):
@@ -100,10 +102,10 @@ def exact_fields(r: np.ndarray):
 
 def exact_solution(grid: RadialGrid) -> SolutionProfile:
     """The linear-growth reference solution u = 15^(-1/8) sqrt(1 + r^2)."""
-    if grid.n != 3:
-        raise DomainError(f"the closed-form solution lives in n = 3, got n = {grid.n}")
+    if grid.n != EXACT_N:
+        raise DomainError(f"the closed-form solution lives in n = {EXACT_N}, got n = {grid.n}")
     u, du, z, dz = exact_fields(grid.r)
-    meta = {"n": 3, "q": 7.0, "source": "exact",
+    meta = {"n": EXACT_N, "q": EXACT_Q, "source": "exact",
             "u0": float(u[0]), "z0": float(z[0])}
     return SolutionProfile(grid, Field(grid, u, positive=True), Field(grid, du),
                            Field(grid, z), Field(grid, dz), meta,
@@ -126,7 +128,7 @@ def shooting_grid(n: int, q: float, r_max: float, num_intervals: int,
 
 
 def shoot(n: int, q: float, u0: float, z0: float, r_max: float,
-          num_intervals: int = 2048, rtol: float = RTOL) -> SolutionProfile:
+          num_intervals: int, rtol: float = RTOL) -> SolutionProfile:
     """Integrate outward from (u0, z0) and classify the resulting window.
 
     u0 must be strictly positive; z0 = 0 is allowed and produces a profile

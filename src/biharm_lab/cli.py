@@ -32,11 +32,12 @@ import numpy as np
 
 from . import __version__, biharmonic, parabolic, serialize, system, sweeps, verify
 from ._backend import RTOL, TOL_PER_H2
+from .biharmonic import EXACT_N, EXACT_Q
 from .errors import (MAX_COUNT, BiharmLabError, DomainError, IntegratorError,
                      PreconditionError, SizeError, require_above, require_in)
 from .grids import MIN_INTERVALS, TRIM_NODES, RadialGrid, self_convergence_order
-from .params import (ParamSet, beta_max_or_zero, check_admissible, gamma_interval,
-                     growth_exponent, tau)
+from .params import (ALPHA_MAX, ParamSet, beta_max_or_zero, check_admissible,
+                     gamma_interval, growth_exponent, tau)
 from .serialize import Artifact
 
 EXIT_OK = 0
@@ -67,11 +68,9 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        """Parse a config; a top-level field of the wrong type raises TypeError."""
-        data = json.loads(text)
-        cfg = cls(command=data["command"], parameters=data.get("parameters", {}),
-                  out=data.get("out"), formats=data.get("formats", ["json"]),
-                  tol=data.get("tol"))
+        """Parse a config; a top-level key missing, naming no field, or of the wrong type
+        raises TypeError."""
+        cfg = cls(**json.loads(text))
         if not isinstance(cfg.out, str | None):
             raise TypeError(f"out must be a string, got {cfg.out!r}")
         if not isinstance(cfg.parameters, dict):
@@ -279,13 +278,13 @@ def _aux_report(prof, alpha: float, beta: float, exact: bool):
     """The aux-inequality report; on the closed form, with its observed order over three grids
     nested in the report's, N/4, N/2 and N intervals, when N/4 is a verification grid."""
     rep = verify.verify_aux_inequality(prof, alpha, beta)
-    n_fine = prof.grid.num_intervals
+    g, n_fine = prof.grid, prof.grid.num_intervals
     if exact and (n_fine % 4 or n_fine // 4 < MIN_INTERVALS):
         rep.refinement_order = float("nan")
     elif exact:
         rep.refinement_order = self_convergence_order([
             verify.verify_aux_inequality(biharmonic.exact_solution(
-                RadialGrid.uniform(3, prof.grid.r_max, n_fine // div)), alpha, beta).margin.values
+                RadialGrid.uniform(g.n, g.r_max, n_fine // div)), alpha, beta).margin.values
             for div in (4, 2)] + [rep.margin.values])   # the finest grid is the report's
     return rep
 
@@ -320,8 +319,9 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, list[Artifact]]:
                                         for flag in flags if flag not in reads),
                    f"verify --check {p['check']}")
     if p["exact"]:
-        if (p["n"], p["q"]) != (3, 7.0):
-            raise UsageError("--exact pins (n, q) = (3, 7); drop --n/--q or --exact")
+        if (p["n"], p["q"]) != (EXACT_N, EXACT_Q):
+            raise UsageError(f"--exact pins (n, q) = ({EXACT_N}, {EXACT_Q:g}); "
+                             "drop --n/--q or --exact")
         _refuse_unread(given, ("u0", "z0"), "verify --exact")
     elif "u0" not in p or "z0" not in p:
         raise UsageError("verify needs --exact or both --u0 and --z0")
@@ -330,7 +330,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[int, list[Artifact]]:
     ParamSet(n=p["n"], q=p["q"], alpha=p["alpha"], beta=p.get("beta", 0.0), gamma=p.get("gamma"))
     if "h" not in given and any(_CHECKS[name][2] for name in names):
         p["h"] /= FINE_GRID
-    prof = (biharmonic.exact_solution(RadialGrid.uniform(3, *_window(p))) if p["exact"]
+    prof = (biharmonic.exact_solution(RadialGrid.uniform(p["n"], *_window(p))) if p["exact"]
             else _shoot(p))
     p["beta"] = p.get("beta", beta_max_or_zero(p["alpha"], prof.q, prof.n))
     reports = [_CHECKS[name][0](prof, p) for name in names]
@@ -429,11 +429,11 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
 }
 
-_N = (int, 3, "dimension")
+_N = (int, EXACT_N, "dimension")
 _H_HELP = f"grid spacing; the window has round(r_max/h) intervals, but at least {MIN_INTERVALS}"
-_RADIAL = {"n": _N, "q": (float, 7.0, "singular exponent"), "r_max": (float, 20.0, "window end"),
-           "h": (float, 20.0 / 4096, _H_HELP)}
-_ALPHA = (float, 0.5, "gradient coefficient")
+_RADIAL = {"n": _N, "q": (float, EXACT_Q, "singular exponent"),
+           "r_max": (float, 20.0, "window end"), "h": (float, 20.0 / 4096, _H_HELP)}
+_ALPHA = (float, ALPHA_MAX, "gradient coefficient")
 _BETA = (float, None, "coefficient of u^(-(q-1)/2) (default beta_max(alpha, q, n), or 0)")
 _RTOL = (float, RTOL, f"relative tolerance; the kernel runs at min(rtol, {TOL_PER_H2:g}*h^2)")
 
@@ -444,7 +444,8 @@ OPTIONS = {
                "beta": _BETA},
     "solve-biharmonic": {**_RADIAL, "u0": (float, REQUIRED, "u(0)"),
                          "z0": (float, REQUIRED, "lap u(0)"), "rtol": _RTOL},
-    "verify": {"exact": (bool, False, "use the closed-form n=3, q=7 reference solution"),
+    "verify": {"exact": (bool, False,
+                         f"use the closed-form n={EXACT_N}, q={EXACT_Q:g} reference solution"),
                "u0": (float, None, "u(0) of the shot when not --exact"),
                "z0": (float, None, "lap u(0) of the shot when not --exact"), **_RADIAL,
                "check": ((*_CHECKS, "all"), "all", "which inequality to verify; without --h, "
@@ -474,7 +475,8 @@ OPTIONS = {
               "q": (str, _listed(sweeps.Q_VALUES), "comma list of q"),
               "r_exp": (str, _listed(sweeps.REXP_VALUES),
                         "comma list of exponents r (lane-emden)"),
-              "alpha": (str, None, "comma list of alphas (region; default 21 over [0, 0.5])"),
+              "alpha": (str, None,
+                        f"comma list of alphas (region; default 21 over [0, {ALPHA_MAX}])"),
               "r_max": (float, sweeps.DEFAULT_R_MAX, "window end"),
               "h": (float, sweeps.DEFAULT_R_MAX / sweeps.DEFAULT_INTERVALS, _H_HELP)},
 }

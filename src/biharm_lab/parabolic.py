@@ -78,7 +78,7 @@ class PeriodicBox:
         return slice(0, self.num_nodes)   # no boundary: nothing to trim
 
     def to_dict(self) -> dict:
-        return {"kind": "periodic", "length": self.length, "num_nodes": self.num_nodes}
+        return {"kind": "periodic", **vars(self)}
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,7 @@ class RadialBall:
         return slice(2 * TRIM_NODES, self.num_nodes - 2 * TRIM_NODES)
 
     def to_dict(self) -> dict:
-        return {"kind": "radial", "n": self.n, "radius": self.radius,
-                "num_intervals": self.num_intervals}
+        return {"kind": "radial", **vars(self)}
 
 
 # each diffusion acts on the last axis, so one cn_step call steps a stack [u, v]
@@ -436,15 +435,11 @@ def verify_heat_diff_inequality(fld: SpaceTimeField) -> VerificationReport:
         tol=TOL_SECOND_ORDER, scale=max(1.0, *maxima), **worst)
 
 
-def _comparison_terms(fld: SpaceTimeField, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-    return (fld.v[rows] ** (fld.r_exp + 1.0) / (fld.r_exp + 1.0),
-            fld.u[rows] ** (fld.p_exp + 1.0) / (fld.p_exp + 1.0))
-
-
 def verify_component_comparison(fld: SpaceTimeField) -> VerificationReport:
     """Margin v^(r+1)/(r+1) - u^(p+1)/(p+1) >= 0 at all snapshot nodes."""
     def block_terms(lo, hi):
-        v_term, u_term = _comparison_terms(fld, slice(lo, hi))
+        v_term = fld.v[lo:hi] ** (fld.r_exp + 1.0) / (fld.r_exp + 1.0)
+        u_term = fld.u[lo:hi] ** (fld.p_exp + 1.0) / (fld.p_exp + 1.0)
         return [v_term, u_term], v_term - u_term
 
     # division by a positive constant is monotone: max(x / c) == max(x) / c

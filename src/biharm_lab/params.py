@@ -29,6 +29,8 @@ from .errors import DomainError, PreconditionError, require_above, require_count
 
 #: comparison slack for region boundaries (boundaries are algebraic numbers)
 BOUNDARY_TOL = 1e-12
+#: the largest gradient coefficient of the region, alpha <= 1/2
+ALPHA_MAX = 0.5
 
 
 def _square(x):
@@ -64,8 +66,7 @@ class ParamSet:
             require_in("gamma", self.gamma, 0.0, 1.0)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "q": self.q, "alpha": self.alpha,
-                "beta": self.beta, "gamma": self.gamma}
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,7 @@ class Coefficients:
     p_half: float
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("I1", "I2", "I3", "K1", "K2", "J1", "J2", "L1", "L2", "p_half")}
+        return dict(vars(self))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -121,7 +121,7 @@ def _q_floor(alpha, n):
 
 def q_min(alpha: float, n: int) -> float:
     """Smallest admissible q for a given gradient coefficient alpha in (0, 1/2]."""
-    if not (0.0 < alpha <= 0.5):
+    if not (0.0 < alpha <= ALPHA_MAX):
         raise DomainError(f"alpha must lie in (0, 1/2], got {alpha}")
     require_count("dimension n", n, 3, DomainError)
     return float(_q_floor(alpha, n))
@@ -202,10 +202,10 @@ def _region_tests(n, q, a, b):
     Returns (alpha_ok, bmax, beta_ok, qf, q_ok, admissible): bmax is 0 where
     beta_max is undefined, and qf is q_min at min(alpha, 1/2).
     """
-    alpha_ok = _leq(a, 0.5)
+    alpha_ok = _leq(a, ALPHA_MAX)
     bmax = _beta_max_or_zero(a, q, n)
     beta_ok = (bmax != 0.0) & _leq(b, bmax)
-    qf = _q_floor(np.minimum(a, 0.5), n)
+    qf = _q_floor(np.minimum(a, ALPHA_MAX), n)
     q_ok = _leq(qf, q)
     return alpha_ok, bmax, beta_ok, qf, q_ok, alpha_ok & beta_ok & q_ok
 

@@ -31,8 +31,8 @@ from ._backend import RTOL, fill, integrate, series_start
 from ._stripes import dealt
 from .biharmonic import _profile_from_arrays, shooting_grid
 from .errors import DomainError, IntegratorError, require_above, require_power
-from .params import (ParamSet, _beta_max_or_zero, _coefficients, _gamma_star, _half_p,
-                     _region_tests, weak_coefficient)
+from .params import (ALPHA_MAX, ParamSet, _beta_max_or_zero, _coefficients, _gamma_star,
+                     _half_p, _region_tests, weak_coefficient)
 
 #: initial-amplitude grid shared by both shooting sweeps
 U0_GRID = (0.6, 0.85, 1.2, 1.7)
@@ -217,7 +217,7 @@ def system_sweep(n_values=N_VALUES, q_values=Q_VALUES, rexp_values=REXP_VALUES,
 
 def region_sweep(n_values=(3, 4, 5, 6, 7, 8),
                  q_values=tuple(np.linspace(1.25, 10.0, 36)),
-                 alpha_values=tuple(np.linspace(0.0, 0.5, 21))) -> list[dict]:
+                 alpha_values=tuple(np.linspace(0.0, ALPHA_MAX, 21))) -> list[dict]:
     """Admissibility and derived coefficients over a rectangular grid.
 
     beta is beta_max where it is defined, else 0, and gamma_star is set on

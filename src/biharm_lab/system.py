@@ -99,7 +99,7 @@ class SystemProfile(SolutionProfile):
 
 
 def solve_radial_system(n: int, q: float, rexp: float, u0: float, v0: float,
-                        r_max: float, num_intervals: int = 2048,
+                        r_max: float, num_intervals: int,
                         rtol: float = RTOL) -> SystemProfile:
     """Shoot the coupled system outward from (u0, v0) and classify the window."""
     require_above("u0", u0)

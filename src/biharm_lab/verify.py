@@ -22,8 +22,8 @@ import numpy as np
 from .biharmonic import SolutionProfile
 from .errors import DomainError, PreconditionError
 from .grids import Field, derivative_values, laplacian_values
-from .params import (ParamSet, _half_p, beta_max, check_admissible, coefficients,
-                     gamma_interval, weak_coefficient)
+from .params import (ALPHA_MAX, ParamSet, _half_p, beta_max, check_admissible,
+                     coefficients, gamma_interval, weak_coefficient)
 from .reports import (TOL_FIRST_ORDER, TOL_SECOND_ORDER, VerificationReport,
                       refusing_overflow, report_from_margin, worst_node)
 
@@ -123,7 +123,7 @@ def verify_sharp_bound(profile: SolutionProfile) -> VerificationReport:
     if profile.q < 3:
         raise PreconditionError(f"the alpha = 1/2 bound needs q >= 3, got q = {profile.q}")
     return _region_bound(profile, "laplacian-lower-bound-max-alpha",
-                         0.5, beta_max(0.5, profile.q, profile.n))
+                         ALPHA_MAX, beta_max(ALPHA_MAX, profile.q, profile.n))
 
 
 def verify_weak_bound(profile: SolutionProfile) -> VerificationReport:
@@ -138,8 +138,8 @@ def verify_weak_bound(profile: SolutionProfile) -> VerificationReport:
 
 def verify_gradient_bound(profile: SolutionProfile) -> VerificationReport:
     """Gradient-only bound lap u >= |grad u|^2 / (2u), valid for every q > 1."""
-    return _lower_bound(profile, "laplacian-gradient-bound", 0.5, 0.0,
-                        {"n": profile.n, "q": profile.q, "alpha": 0.5, "beta": 0.0},
+    return _lower_bound(profile, "laplacian-gradient-bound", ALPHA_MAX, 0.0,
+                        {"n": profile.n, "q": profile.q, "alpha": ALPHA_MAX, "beta": 0.0},
                         [GROWTH_CAVEAT])
 
 
@@ -234,7 +234,7 @@ def scalar_curvature(profile: SolutionProfile) -> VerificationReport:
     margin field.
     """
     n = profile.n
-    scal = (-(2.0 * (n - 1.0) / (n - 2.0)) * _gradient_margin(profile, 0.5, 0.0)
+    scal = (-(2.0 * (n - 1.0) / (n - 2.0)) * _gradient_margin(profile, ALPHA_MAX, 0.0)
             * profile.u.values ** (-n / (n - 2.0)))
     g = profile.grid
     fld, sl = Field(g, scal), g.trim_slice()

@@ -168,9 +168,9 @@ class TestShoot:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            bh.shoot(3, 7.0, -1.0, 1.0, 5.0)
+            bh.shoot(3, 7.0, -1.0, 1.0, 5.0, num_intervals=64)
         with pytest.raises(DomainError):
-            bh.shoot(3, 7.0, 1.0, -0.5, 5.0)
+            bh.shoot(3, 7.0, 1.0, -0.5, 5.0, num_intervals=64)
         with pytest.raises(DomainError):
             bh.shoot(3.5, 7.0, 1.0, 2.0, 5.0, num_intervals=64)
         with pytest.raises(DomainError):

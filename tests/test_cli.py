@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from biharm_lab import biharmonic, cli, parabolic, serialize, sweeps, verify
+from biharm_lab.params import ALPHA_MAX
 
 
 def run_cli(argv):
@@ -58,9 +59,13 @@ class TestVerify:
                         "--check", "sharp", "--r-max", "5"])
         assert code == 2
 
-    def test_conflicting_exact_params_exit_1(self):
+    def test_conflicting_exact_params_exit_1(self, capsys):
         code = run_cli(["verify", "--exact", "--q", "5", "--check", "weak"])
         assert code == 1
+        # the pinned pair is the closed form's, biharmonic.EXACT_N and EXACT_Q
+        assert (biharmonic.EXACT_N, biharmonic.EXACT_Q) == (3, 7.0)
+        assert capsys.readouterr().err == (
+            "error: --exact pins (n, q) = (3, 7); drop --n/--q or --exact\n")
 
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -408,6 +413,8 @@ class TestConfigParameters:
          "given as a list, got 'json,csv'"),
         ({"command": "region", "parameters": "x"}, "parameters must be an object, got 'x'"),
         ({"command": "region", "parameters": ["qq"]}, "parameters must be an object, got ['qq']"),
+        ({"command": "region", "parameters": {"q": 7.0}, "fromats": ["csv"]},
+         "unexpected keyword argument 'fromats'"),
     ])
     def test_top_level_field_refused_exit_1(self, config, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -754,6 +761,13 @@ class TestTableDefaults:
                                                  ("r_exp", float, sweeps.REXP_VALUES)])
     def test_sweep_table_default_is_the_library_table(self, dest, kind, table):
         assert repr(tuple(cli._numbers(kind, cli.OPTIONS["sweep"][dest][1]))) == repr(table)
+
+    @pytest.mark.parametrize("command,dest,value", [
+        *((command, dest, value) for command in ("solve-biharmonic", "verify", "solve-system")
+          for dest, value in (("n", biharmonic.EXACT_N), ("q", biharmonic.EXACT_Q))),
+        ("region", "alpha", ALPHA_MAX), ("verify", "alpha", ALPHA_MAX)])
+    def test_default_is_the_library_value(self, command, dest, value):
+        assert cli.OPTIONS[command][dest][1] is value
 
     @pytest.mark.parametrize("module,sweep", [("lane-emden", sweeps.system_sweep),
                                               ("biharmonic", sweeps.weak_bound_sweep)])

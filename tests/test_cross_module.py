@@ -1,4 +1,5 @@
 """Agreements between modules on shared objects."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from biharm_lab import biharmonic as bh
 from biharm_lab import parabolic as pb
+from biharm_lab import params as pm
 from biharm_lab import system as st
 from biharm_lab import verify as vf
 
@@ -77,3 +79,20 @@ class TestReportDeterminism:
         assert a.argmin_r == b.argmin_r
         assert np.array_equal(a.margin.values, b.margin.values)
         assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("record,kind", [
+    (pm.ParamSet(n=4, q=5.0, alpha=0.25, beta=0.3, gamma=0.1), None),
+    (pm.coefficients(pm.ParamSet(n=4, q=5.0, alpha=0.25, beta=0.3, gamma=0.1)), None),
+    (bh.Classification(bh.TOUCHED_ZERO, r_stop=1.5), None),
+    (pb.PeriodicBox(length=3.0, num_nodes=24), "periodic"),
+    (pb.RadialBall(n=4, radius=2.0, num_intervals=32), "radial"),
+])
+def test_record_to_dict_is_its_fields_in_a_fresh_dict(record, kind):
+    """A record's to_dict is its fields in order, after the geometry's kind."""
+    expected = {"kind": kind} if kind else {}
+    expected.update((f.name, getattr(record, f.name)) for f in dataclasses.fields(record))
+    out = record.to_dict()
+    assert list(out.items()) == list(expected.items())
+    out.clear()   # a fresh dict: clearing it leaves the record and its next dict whole
+    assert record.to_dict() == expected

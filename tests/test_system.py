@@ -55,9 +55,9 @@ class TestSolveRadialSystem:
 
     def test_nonpositive_start_refused(self):
         with pytest.raises(DomainError):
-            st.solve_radial_system(3, 7.0, 1.0, 1.0, 0.0, 5.0)
+            st.solve_radial_system(3, 7.0, 1.0, 1.0, 0.0, 5.0, num_intervals=64)
         with pytest.raises(DomainError):
-            st.solve_radial_system(3, 7.0, 1.0, -1.0, 1.0, 5.0)
+            st.solve_radial_system(3, 7.0, 1.0, -1.0, 1.0, 5.0, num_intervals=64)
 
     def test_zero_intervals_refused(self):
         with pytest.raises(SizeError):
