@@ -15,15 +15,19 @@ and raises a flag.  A step allocates only the diffusion solves' outputs: the
 reaction (v^r, u^p) of a stack is one broadcast power, and the RK4 slopes
 and sums are written into buffers made once per run.  The radial
 Crank-Nicolson solve reads its bands off the stencil ``RadialBall.laplacian``
-and takes a half-step as one tridiagonal solve (I - s/2 L) y = f and
-x = 2y - f, the same step as solving (I - s/2 L) x = (I + s/2 L) f.  The
-snapshot checks reduce their margins over blocks of CHECK_BLOCK_SNAPSHOTS
-snapshots, bitwise as over the whole field; the two that need time rates
-take them from ``_time_rate``, a central difference, second order on the
-uniform mesh.
+and takes a half-step as one tridiagonal solve (I - s/2 L) y = f, by LAPACK's
+dgtsv in the library NumPy loaded, and x = 2y - f, the same step as solving
+(I - s/2 L) x = (I + s/2 L) f.  The snapshot checks reduce their margins over
+blocks of CHECK_BLOCK_SNAPSHOTS snapshots, bitwise as over the whole field;
+the two that need time rates take them from ``_time_rate``, a central
+difference, second order on the uniform mesh.
 """
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
+import glob
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,39 +151,80 @@ class _PeriodicDiffusion:
         return np.fft.irfft(fh, n=self.geom.num_nodes, axis=-1)
 
 
+#: the names LAPACK's dgtsv is exported under, each with the C type of its
+#: integer arguments: the name fixes the width, which is never guessed, since a
+#: wrong one corrupts memory.  NumPy's wheels bundle scipy-openblas64, whose
+#: symbols end in 64_; SciPy's bundle the 32-bit scipy-openblas
+_DGTSV_SYMBOLS = {"scipy_dgtsv_64_": ctypes.c_int64, "dgtsv_64_": ctypes.c_int64,
+                  "scipy_dgtsv_": ctypes.c_int32, "dgtsv_": ctypes.c_int32}
+
+
+def _lapack_libraries():
+    """The libraries searched for dgtsv, in order: NumPy's bundled LAPACK, then the system's."""
+    yield from sorted(glob.glob(os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs",
+                                             "libscipy_openblas*")))
+    system = ctypes.util.find_library("lapack")
+    if system:
+        yield system
+
+
+def _dgtsv():
+    """dgtsv from the first of ``_lapack_libraries`` that exports it, and its integer type."""
+    searched = []
+    for path in _lapack_libraries():
+        searched.append(path)
+        lib = ctypes.CDLL(path)
+        for symbol, int_type in _DGTSV_SYMBOLS.items():
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                # (n, nrhs, dl, d, du, b, ldb, info), all by reference
+                ints, doubles = ctypes.POINTER(int_type), ctypes.POINTER(ctypes.c_double)
+                fn.argtypes = (ints, ints, doubles, doubles, doubles, doubles, ints, ints)
+                fn.restype = None
+                return fn, int_type
+    raise PreconditionError(
+        f"the radial Crank-Nicolson half-step needs LAPACK's dgtsv: none of "
+        f"{', '.join(_DGTSV_SYMBOLS)} is exported by NumPy's bundled LAPACK or the "
+        f"system's lapack (searched: {', '.join(searched) or 'no library found'})")
+
+
 class _RadialDiffusion:
     """Crank-Nicolson half-steps on the bands of ``RadialBall.laplacian``.
 
     With k = s/2, (I - k L)^-1 (I + k L) = 2 (I - k L)^-1 - I, so a step is
     one tridiagonal solve (I - k L) y = f and x = 2y - f: no stencil product
-    builds a right-hand side.
+    builds a right-hand side.  The solve is LAPACK's dgtsv, called through
+    ctypes in the LAPACK NumPy loaded.
     """
 
     def __init__(self, geom: RadialBall):
-        # SciPy is imported here, by the one stepper that needs it, so that
-        # every other run starts without it
-        from scipy.linalg.lapack import dgtsv
-        self._dgtsv = dgtsv
-        # the stencil's (upper, diagonal, lower) bands in solve_banded's layout: row
-        # i reaches columns i-1..i+1, one in each comb k % 3 == c, so L[c, i] is
-        # the entry of row i in comb c's column
+        # the stencil's (upper, diagonal, lower) bands in LAPACK's band storage:
+        # row i reaches columns i-1..i+1, one in each comb k % 3 == c, so L[c, i]
+        # is the entry of row i in comb c's column
         j = np.arange(geom.num_nodes)
         L = geom.laplacian((j % 3 == np.arange(3)[:, None]).astype(float))
         self._bands = bands = np.zeros((3, geom.num_nodes))
         bands[0, 1:] = L[j[1:] % 3, j[:-1]]
         bands[1] = L[j % 3, j]
         bands[2, :-1] = L[j[:-1] % 3, j[1:]]
+        # dgtsv factors the bands in place, so they are copied into scratch
+        # made once; every argument but the right-hand side's address is fixed
+        self._dgtsv, int_type = _dgtsv()
+        self._ab = ab = np.empty_like(bands)
+        self._n, self._nrhs, self._info = int_type(geom.num_nodes), int_type(), int_type()
+        self._args = (ctypes.byref(self._n), ctypes.byref(self._nrhs),
+                      *map(ctypes.c_double.from_buffer, (ab[2, :-1], ab[1], ab[0, 1:])))
+        self._tail = (ctypes.byref(self._n), ctypes.byref(self._info))   # ldb = nodes
 
     def cn_step(self, f: np.ndarray, s: float) -> np.ndarray:
-        ab = -0.5 * s * self._bands
+        ab = np.multiply(self._bands, -0.5 * s, out=self._ab)
         ab[1] += 1.0
-        # the routine solve_banded((1, 1), ab, f.T) runs, on the same band
-        # slices, without its validation layers; ab is scratch, so it is
-        # factored in place, while f (a snapshot may hold it) is copied, one
-        # column per row of f
-        *_, y, info = self._dgtsv(ab[2, :-1], ab[1], ab[0, 1:], f.T, overwrite_dl=1,
-                                  overwrite_d=1, overwrite_du=1)
-        if info:
+        # f (a snapshot may hold it) is copied: a C-ordered (rows, nodes) array
+        # is the Fortran (nodes, rows) right-hand side dgtsv overwrites with y
+        y = np.array(f, dtype=float, order="C")
+        self._nrhs.value = y.size // self._n.value
+        self._dgtsv(*self._args, ctypes.c_double.from_buffer(y), *self._tail)
+        if self._info.value:
             # a pivot is exactly 0: the 1 on the diagonal of I - k L was lost
             # to rounding next to k times weights that grow as 1/h^2
             weight = float(np.abs(self._bands).max())
@@ -188,8 +233,8 @@ class _RadialDiffusion:
                 f"floating point: s/2 times the stencil's largest weight {weight:g} "
                 "swamps the identity")
         y *= 2.0
-        y -= f.T
-        return y.T
+        y -= f
+        return y
 
 
 @dataclass

@@ -895,6 +895,20 @@ class TestRadialParabolicCLI:
             assert np.ptp(col) > 0.03
             np.testing.assert_allclose(col, col[::-1], rtol=0, atol=1e-14)
 
+    def test_no_lapack_exits_2(self, monkeypatch, capsys, tmp_path):
+        # a radial run is refused on one line naming what was searched; a
+        # periodic run needs no LAPACK
+        monkeypatch.setattr(parabolic, "_lapack_libraries", lambda: iter(()))
+        argv = ["simulate-parabolic", "--p-exp", "2", "--r-exp", "1", "--nodes", "16",
+                "--t-final", "0.05", "--snapshots", "4"]
+        assert run_cli(argv + ["--geometry", "radial", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error: the radial Crank-Nicolson half-step needs "
+                              "LAPACK's dgtsv: none of scipy_dgtsv_64_, ")
+        assert err.endswith("(searched: no library found)\n") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli(argv + ["--geometry", "periodic"]) == 0
+
 
 class TestRefinementOrderInReport:
     def test_exact_aux_check_reports_order(self, capsys):
@@ -1107,15 +1121,19 @@ class TestFloatRange:
         assert rep["min_margin"] == direct.min_margin
 
     def test_cli_starts_without_scipy(self):
-        # SciPy is imported by the radial parabolic stepper alone
+        # no run imports SciPy, the radial parabolic stepper included: its
+        # LAPACK is NumPy's; with the import blocked, any SciPy import fails
         import os
         import subprocess
         import sys
         from pathlib import Path
-        code = ("import sys; from biharm_lab import cli; "
+        code = ("import sys; sys.modules['scipy'] = None; from biharm_lab import cli; "
                 "assert cli.main(['region', '--q', '7']) == 0; "
-                "print('scipy.linalg' in sys.modules, 'scipy' in sys.modules)")
+                "assert cli.main(['simulate-parabolic', '--p-exp', '2', '--r-exp', '1', "
+                "'--geometry', 'radial', '--nodes', '16', '--t-final', '0.05', "
+                "'--snapshots', '4']) == 0; "
+                "print(sys.modules['scipy'], 'scipy.linalg' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout.splitlines()
-        assert out[-1] == "False False"
+        assert out[-1] == "None False"

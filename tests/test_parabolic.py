@@ -1,3 +1,8 @@
+import ctypes
+import ctypes.util
+import glob
+import os
+import re
 import warnings
 
 import numpy as np
@@ -259,28 +264,65 @@ class ExplicitRadialDiffusion(pb._RadialDiffusion):
 
 
 class TestDirectSolve:
-    """cn_step is x = 2y - f, y from dgtsv on the bands solve_banded((1, 1), ...) would pass it."""
+    """cn_step is x = 2y - f, y from LAPACK's dgtsv called through ctypes.
+
+    It is bitwise SciPy's solve_banded((1, 1), ...) on the same bands, with
+    the dgtsv NumPy bundles (64-bit integers) and with SciPy's (32-bit).
+    """
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("rows", [1, 2])
-    def test_matches_solve_banded(self, n, rows):
+    def test_matches_solve_banded(self, n, rows, monkeypatch):
+        import scipy
         from scipy.linalg import solve_banded
-        geom = pb.RadialBall(n=n, radius=2.0, num_intervals=40)
-        diffuser = pb._RadialDiffusion(geom)
-        x = geom.x
-        S = np.stack((1.0 + 0.1 * np.cos(x), 2.0 + 0.3 * np.cos(2 * x) + 0.01 * x**2))[:rows]
-        S0 = S.copy()
-        for s in (1e-4, 0.05, 3.0):
-            ab = -0.5 * s * diffuser._bands
-            ab[1] += 1.0
-            ref = 2.0 * solve_banded((1, 1), ab, S.T).T - S
-            got = diffuser.cn_step(S, s)
-            assert got.shape == S.shape and np.array_equal(got, ref)
-            assert np.array_equal(diffuser.cn_step(S[0], s), ref[0])
-            assert np.array_equal(S, S0)   # snapshots hold the input: it is never written
-            # (I - kL)^-1 (I + kL) = 2 (I - kL)^-1 - I: the explicit right-hand side's step
-            explicit = ExplicitRadialDiffusion(geom).cn_step(S, s)
-            assert np.abs(got - explicit).max() <= 1e-12 * np.abs(explicit).max()
+        scipy_libs = sorted(glob.glob(os.path.join(os.path.dirname(scipy.__path__[0]),
+                                                   "scipy.libs", "libscipy_openblas*")))
+        assert scipy_libs, "SciPy's wheel bundles its LAPACK"
+        for libraries, int_type in ((pb._lapack_libraries, ctypes.c_int64),
+                                    (lambda: iter(scipy_libs), ctypes.c_int32)):
+            monkeypatch.setattr(pb, "_lapack_libraries", libraries)
+            assert pb._dgtsv()[1] is int_type
+            for intervals in (40, 16, 512, 2048):
+                geom = pb.RadialBall(n=n, radius=2.0, num_intervals=intervals)
+                diffuser = pb._RadialDiffusion(geom)
+                x = geom.x
+                S = np.stack((1.0 + 0.1 * np.cos(x),
+                              2.0 + 0.3 * np.cos(2 * x) + 0.01 * x**2))[:rows]
+                S0 = S.copy()
+                for s in (1e-4, 0.05, 3.0):
+                    ab = -0.5 * s * diffuser._bands
+                    ab[1] += 1.0
+                    ref = 2.0 * solve_banded((1, 1), ab, S.T).T - S
+                    got = diffuser.cn_step(S, s)
+                    assert got.shape == S.shape and np.array_equal(got, ref)
+                    assert np.array_equal(diffuser.cn_step(S[0], s), ref[0])
+                    assert np.array_equal(S, S0)   # snapshots hold the input: it is never written
+                    # (I - kL)^-1 (I + kL) = 2 (I - kL)^-1 - I: the explicit right-hand side's
+                    # step, whose product kL f rounds at eps k times the stencil's largest
+                    # weight, under 1e-12 on 40 intervals
+                    explicit = ExplicitRadialDiffusion(geom).cn_step(S, s)
+                    tol = max(1e-12, np.finfo(float).eps * 0.5 * s * np.abs(diffuser._bands).max())
+                    assert np.abs(got - explicit).max() <= tol * np.abs(explicit).max()
+
+    def test_no_lapack_refused(self, monkeypatch):
+        # with no library to search, a radial run is refused before its first
+        # step, naming the symbols and libraries it looked for; a periodic run
+        # needs no LAPACK
+        monkeypatch.setattr(pb, "_lapack_libraries", lambda: iter(()))
+        with pytest.raises(PreconditionError, match=(
+                r"^the radial Crank-Nicolson half-step needs LAPACK's dgtsv: none of "
+                r"scipy_dgtsv_64_, dgtsv_64_, scipy_dgtsv_, dgtsv_ is exported by NumPy's "
+                r"bundled LAPACK or the system's lapack \(searched: no library found\)$")):
+            pb.simulate(pb.RadialBall(num_intervals=16), 2.0, 1.0, 1.0, 1.2, t_final=0.1,
+                        num_snapshots=4)
+        # a library that loads but lacks the routine is named as searched
+        libc = ctypes.util.find_library("c")
+        monkeypatch.setattr(pb, "_lapack_libraries", lambda: iter([libc]))
+        with pytest.raises(PreconditionError, match=re.escape(f"(searched: {libc})")):
+            pb._RadialDiffusion(pb.RadialBall(num_intervals=16))
+        fld = pb.simulate(pb.PeriodicBox(num_nodes=16), 2.0, 1.0, 1.0, 1.2, t_final=0.1,
+                          num_snapshots=4)
+        assert fld.times.shape == (5,) and not fld.blown_up
 
     @pytest.mark.parametrize("radius", [1e-10, 1e-100, 1e-152])
     def test_singular_half_step_refused(self, radius):
