@@ -432,7 +432,8 @@ _COMMANDS = {
 _N = (int, EXACT_N, "dimension")
 _H_HELP = f"grid spacing; the window has round(r_max/h) intervals, but at least {MIN_INTERVALS}"
 _RADIAL = {"n": _N, "q": (float, EXACT_Q, "singular exponent"),
-           "r_max": (float, 20.0, "window end"), "h": (float, 20.0 / 4096, _H_HELP)}
+           "r_max": (float, sweeps.DEFAULT_R_MAX, "window end"),
+           "h": (float, sweeps.DEFAULT_R_MAX / 4096, _H_HELP)}
 _ALPHA = (float, ALPHA_MAX, "gradient coefficient")
 _BETA = (float, None, "coefficient of u^(-(q-1)/2) (default beta_max(alpha, q, n), or 0)")
 _RTOL = (float, RTOL, f"relative tolerance; the kernel runs at min(rtol, {TOL_PER_H2:g}*h^2)")

@@ -18,9 +18,10 @@ Crank-Nicolson solve reads its bands off the stencil ``RadialBall.laplacian``
 and takes a half-step as one tridiagonal solve (I - s/2 L) y = f, by LAPACK's
 dgtsv in the library NumPy loaded, and x = 2y - f, the same step as solving
 (I - s/2 L) x = (I + s/2 L) f.  The snapshot checks reduce their margins over
-blocks of CHECK_BLOCK_SNAPSHOTS snapshots, bitwise as over the whole field;
-the two that need time rates take them from ``_time_rate``, a central
-difference, second order on the uniform mesh.
+blocks of CHECK_BLOCK_SNAPSHOTS snapshots, bitwise as over the whole field.
+The heat check takes its time rates from ``_time_rate``, a central
+difference, second order on the uniform mesh, and reduces the relative
+residual that gates it in the same pass.
 """
 from __future__ import annotations
 
@@ -333,7 +334,7 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
 
     # S and every snapshot come fresh out of cn_step, so the snapshots keep
     # references; only the five buffers below are written in place
-    snaps, ts, dts = [S], [0.0], []
+    snaps, dts = [S], []
     t, reason, rate_last = 0.0, None, None
     j_next = 1
     # the reaction (v^r, u^p) of a stack X is np.power(X[::-1], E): E
@@ -380,13 +381,12 @@ def simulate(geometry, p_exp: float, r_exp: float, u_init, v_init,
             if t >= t_snap[j_next] - 1e-14 * max(t_final, 1.0):
                 t = t_snap[j_next]
                 snaps.append(S)
-                ts.append(t)
                 j_next += 1
 
     snaps = np.stack(snaps, axis=1)   # (2, snapshots, nodes)
     return SpaceTimeField(
         geometry=geometry, p_exp=float(p_exp), r_exp=float(r_exp),
-        times=np.asarray(ts), u=snaps[0], v=snaps[1],
+        times=t_snap[:j_next], u=snaps[0], v=snaps[1],
         blown_up=reason is not None, truncation_reason=reason, t_reached=t,
         meta={"dt_policy": {"rel_increment": REL_INCREMENT,
                             "blowup_factor": blowup_factor,
@@ -401,13 +401,13 @@ def _time_rate(f: np.ndarray, times: np.ndarray) -> np.ndarray:
     return (f[2:] - f[:-2]) / (2.0 * (times[1] - times[0]))
 
 
-def _reduce_blocks(fld: SpaceTimeField, start: int, stop: int, block_terms,
-                   r: np.ndarray | None = None, maxima: list | None = None):
+def _reduce_blocks(fld: SpaceTimeField, start: int, stop: int, block_terms, r: np.ndarray,
+                   maxima: list | None = None):
     """Reduce a check over the snapshots start..stop-1, CHECK_BLOCK_SNAPSHOTS at a time.
 
     ``block_terms(lo, hi)`` returns the arrays whose largest entries are kept
-    and the margin, or None, on the snapshots lo..hi-1, r on its last axis.
-    Returns the largest entry of each array over all blocks, starting from
+    and the margin on the snapshots lo..hi-1, r on its last axis.  Returns
+    the largest entry of each array over all blocks, starting from
     ``maxima`` if given, and the ``worst_node`` keywords of the whole margin.
     Both follow NumPy's rules on the whole field: a maximum is NaN when an
     entry is, as with ``ndarray.max``, and the worst node is the first flat
@@ -419,38 +419,13 @@ def _reduce_blocks(fld: SpaceTimeField, start: int, stop: int, block_terms,
         arrays, margin = block_terms(lo, hi)
         block = [a.max() for a in arrays]
         maxima = block if maxima is None else [np.maximum(m, b) for m, b in zip(maxima, block)]
-        if margin is not None:
-            node = worst_node(margin, r, fld.times[lo:hi])
-            # not (value >= best) takes a smaller value or a NaN; an earlier
-            # block keeps a tie, and its NaN
-            if worst is None or not (np.isnan(worst["min_margin"])
-                                     or node["min_margin"] >= worst["min_margin"]):
-                worst = node
+        node = worst_node(margin, r, fld.times[lo:hi])
+        # not (value >= best) takes a smaller value or a NaN; an earlier
+        # block keeps a tie, and its NaN
+        if worst is None or not (np.isnan(worst["min_margin"])
+                                 or node["min_margin"] >= worst["min_margin"]):
+            worst = node
     return [float(m) for m in maxima], worst
-
-
-def _check_snapshot_residuals(fld: SpaceTimeField) -> float:
-    """The worst relative residual of the snapshots; refuses one above the threshold."""
-    if fld.times.shape[0] < 3:
-        raise PreconditionError("need at least three snapshots for time differences")
-
-    def block_terms(lo, hi):
-        # per snapshot, the largest |time derivative| and |residual| of u and v
-        rate, defect = 1.0, 0.0
-        for f, source, power in ((fld.u, fld.v, fld.r_exp), (fld.v, fld.u, fld.p_exp)):
-            res = _time_rate(f[lo - 1:hi + 1], fld.times)
-            rate = np.maximum(rate, np.abs(res).max(axis=1))
-            res -= fld.geometry.laplacian(f[lo:hi])
-            res -= source[lo:hi] ** power
-            defect = np.maximum(defect, np.abs(res).max(axis=1))
-        return [defect / rate], None
-
-    (worst,), _ = _reduce_blocks(fld, 1, fld.times.shape[0] - 1, block_terms)
-    if worst > RESIDUAL_THRESHOLD:
-        raise PreconditionError(
-            f"snapshots do not solve the system: relative residual {worst:.3e} "
-            f"exceeds {RESIDUAL_THRESHOLD}")
-    return worst
 
 
 def verify_heat_diff_inequality(fld: SpaceTimeField) -> VerificationReport:
@@ -458,25 +433,42 @@ def verify_heat_diff_inequality(fld: SpaceTimeField) -> VerificationReport:
 
     Encodes lap(v^sigma) <= sigma v^(sigma-1) lap v for sigma <= 1, so it must
     hold on every positive solution; w_t uses central differences on the
-    stored snapshots (first and last snapshot trimmed).
+    stored snapshots (first and last snapshot trimmed).  The same pass over
+    the snapshots reduces the worst relative residual of u and v in the
+    system, reported as ``params["relative_residual"]``; snapshots that do
+    not solve it, with that residual above RESIDUAL_THRESHOLD, are refused.
     """
-    _check_snapshot_residuals(fld)
+    if fld.times.shape[0] < 3:
+        raise PreconditionError("need at least three snapshots for time differences")
     geom = fld.geometry
     sig, ell, p_exp = fld.sigma, fld.ell, fld.p_exp
     sl = geom.trim_slice()
 
     def block_terms(lo, hi):
+        # per snapshot, the largest |time derivative| and |residual| of u and v
+        rate, defect = 1.0, 0.0
+        for f, source, power in ((fld.u, fld.v, fld.r_exp), (fld.v, fld.u, p_exp)):
+            res = _time_rate(f[lo - 1:hi + 1], fld.times)
+            rate = np.maximum(rate, np.abs(res).max(axis=1))
+            res -= geom.laplacian(f[lo:hi])
+            res -= source[lo:hi] ** power
+            defect = np.maximum(defect, np.abs(res).max(axis=1))
         w = fld.gap(slice(lo - 1, hi + 1))
         lap_w = geom.laplacian(w[1:-1])[:, sl]
         w_t = _time_rate(w, fld.times)[:, sl]
         u, v = fld.u[lo:hi, sl], fld.v[lo:hi, sl]
         reac = ell * sig * v ** (sig - 1.0) * (u ** p_exp - ell**p_exp * v ** (sig * p_exp))
-        return [np.abs(lap_w), np.abs(w_t), np.abs(reac)], lap_w - w_t - reac
+        return [defect / rate, np.abs(lap_w), np.abs(w_t), np.abs(reac)], lap_w - w_t - reac
 
-    maxima, worst = _reduce_blocks(fld, 1, fld.times.shape[0] - 1, block_terms, geom.x[sl])
+    (residual, *maxima), worst = _reduce_blocks(fld, 1, fld.times.shape[0] - 1, block_terms,
+                                                geom.x[sl])
+    if residual > RESIDUAL_THRESHOLD:
+        raise PreconditionError(
+            f"snapshots do not solve the system: relative residual {residual:.3e} "
+            f"exceeds {RESIDUAL_THRESHOLD}")
     return VerificationReport(
         inequality="gap-heat-inequality",
-        params={"p": fld.p_exp, "r": fld.r_exp, "sigma": sig},
+        params={"p": fld.p_exp, "r": fld.r_exp, "sigma": sig, "relative_residual": residual},
         tol=TOL_SECOND_ORDER, scale=max(1.0, *maxima), **worst)
 
 
@@ -530,6 +522,9 @@ def verify_sign_propagation(fld: SpaceTimeField) -> VerificationReport:
 
 def convexity_epsilon(p_exp: float, r_exp: float) -> float:
     """Midpoint of the admissible interval (0, min((pr-1)/(r+1), p-1))."""
+    # NaN and inf pass both relations below
+    require_above("p_exp", p_exp)
+    require_above("r_exp", r_exp)
     if p_exp * r_exp <= 1:
         raise PreconditionError(
             f"empty epsilon interval: p*r = {p_exp * r_exp} must exceed 1")

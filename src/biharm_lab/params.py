@@ -129,6 +129,7 @@ def q_min(alpha: float, n: int) -> float:
 
 def beta_max_or_zero(alpha: float, q: float, n: int) -> float:
     """beta_max(alpha, q, n) where it is defined, else 0 (the default beta)."""
+    ParamSet(n=n, q=q, alpha=alpha)
     return float(_beta_max_or_zero(alpha, q, n))
 
 
@@ -152,7 +153,7 @@ def beta_max(alpha: float, q: float, n: int) -> float:
 def weak_coefficient(q: float) -> float:
     """Baseline coefficient sqrt(2/(q-1)) of the gradient-free bound, beta_max at alpha = 0."""
     require_above("q", q, 1.0)
-    return beta_max_or_zero(0.0, q, 3)   # n drops out at alpha = 0
+    return float(_beta_max_or_zero(0.0, q, 3))   # n drops out at alpha = 0
 
 
 @dataclass(frozen=True)
@@ -248,8 +249,7 @@ def growth_exponent(gamma: float) -> float:
 
 def tau(q: float, n: int) -> float:
     """Growth power min{4, 4/(-q + 3 + 4/n)_+} of the alpha = 1/2 bound."""
-    require_count("dimension n", n, 3, DomainError)
-    require_above("q", q, 1.0)
+    ParamSet(n=n, q=q)
     if q < 3:
         raise DomainError(f"tau requires q >= 3, got q = {q}")
     pos = max(0.0, -q + 3.0 + 4.0 / n)

@@ -45,7 +45,8 @@ SYSTEM_U0_GRID = (0.7, 1.0, 1.5)
 KAPPA_V_GRID = (0.75, 1.4, 2.0, 3.0)
 
 #: the shooting sweeps' default tables of n, q and the coupling exponent r
-#: (system only), and their window: DEFAULT_INTERVALS intervals on [0, DEFAULT_R_MAX]
+#: (system only), and their window: DEFAULT_INTERVALS intervals on [0, DEFAULT_R_MAX],
+#: whose end is also the window end of the CLI's shots
 N_VALUES = (3, 4, 5)
 Q_VALUES = (2.0, 3.0, 5.0, 7.0)
 REXP_VALUES = (0.5, 1.0, 2.0)

@@ -764,7 +764,8 @@ class TestTableDefaults:
 
     @pytest.mark.parametrize("command,dest,value", [
         *((command, dest, value) for command in ("solve-biharmonic", "verify", "solve-system")
-          for dest, value in (("n", biharmonic.EXACT_N), ("q", biharmonic.EXACT_Q))),
+          for dest, value in (("n", biharmonic.EXACT_N), ("q", biharmonic.EXACT_Q),
+                              ("r_max", sweeps.DEFAULT_R_MAX))),
         ("region", "alpha", ALPHA_MAX), ("verify", "alpha", ALPHA_MAX)])
     def test_default_is_the_library_value(self, command, dest, value):
         assert cli.OPTIONS[command][dest][1] is value

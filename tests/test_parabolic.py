@@ -113,6 +113,14 @@ class TestHeatDiffInequality:
         with pytest.raises(PreconditionError):
             pb.verify_heat_diff_inequality(fld)
 
+    def test_two_snapshots_refused(self):
+        # no interior snapshot for a central difference: refused before any block
+        fld = pb.simulate(pb.PeriodicBox(num_nodes=16), 2.0, 1.0, 1.0, 1.2, t_final=0.01,
+                          num_snapshots=1)
+        assert fld.times.shape == (2,)
+        with pytest.raises(PreconditionError, match="need at least three snapshots"):
+            pb.verify_heat_diff_inequality(fld)
+
     def test_sign_coupling(self, nonhomog):
         fld = nonhomog
         w = fld.w
@@ -484,6 +492,11 @@ class TestScalarPowerBounds:
     def test_empty_interval_refused(self):
         with pytest.raises(PreconditionError):
             pb.convexity_epsilon(1.0, 1.0)
+        # a non-finite or non-positive exponent is refused before p*r > 1 and
+        # p > 1, which NaN and inf pass
+        for p, r in [(2.0, np.nan), (np.inf, 2.0), (3.0, np.inf), (3.0, -1.0)]:
+            with pytest.raises(DomainError):
+                pb.verify_scalar_power_bounds(p, r)
 
 
 class TestGeometryGuards:
@@ -633,8 +646,8 @@ class TestStackedForm:
     def test_verifiers_match_snapshot_loops(self, case):
         fld = stack_run(case)
         assert not fld.blown_up
-        assert pb._check_snapshot_residuals(fld) == loop_residual(fld)
         rep = pb.verify_heat_diff_inequality(fld)
+        assert rep.params["relative_residual"] == loop_residual(fld)
         ref = loop_heat_margin(fld)
         got = {"min_margin": rep.min_margin, "argmin_r": rep.argmin_r,
                "argmin_t": rep.argmin_t, "scale": rep.scale}
@@ -807,7 +820,8 @@ def whole_field_heat(fld):
     margin = lap_w - w_t - reac
     return pb.VerificationReport(
         inequality="gap-heat-inequality",
-        params={"p": fld.p_exp, "r": fld.r_exp, "sigma": sig},
+        params={"p": fld.p_exp, "r": fld.r_exp, "sigma": sig,
+                "relative_residual": whole_field_residual(fld)},
         tol=pb.TOL_SECOND_ORDER, scale=scale,
         **worst_node(margin, geom.x[sl], fld.times[1:-1])), margin
 
@@ -884,7 +898,6 @@ class TestBlockReference:
         fld = block_field(geom, snapshots, kind)
         monkeypatch.setattr(pb, "RESIDUAL_THRESHOLD", np.inf)   # any field reaches the checks
         with np.errstate(over="ignore", invalid="ignore"):
-            assert repr(pb._check_snapshot_residuals(fld)) == repr(whole_field_residual(fld))
             for check, reference in ((pb.verify_heat_diff_inequality, whole_field_heat),
                                      (pb.verify_component_comparison, whole_field_comparison),
                                      (pb.verify_sign_propagation, whole_field_propagation)):
@@ -901,7 +914,8 @@ class TestBlockReference:
         # the earlier block's
         fld = block_field(pb.PeriodicBox(num_nodes=24), 3 * self.B, "random")
         fld.u[self.B + 2, 5] = fld.u[2 * self.B + 1, 3] = np.nan
-        assert np.isnan(pb._check_snapshot_residuals(fld)) and np.isnan(whole_field_residual(fld))
+        residual = pb.verify_heat_diff_inequality(fld).params["relative_residual"]
+        assert np.isnan(residual) and np.isnan(whole_field_residual(fld))
         rep = pb.verify_component_comparison(fld)
         assert np.isnan(rep.min_margin) and rep.argmin_t == fld.times[self.B + 2]
         assert rep.argmin_r == fld.geometry.x[5] and not np.isnan(rep.scale)

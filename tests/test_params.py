@@ -5,7 +5,7 @@ import pytest
 
 from biharm_lab.errors import DomainError, PreconditionError
 from biharm_lab.params import (BOUNDARY_TOL, GammaInterval, ParamSet,
-                               beta_max, check_admissible, coefficients,
+                               beta_max, beta_max_or_zero, check_admissible, coefficients,
                                gamma_interval, growth_exponent, q_min, tau,
                                weak_coefficient)
 
@@ -116,6 +116,13 @@ class TestBetaMax:
     def test_domain(self):
         with pytest.raises(DomainError):
             beta_max(0.5, 1.5, 3)   # q - 1 - 2/n < 0
+
+    # outside ParamSet's domain: n = 0 divided by zero, n = 2 and alpha < 0 gave numbers
+    @pytest.mark.parametrize("alpha,n", [(0.5, 0), (0.5, 2), (-1.0, 3)])
+    def test_outside_param_domain_refused(self, alpha, n):
+        for fn in (beta_max, beta_max_or_zero):
+            with pytest.raises(DomainError):
+                fn(alpha, 7.0, n)
 
     def test_weak_coefficient_refuses_infinite_q(self):
         with pytest.raises(DomainError):
